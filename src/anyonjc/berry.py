@@ -14,12 +14,14 @@ one Richardson sweep against the half-resolution cycle removes that bias
 (the raw estimator stays available for convergence studies).
 
 Adiabatic route: the state is integrated under H(t) = W(t) H0 W(t)^dag
-with a fixed-step RK4 integrator, the dynamical phase is subtracted, and
-the leftover argument against the instantaneously rotated eigenstate is
-accumulated. The family is isospectral, so the instantaneous eigenvalue
-is a constant and its subtraction is exact; what remains after it is the
-geometric phase plus a secular level-repulsion shift of order 1/T, which
-the two-run extrapolation helper cancels.
+by the unitary 4th-order Magnus stepper magnus4_evolve, shared with the
+Ramsey wait (equal steps, |E| dt <= STEP_PHASE, at least one per path
+segment); the dynamical phase is subtracted, and the leftover argument
+against the instantaneously rotated eigenstate is accumulated. The family
+is isospectral, so the instantaneous eigenvalue is a constant and its
+subtraction is exact; what remains after it is the geometric phase plus a
+secular level-repulsion shift of order 1/T, which the two-run
+extrapolation helper cancels.
 
 The overall sign linking raw products to the reported phase is never
 assumed: it is fixed once per process by a calibration loop at known
@@ -317,35 +319,62 @@ class DriveSchedule:
         """Peak ds/du of the parametrization (1.5 for smoothstep)."""
         return 1.5 if self.time_parametrization == "smoothstep" else 1.0
 
-
-def _drive_interpolator(path: LoopPath):
-    samples = path.samples
-    seg = len(samples) - 1
-
-    def at(s: float) -> tuple[float, float]:
-        u = min(max(s, 0.0), 1.0) * seg
-        i = min(int(u), seg - 1)
-        f = u - i
-        th = samples[i, 0] + f * (samples[i + 1, 0] - samples[i, 0])
-        ph = samples[i, 1] + f * (samples[i + 1, 1] - samples[i, 1])
+    def drive_point(self, t: float) -> tuple[float, float]:
+        """Drive point (theta, phi) at time t, linear between path samples."""
+        samples = self.path.samples
+        u = self.path_parameter(t) * (len(samples) - 1)
+        i = min(int(u), len(samples) - 2)
+        th, ph = samples[i] + (u - i) * (samples[i + 1] - samples[i])
         return th, ph
 
-    return at
+
+# Largest phase |E| dt (rad) one Magnus step may take. The step error
+# depends only on how fast H(t) changes; at 0.17 rad a T = 200 Ramsey point
+# agrees with a fine RK4 reference to about 3e-7 in p_down.
+STEP_PHASE = 0.17
 
 
-def rk4_step_size(total_time: float, energy_scale: float) -> float:
-    """Fixed RK4 step keeping the norm drift under the configured budget.
+def magnus_step_count(total_time: float, energy_scale: float, segments: int) -> int:
+    """Steps for a drive of total_time: |E| dt <= STEP_PHASE for the largest
+    |E| = energy_scale, and at least one step per path segment."""
+    return max(math.ceil(total_time * energy_scale / STEP_PHASE), segments)
 
-    The RK4 stability function satisfies |R(i y)|^2 = 1 - y^6/72 + O(y^8)
-    per step (y = E dt), so the accumulated drift over T/dt steps is about
-    T E y^5 / 144; inverting for the drift budget and halving for safety
-    gives the step, capped at 1/50 of the fastest period scale.
+
+def magnus4_evolve(
+    h0: np.ndarray,
+    lift: LiftCache,
+    schedule: DriveSchedule,
+    psi: np.ndarray,
+    total_time: float,
+    n_steps: int,
+):
+    """Propagate psi under H(t) = W(t) h0 W(t)^dag over [0, total_time].
+
+    Each of the n_steps equal steps is one 4th-order Magnus step [Blanes,
+    Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)]: H is sampled at the two
+    Gauss-Legendre nodes, Omega = -i dt/2 (H1 + H2) - (sqrt(3)/12) dt^2
+    [H2, H1], and exp(Omega) is applied through the eigensystem of the
+    Hermitian i Omega, so the step is unitary to rounding. W follows
+    schedule.drive_point. Yields (t, W(t), psi(t)) after every step, so
+    callers can test their guards at every step.
     """
-    if energy_scale <= 0.0:
-        return total_time / 1000.0
-    y = 0.5 * (144.0 * TOL.norm_drift / (total_time * energy_scale)) ** 0.2
-    y = min(y, 1.0 / 50.0)
-    return y / energy_scale
+    dt = total_time / n_steps
+    node = math.sqrt(3.0) / 6.0 * dt  # Gauss-Legendre nodes at mid -+ node
+    comm = 0.5 * node * dt
+
+    def h_at(t: float) -> np.ndarray:
+        w = lift.matrix(*schedule.drive_point(t))
+        return w @ h0 @ w.conj().T
+
+    for k in range(n_steps):
+        t = k * dt
+        h1 = h_at(t + 0.5 * dt - node)
+        h2 = h_at(t + 0.5 * dt + node)
+        gen = (0.5 * dt) * (h1 + h2) + (1j * comm) * (h1 @ h2 - h2 @ h1)
+        vals, vecs = np.linalg.eigh(gen)
+        psi = vecs @ (np.exp(-1j * vals) * (vecs.conj().T @ psi))
+        t_end = (k + 1) * dt
+        yield t_end, lift.matrix(*schedule.drive_point(t_end)), psi
 
 
 def adiabatic_evolution(
@@ -355,20 +384,22 @@ def adiabatic_evolution(
     initial: StateVector,
     *,
     leak_threshold: float = TOL.leak_threshold,
-    dt_override: float | None = None,
 ) -> tuple[StateVector, PhaseReport]:
     """Integrate the driven Schroedinger equation and extract the phase.
 
     ``initial`` is an eigenstate of the undriven Hamiltonian; it is lifted
     to the path start internally. Evolution runs under
-    H(t) = W(t) H0 W(t)^dag with fixed-step RK4. The returned report
-    carries the geometric phase after dynamic-phase removal (see
-    DriveSchedule), with the same calibrated sign convention as the
-    holonomy route, plus leak and drift diagnostics.
+    H(t) = W(t) H0 W(t)^dag by magnus4_evolve in equal steps, |E| dt <=
+    STEP_PHASE for the largest |E| of H0, at least one per path segment.
+    The report carries the geometric phase after dynamic-phase removal
+    (see DriveSchedule; an energy expectation is integrated by the
+    trapezoid rule over the step ends), with the same calibrated sign
+    convention as the holonomy route, plus leak, drift and step
+    diagnostics.
 
     Raises NonAdiabatic as soon as the leak out of the followed eigenstate
-    exceeds leak_threshold, and NormDrift if the integrator's norm error
-    leaves budget.
+    exceeds leak_threshold, and NormDrift if the state norm moved by more
+    than the budget over the run.
     """
     if hamiltonian.basis != frame.basis or initial.basis != frame.basis:
         raise BasisMismatch("hamiltonian, frame and state must share a basis")
@@ -383,60 +414,38 @@ def adiabatic_evolution(
             "drive time is under ten coupling periods; expect large leak",
             stacklevel=2,
         )
-    dt = dt_override if dt_override is not None else rk4_step_size(t_total, scale)
-    n_steps = max(int(math.ceil(t_total / dt)), 4)
+    n_steps = magnus_step_count(t_total, scale, schedule.path.segments)
     dt = t_total / n_steps
 
     energy_branch = float(np.real(np.vdot(base, h0 @ base)))
     lift = LiftCache(frame)
-    drive_at = _drive_interpolator(schedule.path)
+    w = lift.matrix(*schedule.drive_point(0.0))
+    psi = w @ base
 
-    def h_at(t: float) -> np.ndarray:
-        th, ph = drive_at(schedule.path_parameter(t))
-        w = lift.matrix(th, ph)
-        return w @ h0 @ w.conj().T
-
-    th0, ph0 = drive_at(schedule.path_parameter(0.0))
-    w_now = lift.matrix(th0, ph0)
-    psi = w_now @ base
-    h_now = w_now @ h0 @ w_now.conj().T
+    def energy(w: np.ndarray, psi: np.ndarray) -> float:
+        rotated = w.conj().T @ psi
+        return float(np.real(np.vdot(rotated, h0 @ rotated) / np.vdot(psi, psi)))
 
     arg_total = 0.0
     arg_prev = 0.0
     dyn_integral = 0.0
     max_leak = 0.0
     track_expectation = schedule.dynamic_phase_mode == "subtract-energy-expectation"
+    e_prev = energy(w, psi) if track_expectation else 0.0
 
-    for k in range(n_steps):
-        t = k * dt
-        h_mid = h_at(t + 0.5 * dt)
-        h_end = h_at(t + dt)
-        k1 = -1j * (h_now @ psi)
-        y2 = psi + (0.5 * dt) * k1
-        k2 = -1j * (h_mid @ y2)
-        y3 = psi + (0.5 * dt) * k2
-        k3 = -1j * (h_mid @ y3)
-        y4 = psi + dt * k3
-        k4 = -1j * (h_end @ y4)
+    for t, w, psi in magnus4_evolve(h0, lift, schedule, psi, t_total, n_steps):
         if track_expectation:
-            e1 = np.real(1j * np.vdot(psi, k1)) / np.real(np.vdot(psi, psi))
-            e2 = np.real(1j * np.vdot(y2, k2)) / np.real(np.vdot(y2, y2))
-            e3 = np.real(1j * np.vdot(y3, k3)) / np.real(np.vdot(y3, y3))
-            e4 = np.real(1j * np.vdot(y4, k4)) / np.real(np.vdot(y4, y4))
-            dyn_integral += dt * (e1 + 2.0 * e2 + 2.0 * e3 + e4) / 6.0
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        h_now = h_end
-
-        th, ph = drive_at(schedule.path_parameter(t + dt))
-        chi = lift.matrix(th, ph) @ base
-        ov = np.vdot(chi, psi)
+            e_now = energy(w, psi)
+            dyn_integral += 0.5 * dt * (e_prev + e_now)
+            e_prev = e_now
+        ov = np.vdot(w @ base, psi)
         norm_sq = float(np.real(np.vdot(psi, psi)))
         leak = 1.0 - (abs(ov) ** 2) / norm_sq
         if leak > max_leak:
             max_leak = leak
         if leak > leak_threshold:
             raise NonAdiabatic(
-                f"leak {leak:.3e} exceeded {leak_threshold:.1e} at t = {t + dt:.3f}"
+                f"leak {leak:.3e} exceeded {leak_threshold:.1e} at t = {t:.3f}"
             )
         arg_now = math.atan2(ov.imag, ov.real)
         arg_total += math.remainder(arg_now - arg_prev, TWO_PI)
@@ -469,7 +478,10 @@ def adiabatic_evolution(
         diagnostics={
             "max_nonadiabatic_leak": max_leak,
             "norm_drift": drift,
+            "n_steps": n_steps,
             "dt": dt,
+            "max_step_phase": scale * dt,
+            "propagator": "magnus4",
             "dynamic_phase_mode": schedule.dynamic_phase_mode,
             "dynamic_phase_subtracted": dyn_subtracted,
             "energy_branch": energy_branch,

@@ -46,6 +46,7 @@ from .model import (
     default_basis,
     detuning_ratio,
     dressed_state_vector,
+    falling_product,
     statistical_factor,
     two_anyon_analytic_phase,
     two_anyon_basis,
@@ -546,6 +547,24 @@ def _apply_config(parser: _Parser, args, argv: list[str]):
         setattr(args, key, value)
 
 
+# Largest magnitude of a float flag, so that its square stays finite.
+FLOAT_LIMIT = 1e150
+
+
+def _check_args(args) -> None:
+    """Reject flag values the numerics cannot represent (exit 4)."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not abs(value) <= FLOAT_LIMIT:  # or NaN
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} {value!r} is not finite or above {FLOAT_LIMIT:g}")
+    if getattr(args, "points", 1) < 1:
+        raise ValueError("--points must be at least 1")
+    m, n = getattr(args, "m", 0), getattr(args, "n", 0) + getattr(args, "n_prime", 0)
+    # (n + m)! / n! >= m!, and 171! is already beyond the float range
+    if m > 170 or falling_product(n, m) > sys.float_info.max:
+        raise ValueError(f"(n + m)! / n! overflows a float at m = {m}, n + n' = {n}")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -553,6 +572,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             _apply_config(parser, args, argv)
+        _check_args(args)
         return args.func(args)
     except (NonAdiabatic, NormDrift, CycleMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)

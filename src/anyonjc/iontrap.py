@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .berry import DriveSchedule, rk4_step_size
+from .berry import DriveSchedule, magnus4_evolve, magnus_step_count
 from .config import TOL
 from .errors import CycleMismatch, NonAdiabatic, NormDrift, TruncationWarning
 from .fock import (
@@ -177,18 +177,6 @@ def _warn_if_marginal(trap: TrapParams, basis: BasisSpec):
             TruncationWarning,
             stacklevel=3,
         )
-
-
-def effective_coupling_operator(
-    trap: TrapParams, basis: BasisSpec, order: int | None = None
-) -> FockOperator:
-    """Diagonal operator f_order(n_a) over a two-mode basis."""
-    _warn_if_marginal(trap, basis)
-    offset = 1 if basis.qubit_included else 0
-    diag = [
-        coupling_strength(trap, label[offset], order=order) for label in basis.states
-    ]
-    return FockOperator(basis, np.diag(np.asarray(diag, dtype=complex)))
 
 
 def sideband_hamiltonian(trap: TrapParams, basis: BasisSpec) -> FockOperator:
@@ -360,9 +348,11 @@ def ramsey_protocol(
 
     The wait time is snapped to the nearest integer number of doublet
     cycles (snap=False instead raises CycleMismatch when the requested
-    time is off-cycle), the loop drive is integrated with fixed-step RK4
-    under H(t) = W(t) H0 W(t)^dag, and leakage out of the instantaneous
-    doublet-plus-spectator subspace is tracked throughout.
+    time is off-cycle), the loop drive is integrated under H(t) =
+    W(t) H0 W(t)^dag by the 4th-order Magnus stepper berry.magnus4_evolve
+    in equal steps (|E| dt <= berry.STEP_PHASE for the largest |E| of H0,
+    at least one per path segment), and leakage out of the instantaneous
+    doublet-plus-spectator subspace is tested after every step.
     """
     trap = run.trap
     model = effective_model(trap)
@@ -399,41 +389,16 @@ def ramsey_protocol(
 
     h0m = h0.matrix
     scale = float(np.abs(np.linalg.eigvalsh(h0m)).max())
-    dt = rk4_step_size(t_total, scale)
-    n_steps = max(int(math.ceil(t_total / dt)), 4)
-    dt = t_total / n_steps
+    n_steps = magnus_step_count(t_total, scale, run.schedule.path.segments)
 
     lift = LiftCache(frame)
-    samples = run.schedule.path.samples
-    seg = len(samples) - 1
-
-    def h_at(t: float) -> tuple[np.ndarray, np.ndarray]:
-        s = run.schedule.path_parameter(t)
-        u = min(max(s, 0.0), 1.0) * seg
-        i = min(int(u), seg - 1)
-        f = u - i
-        th = samples[i, 0] + f * (samples[i + 1, 0] - samples[i, 0])
-        ph = samples[i, 1] + f * (samples[i + 1, 1] - samples[i, 1])
-        w = lift.matrix(th, ph)
-        return w @ h0m @ w.conj().T, w
-
-    h_now, w_start = h_at(0.0)
-    p_plus_start = abs(np.vdot(w_start @ chi_base[0], psi)) ** 2
+    w = lift.matrix(*run.schedule.drive_point(0.0))
+    p_plus_start = abs(np.vdot(w @ chi_base[0], psi)) ** 2
     max_leak = 0.0
-    for k in range(n_steps):
-        t = k * dt
-        h_mid, _ = h_at(t + 0.5 * dt)
-        h_end, w_end = h_at(t + dt)
-        k1 = -1j * (h_now @ psi)
-        k2 = -1j * (h_mid @ (psi + (0.5 * dt) * k1))
-        k3 = -1j * (h_mid @ (psi + (0.5 * dt) * k2))
-        k4 = -1j * (h_end @ (psi + dt * k3))
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        h_now = h_end
-
+    for t, w, psi in magnus4_evolve(h0m, lift, run.schedule, psi, t_total, n_steps):
         p_in = (
-            abs(np.vdot(w_end @ chi_base[0], psi)) ** 2
-            + abs(np.vdot(w_end @ chi_base[1], psi)) ** 2
+            abs(np.vdot(w @ chi_base[0], psi)) ** 2
+            + abs(np.vdot(w @ chi_base[1], psi)) ** 2
             + abs(np.vdot(spectator, psi)) ** 2
         )
         leak = 1.0 - p_in / float(np.real(np.vdot(psi, psi)))
@@ -441,7 +406,7 @@ def ramsey_protocol(
             max_leak = leak
         if leak > leak_threshold:
             raise NonAdiabatic(
-                f"loop leak {leak:.3e} exceeded {leak_threshold:.1e} at t = {t + dt:.2f}"
+                f"loop leak {leak:.3e} exceeded {leak_threshold:.1e} at t = {t:.2f}"
             )
 
     drift = abs(math.sqrt(float(np.real(np.vdot(psi, psi)))) - 1.0)
@@ -451,7 +416,7 @@ def ramsey_protocol(
     # The sector leak above cannot see diabatic mixing between the two
     # dressed branches (both lie inside the followed subspace), so check
     # the net branch transfer over the whole wait separately.
-    p_plus_end = abs(np.vdot(w_end @ chi_base[0], psi)) ** 2 / float(
+    p_plus_end = abs(np.vdot(w @ chi_base[0], psi)) ** 2 / float(
         np.real(np.vdot(psi, psi))
     )
     branch_transfer = abs(p_plus_end - p_plus_start)
@@ -477,6 +442,9 @@ def ramsey_protocol(
         "total_time": t_total,
         "cycle_residual": residual,
         "n_steps": n_steps,
+        "dt": t_total / n_steps,
+        "max_step_phase": scale * t_total / n_steps,
+        "propagator": "magnus4",
         "pulse_beta": beta,
         "sign_ambiguous": True,
         "contrast": math.sin(beta),

@@ -8,19 +8,23 @@ error cannot hide.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from anyonjc.berry import (
+    STEP_PHASE,
     DriveSchedule,
     adiabatic_evolution,
     adiabaticity_budget,
     calibrate_sign_convention,
     extrapolated_adiabatic_phase,
     holonomy_phase,
+    magnus_step_count,
     principal_value,
-    rk4_step_size,
     transport_states,
 )
 from anyonjc.config import TOL
@@ -33,7 +37,13 @@ from anyonjc.model import (
     default_basis,
     dressed_state_vector,
 )
-from anyonjc.paths import constant_latitude_loop, default_latitude_loop, schwinger_frame
+from anyonjc.fock import StateVector
+from anyonjc.paths import (
+    constant_latitude_loop,
+    default_latitude_loop,
+    polygon_loop,
+    schwinger_frame,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -192,9 +202,20 @@ class TestSchedule:
         with pytest.raises(ValueError):
             DriveSchedule(path, 1.0, dynamic_phase_mode="guess")
 
-    def test_step_size_properties(self):
-        assert rk4_step_size(10.0, 2.0) <= 1.0 / (50.0 * 2.0)
-        assert rk4_step_size(1e6, 2.0) < rk4_step_size(10.0, 2.0)
+    @given(st.floats(1e-3, 1e4), st.floats(0.0, 1e3), st.integers(1, 5000))
+    def test_step_rule(self, total_time, energy, segments):
+        n_steps = magnus_step_count(total_time, energy, segments)
+        assert n_steps >= segments
+        dt = total_time / n_steps
+        assert energy * dt <= STEP_PHASE * (1.0 + 4.0 * sys.float_info.epsilon)
+
+    def test_drive_point_interpolates_samples(self):
+        path = polygon_loop([[0.5, 0.0], [1.0, 2.0], [0.7, 4.0], [0.5, TWO_PI]])
+        sched = DriveSchedule(path, 6.0, time_parametrization="uniform")
+        assert sched.drive_point(0.0) == (0.5, 0.0)
+        assert sched.drive_point(2.0) == pytest.approx((1.0, 2.0))
+        assert sched.drive_point(3.0) == pytest.approx((0.85, 3.0))
+        assert sched.drive_point(6.0) == pytest.approx((0.5, TWO_PI))
 
 
 class TestAdiabatic:
@@ -253,14 +274,15 @@ class TestAdiabatic:
             with pytest.raises(NonAdiabatic):
                 adiabatic_evolution(h0, frame, DriveSchedule(path, 5.0), state)
 
-    def test_oversized_step_raises_norm_drift(self):
+    def test_unnormalized_start_raises_norm_drift(self):
+        # the Magnus step is unitary, so a norm error in the initial state
+        # survives to the end-of-run guard
         params, frame, state = doublet_setup(m=2, delta=0.4)
         h0 = build_interaction_hamiltonian(params)
-        path = constant_latitude_loop(0.0, 16)
+        path = constant_latitude_loop(0.7, 16)
+        off = StateVector(frame.basis, state.amplitudes * (1.0 + 1e-6))
         with pytest.raises(NormDrift):
-            adiabatic_evolution(
-                h0, frame, DriveSchedule(path, 50.0), state, dt_override=0.5
-            )
+            adiabatic_evolution(h0, frame, DriveSchedule(path, 30.0), off)
 
     def test_energy_expectation_mode_runs(self):
         params, frame, state = doublet_setup(m=2)
@@ -276,6 +298,52 @@ class TestAdiabatic:
         assert report.diagnostics["dynamic_phase_mode"] == (
             "subtract-energy-expectation"
         )
+
+
+class TestMagnusAgainstRK4:
+    """The Magnus stepper against the RK4 oracle (conftest.rk4_reference)."""
+
+    @pytest.mark.parametrize("m,loop", [(1, "latitude"), (3, "latitude"), (1, "poly")])
+    def test_gamma_total_agrees(self, rk4_reference, m, loop):
+        params, frame, state = doublet_setup(m=m, delta=0.3)
+        h0 = build_interaction_hamiltonian(params)
+        if loop == "latitude":
+            path = default_latitude_loop(m, 0.6, 96)
+        else:
+            phis = np.linspace(0.0, TWO_PI, 25)
+            thetas = 0.9 + 0.15 * np.sin(2.0 * phis)
+            path = polygon_loop(np.column_stack([thetas, phis]))
+        sched = DriveSchedule(path, 60.0)
+        _, fast = adiabatic_evolution(h0, frame, sched, state)
+        with rk4_reference():
+            _, ref = adiabatic_evolution(h0, frame, sched, state)
+        assert ref.n_steps > 10 * fast.n_steps
+        assert fast.gamma_total == pytest.approx(ref.gamma_total, abs=1e-5)
+
+    def test_energy_expectation_integral_agrees(self, rk4_reference):
+        params, frame, state = doublet_setup(m=2, delta=0.3)
+        h0 = build_interaction_hamiltonian(params)
+        path = default_latitude_loop(2, 0.8, 96)
+        sched = DriveSchedule(
+            path, 40.0, dynamic_phase_mode="subtract-energy-expectation"
+        )
+        _, fast = adiabatic_evolution(h0, frame, sched, state)
+        with rk4_reference():
+            _, ref = adiabatic_evolution(h0, frame, sched, state)
+        key = "dynamic_phase_subtracted"
+        assert fast.diagnostics[key] == pytest.approx(ref.diagnostics[key], abs=1e-4)
+
+    def test_step_diagnostics(self):
+        params, frame, state = doublet_setup(m=2, delta=0.3)
+        h0 = build_interaction_hamiltonian(params)
+        path = default_latitude_loop(2, 0.8, 96)
+        _, report = adiabatic_evolution(h0, frame, DriveSchedule(path, 40.0), state)
+        diag = report.diagnostics
+        assert diag["propagator"] == "magnus4"
+        assert diag["n_steps"] == report.n_steps >= path.segments
+        assert diag["dt"] * diag["n_steps"] == pytest.approx(40.0)
+        assert diag["max_step_phase"] <= STEP_PHASE
+        assert diag["norm_drift"] < 1e-12
 
 
 class TestBudget:

@@ -203,6 +203,22 @@ class TestExitCodes:
     def test_bad_value_exits_4(self, capsys):
         assert main(["phase", "--theta", "4pi"]) == 4  # latitude out of range
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phase", "--delta", "nan"],
+            ["phase", "--delta", "1e308"],
+            ["phase", "--m", "200"],
+            ["transmute", "--points", "0"],
+        ],
+    )
+    def test_unrepresentable_input_exits_4(self, argv, capsys):
+        # each used to end in a traceback with exit code 1
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_installed_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "anyonjc", "transmute", "--points", "2"],

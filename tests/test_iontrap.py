@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from anyonjc.berry import STEP_PHASE
 from anyonjc.errors import CycleMismatch, NonAdiabatic, TruncationWarning
 from anyonjc.fock import SPIN_DOWN, SPIN_UP
 from anyonjc.iontrap import (
@@ -202,6 +203,19 @@ class TestProtocol:
         assert run.result["gamma_inferred"] == pytest.approx(gamma, abs=1e-2)
         assert run.j_cycles == 45
         assert run.diagnostics["branch_transfer"] < 1e-2
+
+    def test_p_down_agrees_with_rk4_oracle(self, rk4_reference):
+        trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
+        fast = ramsey_protocol(make_ramsey_run(trap, 2.0 * math.pi, 100.0))
+        with rk4_reference():
+            ref = ramsey_protocol(make_ramsey_run(trap, 2.0 * math.pi, 100.0))
+        assert ref.diagnostics["n_steps"] > 10 * fast.diagnostics["n_steps"]
+        assert fast.result["p_down"] == pytest.approx(ref.result["p_down"], abs=1e-6)
+        diag = fast.diagnostics
+        assert diag["propagator"] == "magnus4"
+        assert diag["dt"] * diag["n_steps"] == pytest.approx(diag["total_time"])
+        assert diag["max_step_phase"] <= STEP_PHASE
+        assert diag["norm_drift"] < 1e-12
 
     def test_fast_drive_raises(self):
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
