@@ -1,9 +1,10 @@
 """Geometric phases: discrete holonomy and adiabatic time evolution.
 
 Both routes transport a dressed state around a drive loop with the
-phi-periodic co-rotating lift W(theta, phi) (see paths.build_periodic_unitary)
-and must agree with the closed-form phase from the model module; neither
-reuses the other's arithmetic, which is the point of having both.
+phi-periodic co-rotating lift W(theta, phi) = paths.lift, whose docstring
+states the sign convention, and must agree with the closed-form phase
+from the model module; neither reuses the other's arithmetic, which is
+the point of having both.
 
 Holonomy route: the loop is sampled, the state is lifted at every sample,
 and the phase is read off the Bargmann product of consecutive overlaps.
@@ -54,10 +55,10 @@ from .model import (
     dressed_state_vector,
 )
 from .paths import (
-    LiftCache,
     LoopPath,
     SchwingerFrame,
     constant_latitude_loop,
+    lift,
     schwinger_frame,
 )
 
@@ -93,46 +94,30 @@ class PhaseReport:
     revolutions: int = 1
     diagnostics: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        out = {
-            "gamma": self.gamma,
-            "winding": self.winding,
-            "gamma_total": self.gamma_total,
-            "gamma_per_revolution": self.gamma_per_revolution,
-            "method": self.method,
-            "n_steps": self.n_steps,
-            "total_time": self.total_time,
-            "revolutions": self.revolutions,
-            "diagnostics": dict(self.diagnostics),
-        }
-        return out
-
 
 def transport_states(
     frame: SchwingerFrame, state: StateVector, path: LoopPath
 ) -> np.ndarray:
     """Lift the state to every path sample: row k is W(theta_k, phi_k) psi.
 
-    Constant-latitude paths take a vectorized route (one rotation matrix,
-    batched diagonal phases); anything else loops over samples.
+    The azimuth phases are diagonal and applied to all rows at once; the
+    rows are rotated in runs of equal theta, one rotation matrix per run
+    (a single one for a latitude loop).
     """
     if state.basis != frame.basis:
         raise BasisMismatch("state and frame use different bases")
-    thetas = path.samples[:, 0]
-    phis = path.samples[:, 1]
-    dz = frame.jz_diagonal
-    psi = state.amplitudes
-    if np.ptp(thetas) == 0.0:
-        ry = frame.rotation_about_y(float(thetas[0]))
-        phases = np.exp(-1j * np.outer(phis, dz))
-        inner = (phases.conj() * psi[None, :]) @ ry.T
-        return phases * inner
-    out = np.empty((len(thetas), frame.basis.dim), dtype=complex)
-    for k in range(len(thetas)):
-        ry = frame.rotation_about_y(float(thetas[k]))
-        phase = np.exp(-1j * float(phis[k]) * dz)
-        out[k] = phase * (ry @ (phase.conj() * psi))
-    return out
+    thetas, phis = path.samples.T
+    phases = np.exp(-1j * np.outer(phis, frame.jz_diagonal))
+    changes = np.flatnonzero(thetas[1:] != thetas[:-1]) + 1
+    bounds = [0, *changes.tolist(), len(thetas)]
+    runs = [
+        (phases[lo:hi].conj() * state.amplitudes)
+        @ frame.rotation_about_y(float(thetas[lo])).T
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    # a single run needs no concatenated copy, which measurably slows
+    # the holonomy cycle that follows
+    return phases * (runs[0] if len(runs) == 1 else np.concatenate(runs))
 
 
 def _cycle_args(cycle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -342,28 +327,28 @@ def magnus_step_count(total_time: float, energy_scale: float, segments: int) -> 
 
 def magnus4_evolve(
     h0: np.ndarray,
-    lift: LiftCache,
+    frame: SchwingerFrame,
     schedule: DriveSchedule,
     psi: np.ndarray,
-    total_time: float,
     n_steps: int,
 ):
-    """Propagate psi under H(t) = W(t) h0 W(t)^dag over [0, total_time].
+    """Propagate psi under H(t) = W(t) h0 W(t)^dag over the schedule's
+    total_time, with W(t) = lift(frame, *schedule.drive_point(t)).
 
     Each of the n_steps equal steps is one 4th-order Magnus step [Blanes,
     Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)]: H is sampled at the two
     Gauss-Legendre nodes, Omega = -i dt/2 (H1 + H2) - (sqrt(3)/12) dt^2
     [H2, H1], and exp(Omega) is applied through the eigensystem of the
-    Hermitian i Omega, so the step is unitary to rounding. W follows
-    schedule.drive_point. Yields (t, W(t), psi(t)) after every step, so
-    callers can test their guards at every step.
+    Hermitian i Omega, so the step is unitary to rounding. Yields
+    (t, W(t), psi(t)) after every step, so callers can test their guards
+    at every step.
     """
-    dt = total_time / n_steps
+    dt = schedule.total_time / n_steps
     node = math.sqrt(3.0) / 6.0 * dt  # Gauss-Legendre nodes at mid -+ node
     comm = 0.5 * node * dt
 
     def h_at(t: float) -> np.ndarray:
-        w = lift.matrix(*schedule.drive_point(t))
+        w = lift(frame, *schedule.drive_point(t))
         return w @ h0 @ w.conj().T
 
     for k in range(n_steps):
@@ -374,7 +359,7 @@ def magnus4_evolve(
         vals, vecs = np.linalg.eigh(gen)
         psi = vecs @ (np.exp(-1j * vals) * (vecs.conj().T @ psi))
         t_end = (k + 1) * dt
-        yield t_end, lift.matrix(*schedule.drive_point(t_end)), psi
+        yield t_end, lift(frame, *schedule.drive_point(t_end)), psi
 
 
 def adiabatic_evolution(
@@ -418,8 +403,7 @@ def adiabatic_evolution(
     dt = t_total / n_steps
 
     energy_branch = float(np.real(np.vdot(base, h0 @ base)))
-    lift = LiftCache(frame)
-    w = lift.matrix(*schedule.drive_point(0.0))
+    w = lift(frame, *schedule.drive_point(0.0))
     psi = w @ base
 
     def energy(w: np.ndarray, psi: np.ndarray) -> float:
@@ -433,7 +417,7 @@ def adiabatic_evolution(
     track_expectation = schedule.dynamic_phase_mode == "subtract-energy-expectation"
     e_prev = energy(w, psi) if track_expectation else 0.0
 
-    for t, w, psi in magnus4_evolve(h0, lift, schedule, psi, t_total, n_steps):
+    for t, w, psi in magnus4_evolve(h0, frame, schedule, psi, n_steps):
         if track_expectation:
             e_now = energy(w, psi)
             dyn_integral += 0.5 * dt * (e_prev + e_now)

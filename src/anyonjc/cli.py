@@ -22,7 +22,6 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -124,11 +123,17 @@ def emit_rows(rows: list[dict], columns: list[str], args, diagnostics: dict) -> 
         sys.stdout.write(text)
 
 
-def _mapper(args):
-    if getattr(args, "jobs", 1) > 1:
-        pool = ThreadPoolExecutor(max_workers=args.jobs)
-        return pool.map, pool
-    return map, None
+def _per_revolution(report: berry.PhaseReport) -> float:
+    """Holonomy phase per revolution; a loop sampled too coarsely to count
+    its winding is a simulation failure (exit 2), not a number."""
+    if report.gamma_per_revolution is None:
+        steps = f"{report.n_steps} steps per revolution"
+        raise SimulationError(f"holonomy winding unresolved at {steps}; raise --steps")
+    return report.gamma_per_revolution
+
+
+def _m_values(args) -> list[int]:
+    return [int(tok) for tok in args.m_list.split(",") if tok.strip()]
 
 
 # --- subcommands ---
@@ -153,7 +158,8 @@ def cmd_phase(args) -> int:
 
     gamma_analytic = analytic_berry_phase(params, path.omega_solid, branch=args.branch)
     report = berry.holonomy_phase(state, frame, path, refine=not args.no_refine)
-    dev_holonomy = abs(report.gamma_per_revolution - gamma_analytic)
+    gamma_holonomy = _per_revolution(report)
+    dev_holonomy = abs(gamma_holonomy - gamma_analytic)
 
     print(
         f"m = {params.m}, delta/lambda = {params.delta_m:g}, "
@@ -165,7 +171,7 @@ def cmd_phase(args) -> int:
     )
     print(f"gamma analytic (per rev)  : {gamma_analytic:+.12f}")
     print(
-        f"gamma holonomy (per rev)  : {report.gamma_per_revolution:+.12f}"
+        f"gamma holonomy (per rev)  : {gamma_holonomy:+.12f}"
         f"   |diff| = {dev_holonomy:.2e}"
     )
     print(
@@ -183,7 +189,7 @@ def cmd_phase(args) -> int:
         "omega_solid": path.omega_solid,
         "revolutions": path.revolutions,
         "gamma_analytic": gamma_analytic,
-        "gamma_holonomy": report.gamma_per_revolution,
+        "gamma_holonomy": gamma_holonomy,
         "gamma_principal": report.gamma,
         "winding": report.winding,
     }
@@ -197,7 +203,7 @@ def cmd_phase(args) -> int:
             adiab = berry.extrapolated_adiabatic_phase(h0, frame, schedule, state)
         else:
             _, adiab = berry.adiabatic_evolution(h0, frame, schedule, state)
-        dev_adiabatic = abs(adiab.gamma_per_revolution - report.gamma_per_revolution)
+        dev_adiabatic = abs(adiab.gamma_per_revolution - gamma_holonomy)
         print(
             f"gamma adiabatic (per rev) : {adiab.gamma_per_revolution:+.12f}"
             f"   |diff vs holonomy| = {dev_adiabatic:.2e}"
@@ -232,45 +238,30 @@ def _fig1_holonomy_ratio(m: int, delta: float, steps: int) -> float:
     path = default_latitude_loop(m, math.pi / 2.0, steps)
     report = berry.holonomy_phase(dressed_state_vector(plus), frame, path)
     scale = 0.25 * m * path.omega_solid
-    return report.gamma_per_revolution / scale
+    return _per_revolution(report) / scale
 
 
 def cmd_fig1(args) -> int:
-    m_values = [int(tok) for tok in args.m_list.split(",") if tok.strip()]
     deltas = np.linspace(0.0, args.delta_max, args.points)
     rows = []
     worst_cross = 0.0
-    mapper, pool = _mapper(args)
-    try:
-        for m in m_values:
-            hol = None
+    for m in _m_values(args):
+        for delta in deltas:
+            params = ModelParams(m=m, delta_m=float(delta))
+            rho = DensityMatrix.from_state(
+                dressed_state_vector(analytic_eigensystem(params)[0])
+            )
+            row = {
+                "delta_over_lambda": float(delta),
+                "m": m,
+                "ratio": detuning_ratio(params),
+                "linear_entropy": linear_entropy(partial_trace(rho, {"qubit"})),
+            }
             if args.with_holonomy:
-                hol = list(
-                    mapper(
-                        lambda d, m=m: _fig1_holonomy_ratio(m, float(d), args.steps),
-                        deltas,
-                    )
-                )
-            for i, delta in enumerate(deltas):
-                params = ModelParams(m=m, delta_m=float(delta))
-                rho = DensityMatrix.from_state(
-                    dressed_state_vector(analytic_eigensystem(params)[0])
-                )
-                row = {
-                    "delta_over_lambda": float(delta),
-                    "m": m,
-                    "ratio": detuning_ratio(params),
-                    "linear_entropy": linear_entropy(
-                        partial_trace(rho, {"qubit"})
-                    ),
-                }
-                if hol is not None:
-                    row["ratio_holonomy"] = hol[i]
-                    worst_cross = max(worst_cross, abs(hol[i] - row["ratio"]))
-                rows.append(row)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                hol = _fig1_holonomy_ratio(m, float(delta), args.steps)
+                row["ratio_holonomy"] = hol
+                worst_cross = max(worst_cross, abs(hol - row["ratio"]))
+            rows.append(row)
     columns = ["delta_over_lambda", "m", "ratio", "linear_entropy"]
     if args.with_holonomy:
         columns.append("ratio_holonomy")
@@ -322,18 +313,18 @@ def cmd_two_anyon(args) -> int:
     pair_frame = schwinger_frame(pair_basis)
     pair_state = two_anyon_eigenstate(pair)
     path = default_latitude_loop(args.m, theta, args.steps)
-    pair_report = berry.holonomy_phase(pair_state, pair_frame, path)
+    gamma_pair = _per_revolution(berry.holonomy_phase(pair_state, pair_frame, path))
 
     single = ModelParams(m=args.m)
     single_frame = schwinger_frame(default_basis(single))
     single_state = dressed_state_vector(analytic_eigensystem(single)[0])
-    single_report = berry.holonomy_phase(single_state, single_frame, path)
+    gamma_single = _per_revolution(
+        berry.holonomy_phase(single_state, single_frame, path)
+    )
 
     gamma_pair_analytic = two_anyon_analytic_phase(args.m, omega)
-    dev_analytic = abs(pair_report.gamma_per_revolution - gamma_pair_analytic)
-    dev_double = abs(
-        pair_report.gamma_per_revolution - 2.0 * single_report.gamma_per_revolution
-    )
+    dev_analytic = abs(gamma_pair - gamma_pair_analytic)
+    dev_double = abs(gamma_pair - 2.0 * gamma_single)
     h = build_two_anyon_hamiltonian(pair)
     energy = float(
         np.real(np.vdot(pair_state.amplitudes, h.matrix @ pair_state.amplitudes))
@@ -342,11 +333,11 @@ def cmd_two_anyon(args) -> int:
     print(f"pair of m = {args.m} excitations, solid angle {omega:.6g}")
     print(f"gamma pair analytic   : {gamma_pair_analytic:+.12f}")
     print(
-        f"gamma pair holonomy   : {pair_report.gamma_per_revolution:+.12f}"
+        f"gamma pair holonomy   : {gamma_pair:+.12f}"
         f"   |diff| = {dev_analytic:.2e}"
     )
     print(
-        f"2 x single holonomy   : {2.0 * single_report.gamma_per_revolution:+.12f}"
+        f"2 x single holonomy   : {2.0 * gamma_single:+.12f}"
         f"   |diff| = {dev_double:.2e}"
     )
     print(f"pair eigen-energy     : {energy:+.9f} (expect +lambda m!)")
@@ -355,8 +346,8 @@ def cmd_two_anyon(args) -> int:
         "m": args.m,
         "omega_solid": omega,
         "gamma_pair_analytic": gamma_pair_analytic,
-        "gamma_pair_holonomy": pair_report.gamma_per_revolution,
-        "gamma_single_holonomy": single_report.gamma_per_revolution,
+        "gamma_pair_holonomy": gamma_pair,
+        "gamma_single_holonomy": gamma_single,
         "pair_energy": energy,
     }
     if args.output:
@@ -374,19 +365,13 @@ def cmd_ramsey(args) -> int:
     )
     omega_max = args.omega_max if args.omega_max is not None else 4.0 * math.pi
     omegas = np.linspace(0.0, omega_max, args.omega_points)
-    mapper, pool = _mapper(args)
-    try:
-        rows = iontrap.ramsey_sweep(
-            trap,
-            [float(o) for o in omegas],
-            args.total_time,
-            pulse_mode=args.pulse_mode,
-            n_steps=args.loop_steps,
-            mapper=mapper,
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    rows = iontrap.ramsey_sweep(
+        trap,
+        [float(o) for o in omegas],
+        args.total_time,
+        pulse_mode=args.pulse_mode,
+        n_steps=args.loop_steps,
+    )
     worst = 0.0
     for row in rows:
         predicted = iontrap.predicted_p_down(
@@ -445,7 +430,7 @@ def build_parser() -> _Parser:
         p.add_argument("--output", help="write results to this file")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--strict", action="store_true", help="exit 2 on check failure")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        p.add_argument("--jobs", type=int, default=1, help="ignored; runs are serial")
 
     p = sub.add_parser("phase", help="phases of one doublet over one loop")
     p.add_argument("--m", type=int, default=2)
@@ -557,10 +542,14 @@ def _check_args(args) -> None:
         if isinstance(value, float) and not abs(value) <= FLOAT_LIMIT:  # or NaN
             flag = "--" + name.replace("_", "-")
             raise ValueError(f"{flag} {value!r} is not finite or above {FLOAT_LIMIT:g}")
-    if getattr(args, "points", 1) < 1:
-        raise ValueError("--points must be at least 1")
-    m, n = getattr(args, "m", 0), getattr(args, "n", 0) + getattr(args, "n_prime", 0)
-    # (n + m)! / n! >= m!, and 171! is already beyond the float range
+    for name in ("points", "omega_points"):
+        if getattr(args, name, 1) < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least 1")
+    m_values = _m_values(args) if hasattr(args, "m_list") else [getattr(args, "m", 0)]
+    if not m_values:
+        raise ValueError("--m-list names no m")
+    m, n = max(m_values), getattr(args, "n", 0) + getattr(args, "n_prime", 0)
+    # (n + m)! / n! grows with m and is >= m!; 171! is beyond the float range
     if m > 170 or falling_product(n, m) > sys.float_info.max:
         raise ValueError(f"(n + m)! / n! overflows a float at m = {m}, n + n' = {n}")
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .model import (
     dressed_state_vector,
     falling_product,
 )
-from .paths import LiftCache, LoopPath, schwinger_frame, theta_for_solid_angle
+from .paths import LoopPath, lift, schwinger_frame, theta_for_solid_angle
 from .paths import constant_latitude_loop
 
 TWO_PI = 2.0 * math.pi
@@ -110,6 +110,8 @@ def lamb_dicke_lambda(trap: TrapParams) -> complex:
 
 def g_for_unit_coupling(eta: float, m: int) -> float:
     """Carrier Rabi frequency that makes |lambda_m| = 1."""
+    if not 0.0 < eta < 1.0:
+        raise ValueError("eta must lie in (0, 1)")
     return 2.0 * math.factorial(m) * math.exp(0.5 * eta**2) / eta**m
 
 
@@ -348,7 +350,8 @@ def ramsey_protocol(
 
     The wait time is snapped to the nearest integer number of doublet
     cycles (snap=False instead raises CycleMismatch when the requested
-    time is off-cycle), the loop drive is integrated under H(t) =
+    time is off-cycle), the loop is driven over the whole snapped wait, so
+    it closes at its end, and the drive is integrated under H(t) =
     W(t) H0 W(t)^dag by the 4th-order Magnus stepper berry.magnus4_evolve
     in equal steps (|E| dt <= berry.STEP_PHASE for the largest |E| of H0,
     at least one per path segment), and leakage out of the instantaneous
@@ -358,7 +361,7 @@ def ramsey_protocol(
     model = effective_model(trap)
     basis = ramsey_basis(trap.m)
     frame = schwinger_frame(basis)
-    h0 = sideband_hamiltonian(trap, basis)
+    h0 = sideband_hamiltonian(trap, basis).matrix
 
     t_req = run.schedule.total_time
     snapped, j, residual = snap_to_cycles(trap, t_req)
@@ -371,13 +374,11 @@ def ramsey_protocol(
             )
         t_total = t_req
 
-    pulse = carrier_pulse_operator(trap, basis, run.pulse_mode)
-    psi = pulse.matrix @ StateVector.basis_state(
-        basis, (SPIN_DOWN, 0, 0)
-    ).amplitudes
-
     # followed subspace: the two transported dressed states and the
-    # stationary |down, 0, 0> spectator arm
+    # stationary |down, 0, 0> spectator arm, which the first pulse starts from
+    spectator = StateVector.basis_state(basis, (SPIN_DOWN, 0, 0)).amplitudes
+    pulse = carrier_pulse_operator(trap, basis, run.pulse_mode)
+    psi = pulse.matrix @ spectator
     plus, minus = analytic_eigensystem(model)
     chi_base = np.stack(
         [
@@ -385,17 +386,15 @@ def ramsey_protocol(
             dressed_state_vector(minus, basis).amplitudes,
         ]
     )
-    spectator = StateVector.basis_state(basis, (SPIN_DOWN, 0, 0)).amplitudes
 
-    h0m = h0.matrix
-    scale = float(np.abs(np.linalg.eigvalsh(h0m)).max())
-    n_steps = magnus_step_count(t_total, scale, run.schedule.path.segments)
+    scale = float(np.abs(np.linalg.eigvalsh(h0)).max())
+    schedule = replace(run.schedule, total_time=t_total)
+    n_steps = magnus_step_count(t_total, scale, schedule.path.segments)
 
-    lift = LiftCache(frame)
-    w = lift.matrix(*run.schedule.drive_point(0.0))
+    w = lift(frame, *schedule.drive_point(0.0))
     p_plus_start = abs(np.vdot(w @ chi_base[0], psi)) ** 2
     max_leak = 0.0
-    for t, w, psi in magnus4_evolve(h0m, lift, run.schedule, psi, t_total, n_steps):
+    for t, w, psi in magnus4_evolve(h0, frame, schedule, psi, n_steps):
         p_in = (
             abs(np.vdot(w @ chi_base[0], psi)) ** 2
             + abs(np.vdot(w @ chi_base[1], psi)) ** 2
@@ -459,13 +458,9 @@ def ramsey_sweep(
     *,
     pulse_mode: str = "timed",
     n_steps: int = 256,
-    mapper=map,
 ) -> list[dict]:
-    """Run the protocol over a solid-angle grid; one CSV-ready row each.
-
-    mapper lets callers parallelize the independent runs (for example an
-    executor's map); rows come back in grid order either way.
-    """
+    """Run the protocol over a solid-angle grid; one CSV-ready row each,
+    in grid order."""
 
     def one(omega: float) -> dict:
         run = make_ramsey_run(
@@ -486,4 +481,4 @@ def ramsey_sweep(
             "leak": run.diagnostics["max_nonadiabatic_leak"],
         }
 
-    return list(mapper(one, omega_values))
+    return [one(omega) for omega in omega_values]

@@ -15,21 +15,20 @@ Rotating the drive point is implemented by exponentials of these
 generators. Exponentials are taken in the spectral basis of the generator
 (J_z is diagonal in the canonical ordering, J_y is diagonalized once per
 frame and cached), so arbitrarily large angles stay exact to rounding and
-the generic matrix-exponential norm cap does not apply here.
-
-Sign convention: build_unitary(frame, pi, 0) maps |1, 0> to +|0, 1>.
+the generic matrix-exponential norm cap does not apply here. The drive
+rotation itself, with its sign convention, is lift(frame, theta, phi).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .config import TOL
-from .errors import BadSolidAngle, BadTheta, BasisMismatch, DegeneratePath
+from .errors import BadSolidAngle, BadTheta, DegeneratePath
 from .fock import BasisSpec, FockOperator
 
 TWO_PI = 2.0 * math.pi
@@ -92,28 +91,6 @@ class LoopPath:
     @property
     def total_solid_angle(self) -> float:
         return self.omega_solid * self.revolutions
-
-    def to_json(self) -> dict:
-        if self.kind == "latitude":
-            return {
-                "kind": "latitude",
-                "theta": float(self.samples[0, 0]),
-                "n_steps": int(self.n_steps),
-                "revolutions": int(self.revolutions),
-            }
-        return {"kind": self.kind, "vertices": self.samples[:-1].tolist()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LoopPath":
-        if data["kind"] == "latitude":
-            return constant_latitude_loop(
-                data["theta"],
-                n_steps=data.get("n_steps", 1024),
-                revolutions=data.get("revolutions", 1),
-            )
-        if data["kind"] == "polygon":
-            return polygon_loop(data["vertices"])
-        raise ValueError(f"unknown path kind {data['kind']!r}")
 
 
 def constant_latitude_loop(
@@ -203,6 +180,7 @@ class SchwingerFrame:
     basis: BasisSpec
     j_y: FockOperator
     j_z: FockOperator
+    _last_ry: tuple = field(default=(None,), init=False, repr=False, compare=False)
 
     @cached_property
     def jz_diagonal(self) -> np.ndarray:
@@ -217,8 +195,13 @@ class SchwingerFrame:
         return w, v
 
     def rotation_about_y(self, theta: float) -> np.ndarray:
-        w, v = self.jy_eigensystem
-        return (v * np.exp(-1j * theta * w)) @ v.conj().T
+        """exp(-i theta J_y). The matrix for the last theta is kept, so a
+        drive that holds theta (any latitude loop) builds it once; callers
+        must not write to the returned array."""
+        if self._last_ry[0] != theta:
+            w, v = self.jy_eigensystem
+            self._last_ry = (theta, (v * np.exp(-1j * theta * w)) @ v.conj().T)
+        return self._last_ry[1]
 
 
 def _pair_jy_elements(basis: BasisSpec, offset: int, mat: np.ndarray):
@@ -267,65 +250,18 @@ def schwinger_jx(frame: SchwingerFrame) -> FockOperator:
     return FockOperator(frame.basis, -1j * (jy @ jz - jz @ jy))
 
 
-def build_unitary(frame: SchwingerFrame, theta: float, phi: float) -> FockOperator:
-    """Drive rotation exp(-i phi J_z) exp(-i theta J_y).
+def lift(frame: SchwingerFrame, theta: float, phi: float) -> np.ndarray:
+    """Drive rotation W = exp(-i phi J_z) exp(-i theta J_y) exp(+i phi J_z).
 
-    This is the plain Euler form; it is not 2 pi periodic in phi on odd
-    sectors (a full revolution picks up the parity (-1)^N). See
-    build_periodic_unitary for the loop-closing variant.
+    This co-rotating form is the one lift of the drive in the package:
+    holonomy transport, the adiabatic route and the Ramsey wait all use
+    it. W is exactly 2 pi periodic in phi on every sector (the plain Euler
+    product exp(-i phi J_z) exp(-i theta J_y) picks up the parity (-1)^N
+    over one turn) and tilts the mode-mixing axis without winding the
+    coupling phase.
+
+    Sign convention: W a W^dag = cos(theta/2) a + e^{-i phi} sin(theta/2) b,
+    so lift(frame, pi, 0) maps |1, 0> to +|0, 1>.
     """
-    dz = frame.jz_diagonal
-    ry = frame.rotation_about_y(theta)
-    mat = np.exp(-1j * phi * dz)[:, None] * ry
-    return FockOperator(frame.basis, mat)
-
-
-def build_periodic_unitary(
-    frame: SchwingerFrame, theta: float, phi: float
-) -> FockOperator:
-    """Co-rotating drive W = exp(-i phi J_z) exp(-i theta J_y) exp(+i phi J_z).
-
-    Differs from build_unitary only by a diagonal right factor (a choice of
-    drive-phase trajectory). W is exactly 2 pi periodic in phi for every
-    sector, tilts the mode-mixing axis without winding the coupling phase
-    (W a W^dag = cos(theta/2) a + e^{-i phi} sin(theta/2) b), and is the
-    lift used for transport and time-dependent drives in this package.
-    """
-    dz = frame.jz_diagonal
-    ry = frame.rotation_about_y(theta)
-    phase = np.exp(-1j * phi * dz)
-    mat = phase[:, None] * ry * phase.conj()[None, :]
-    return FockOperator(frame.basis, mat)
-
-
-class LiftCache:
-    """Repeated W(theta, phi) evaluation with rotation reuse.
-
-    Time-dependent drives call the periodic lift once or twice per
-    integrator step; while theta is unchanged (any constant-latitude
-    drive) only the diagonal azimuth phases need rebuilding.
-    """
-
-    def __init__(self, frame: SchwingerFrame):
-        self.frame = frame
-        self._theta: float | None = None
-        self._ry: np.ndarray | None = None
-
-    def matrix(self, theta: float, phi: float) -> np.ndarray:
-        if theta != self._theta:
-            self._ry = self.frame.rotation_about_y(theta)
-            self._theta = theta
-        phase = np.exp(-1j * phi * self.frame.jz_diagonal)
-        return phase[:, None] * self._ry * phase.conj()[None, :]
-
-
-def rotated_hamiltonian(
-    hamiltonian: FockOperator, frame: SchwingerFrame, theta: float, phi: float
-) -> FockOperator:
-    """U H U^dag with the plain Euler rotation U(theta, phi)."""
-    if hamiltonian.basis != frame.basis:
-        raise BasisMismatch("Hamiltonian and frame use different bases")
-    u = build_unitary(frame, theta, phi).matrix
-    return FockOperator(
-        frame.basis, u @ hamiltonian.matrix @ u.conj().T, hamiltonian.dropped_weight
-    )
+    phase = np.exp(-1j * phi * frame.jz_diagonal)
+    return phase[:, None] * frame.rotation_about_y(theta) * phase.conj()

@@ -42,9 +42,8 @@ from .model import (
     dressed_state_vector,
 )
 from .paths import (
-    build_periodic_unitary,
-    build_unitary,
     constant_latitude_loop,
+    lift,
     polygon_solid_angle,
     schwinger_frame,
     schwinger_jx,
@@ -185,10 +184,10 @@ def check_rotation_unitarity() -> list[CheckResult]:
     for _ in range(100):
         theta = rng.uniform(0.0, math.pi)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        u = build_unitary(frame, theta, phi).matrix
+        u = lift(frame, theta, phi)
         worst_u = max(worst_u, float(np.abs(u.conj().T @ u - np.eye(dim)).max()))
-    w1 = build_periodic_unitary(frame, 0.8, 0.3).matrix
-    w2 = build_periodic_unitary(frame, 0.8, 0.3 + 2.0 * math.pi).matrix
+    w1 = lift(frame, 0.8, 0.3)
+    w2 = lift(frame, 0.8, 0.3 + 2.0 * math.pi)
     periodic_defect = float(np.abs(w1 - w2).max())
     return [
         _result("drive rotations unitary (100 random)", worst_u, TOL.unitarity),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from anyonjc import berry, iontrap
+from anyonjc import berry, iontrap, paths
 
 settings.register_profile(
     "ci",
@@ -22,13 +22,13 @@ def rng():
     return np.random.default_rng(20260814)
 
 
-def rk4_evolve(h0, lift, schedule, psi, total_time, n_steps):
+def rk4_evolve(h0, frame, schedule, psi, n_steps):
     """Classical RK4 oracle with the signature and yields of
     berry.magnus4_evolve, for agreement tests of the Magnus stepper."""
-    dt = total_time / n_steps
+    dt = schedule.total_time / n_steps
 
     def h_at(t):
-        w = lift.matrix(*schedule.drive_point(t))
+        w = paths.lift(frame, *schedule.drive_point(t))
         return w, w @ h0 @ w.conj().T
 
     _, h_now = h_at(0.0)

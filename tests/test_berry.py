@@ -41,6 +41,7 @@ from anyonjc.fock import StateVector
 from anyonjc.paths import (
     constant_latitude_loop,
     default_latitude_loop,
+    lift,
     polygon_loop,
     schwinger_frame,
 )
@@ -175,6 +176,22 @@ class TestHolonomy:
         samples = transport_states(frame, state, path)
         norms = np.linalg.norm(samples, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-11
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            constant_latitude_loop(1.1, 16, revolutions=2),
+            # runs of equal theta, then a lone vertex and the closing one
+            polygon_loop([(0.5, 0.0), (0.5, 2.0), (1.0, 3.0), (1.0, 4.0), (0.7, 5.0)]),
+        ],
+        ids=["latitude", "polygon"],
+    )
+    def test_transport_rows_are_lifted_state(self, path):
+        params, frame, state = doublet_setup(m=3, delta=0.4)
+        rows = transport_states(frame, state, path)
+        want = [lift(frame, th, ph) @ state.amplitudes for th, ph in path.samples]
+        assert rows.shape == (len(path.samples), frame.basis.dim)
+        assert np.abs(rows - np.array(want)).max() < 1e-13
 
 
 class TestSchedule:

@@ -4,16 +4,103 @@ Everything drives cli.main() in process; a single subprocess test pins
 the installed entry point.
 """
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anyonjc.cli import load_config_file, main, parse_angle
+
+
+# Argv fuzz: every subcommand, from a small base argv, with up to three of
+# its flags appended (a repeated flag overrides the base). Values mix
+# non-finite, huge, zero, negative and ordinary entries. Flags that set the
+# run time (grid points, loop samples, drive energy and wait) stay at the
+# cheap end of the range, so each example takes well under a second;
+# --jobs never exceeds 2. A plain `selftest` run is criterion 8's job; here
+# it only ever sees flags it must reject.
+EDGE = ("nan", "inf", "1e308", "0", "-1")
+VALUES = EDGE + ("8", "200", "pi/2")
+JOBS = ("--jobs", ("-1", "0", "2"))
+FUZZ = {
+    "phase": (
+        [],
+        [
+            ("--m", VALUES),
+            ("--n", EDGE + ("8", "100")),
+            ("--n-prime", EDGE + ("8",)),
+            ("--delta", VALUES),
+            ("--theta", VALUES),
+            ("--omega", VALUES),
+            ("--steps", VALUES),
+            ("--revolutions", EDGE + ("2",)),
+            ("--branch", ("+", "-", "0")),
+            JOBS,
+        ],
+    ),
+    "fig1": (
+        ["--points", "3"],
+        [
+            ("--m-list", EDGE + ("8", "200", "1,200", "171", ",", "2,x")),
+            ("--delta-max", VALUES),
+            ("--points", EDGE + ("8",)),
+            ("--steps", VALUES),
+            ("--with-holonomy", ("--strict",)),
+            JOBS,
+        ],
+    ),
+    "transmute": (
+        [],
+        [
+            ("--m", VALUES),
+            ("--omega", VALUES),
+            ("--delta-max", VALUES),
+            ("--points", VALUES),
+            JOBS,
+        ],
+    ),
+    "two-anyon": (
+        [],
+        [
+            ("--m", EDGE + ("2", "8")),
+            ("--omega", VALUES),
+            ("--steps", VALUES),
+            JOBS,
+        ],
+    ),
+    "ramsey": (
+        ["--omega-points", "2", "--total-time", "20"],
+        [
+            ("--m", EDGE + ("1", "200")),
+            ("--eta", VALUES),
+            ("--g", VALUES),
+            ("--nu", VALUES),
+            ("--delta", EDGE + ("8",)),
+            ("--total-time", EDGE + ("8",)),
+            ("--omega-points", EDGE + ("1",)),
+            ("--omega-max", VALUES),
+            ("--loop-steps", VALUES),
+            JOBS,
+        ],
+    ),
+    "selftest": ([], [("--m", VALUES), JOBS]),
+}
+
+
+def fuzzed_argv(command: str):
+    base, flags = FUZZ[command]
+    pair = st.sampled_from(flags).flatmap(
+        lambda flag: st.tuples(st.just(flag[0]), st.sampled_from(flag[1]))
+    )
+    return st.lists(pair, min_size=1, max_size=3).map(
+        lambda pairs: [command, *base, *(tok for p in pairs for tok in p)]
+    )
 
 
 class TestParseAngle:
@@ -210,14 +297,39 @@ class TestExitCodes:
             ["phase", "--delta", "1e308"],
             ["phase", "--m", "200"],
             ["transmute", "--points", "0"],
+            ["fig1", "--m-list", "200"],
+            ["fig1", "--m-list", "1,200"],
+            ["fig1", "--m-list", "171"],
+            ["ramsey", "--omega-points", "0"],
+            ["ramsey", "--eta", "0"],
         ],
     )
     def test_unrepresentable_input_exits_4(self, argv, capsys):
-        # each used to end in a traceback with exit code 1
+        # each used to end in a traceback (exit 1) or an empty table (exit 0)
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_unresolved_winding_exits_2(self, capsys):
+        # 8 steps cannot resolve the winding of the n = 100 doublet
+        assert main(["phase", "--n", "100", "--m", "1", "--steps", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "winding unresolved" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(sorted(FUZZ)).flatmap(fuzzed_argv))
+    def test_fuzzed_argv_keeps_exit_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
     def test_installed_entry_point(self):
         proc = subprocess.run(

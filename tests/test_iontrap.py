@@ -217,6 +217,17 @@ class TestProtocol:
         assert diag["max_step_phase"] <= STEP_PHASE
         assert diag["norm_drift"] < 1e-12
 
+    def test_snapped_wait_closes_the_loop(self):
+        # a request off the cycle grid must run exactly as a request at the
+        # snapped wait: the drive covers the whole loop in the time it is given
+        trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
+        snapped, _, residual = snap_to_cycles(trap, 202.0)
+        assert residual > 2.0
+        off = ramsey_protocol(make_ramsey_run(trap, 2.0 * math.pi, 202.0))
+        on = ramsey_protocol(make_ramsey_run(trap, 2.0 * math.pi, snapped))
+        assert off.diagnostics["total_time"] == on.diagnostics["total_time"]
+        assert off.result["p_down"] == pytest.approx(on.result["p_down"], abs=1e-12)
+
     def test_fast_drive_raises(self):
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
         run = make_ramsey_run(trap, 4.0 * math.pi, 3.0)
