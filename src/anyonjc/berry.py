@@ -14,15 +14,21 @@ product estimator is second-order accurate in the step count; by default
 one Richardson sweep against the half-resolution cycle removes that bias
 (the raw estimator stays available for convergence studies).
 
-Adiabatic route: the state is integrated under H(t) = W(t) H0 W(t)^dag
-by the unitary 4th-order Magnus stepper magnus4_evolve, shared with the
-Ramsey wait (equal steps, |E| dt <= STEP_PHASE, at least one per path
-segment); the dynamical phase is subtracted, and the leftover argument
-against the instantaneously rotated eigenstate is accumulated. The family
-is isospectral, so the instantaneous eigenvalue is a constant and its
-subtraction is exact; what remains after it is the geometric phase plus a
-secular level-repulsion shift of order 1/T, which the two-run
-extrapolation helper cancels.
+Adiabatic route: the state under H(t) = W(t) H0 W(t)^dag is written
+psi = W(theta, phi) e^{-i phi K} xi with the drive charge
+K = J_z + (m/4) sigma_z, which commutes with H0. Then i dxi/dt = H_xi xi,
+H_xi = H0 - phi'(t) B(theta) - theta'(t) J_y with B(theta) =
+R_y(theta)^dag J_z R_y(theta) + (m/4) sigma_z: the moving-frame
+Hamiltonian of transitionless driving [M. V. Berry, J. Phys. A 42, 365303
+(2009)], integrated by the Magnus stepper comoving_evolve, shared with the
+Ramsey wait. Its error is set by the drive's rates, not by the norm of H0
+[Hochbruck & Lubich, SIAM J. Numer. Anal. 41, 945 (2003)], hence the step
+rule magnus_step_count. The dressed states are eigenvectors of K, so
+guards and phases are overlaps with xi up to the known phase e^{-i phi k}.
+The dynamical phase is subtracted; the family is isospectral, so the
+instantaneous eigenvalue is a constant and its subtraction is exact. What
+remains is the geometric phase plus a secular level-repulsion shift of
+order 1/T, which the two-run extrapolation helper cancels.
 
 The overall sign linking raw products to the reported phase is never
 assumed: it is fixed once per process by a calibration loop at known
@@ -44,9 +50,11 @@ from .errors import (
     CalibrationAmbiguous,
     NonAdiabatic,
     NormDrift,
+    SimulationError,
+    StepLimit,
     VanishingOverlap,
 )
-from .fock import FockOperator, StateVector
+from .fock import SPIN_UP, FockOperator, StateVector
 from .model import (
     ModelParams,
     analytic_berry_phase,
@@ -60,6 +68,7 @@ from .paths import (
     constant_latitude_loop,
     lift,
     schwinger_frame,
+    schwinger_jx,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -120,21 +129,16 @@ def transport_states(
     return phases * (runs[0] if len(runs) == 1 else np.concatenate(runs))
 
 
-def _cycle_args(cycle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _raw_loop_argsum(cycle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Magnitudes and arguments of consecutive overlaps around a closed cycle."""
-    nxt = np.roll(cycle, -1, axis=0)
-    ov = np.einsum("kd,kd->k", cycle.conj(), nxt)
-    return np.abs(ov), np.angle(ov)
-
-
-def _raw_loop_argsum(cycle: np.ndarray):
-    mags, args = _cycle_args(cycle)
+    ov = np.einsum("kd,kd->k", cycle.conj(), np.roll(cycle, -1, axis=0))
+    mags = np.abs(ov)
     if mags.min() < TOL.vanishing_overlap:
         raise VanishingOverlap(
             f"consecutive overlap {mags.min():.2e} below "
             f"{TOL.vanishing_overlap}; sample the path more finely"
         )
-    return mags, args
+    return mags, np.angle(ov)
 
 
 @lru_cache(maxsize=1)
@@ -202,55 +206,36 @@ def holonomy_phase(
         "discretization_estimate": None,
     }
 
-    if not resolvable:
-        # The cyclic product of the even-index subsequence is gauge
-        # invariant too, so Richardson still applies to the principal
-        # value; only the per-step quality guard is unavailable here.
-        argsum_used = argsum
-        if refine and len(cycle) % 2 == 0:
-            try:
-                _, args_h = _raw_loop_argsum(cycle[::2])
-            except VanishingOverlap:
-                args_h = None
-            if args_h is not None:
-                delta = principal_value(float(args_h.sum()) - argsum)
-                diagnostics["discretization_estimate"] = abs(delta) / 3.0
-                diagnostics["refined"] = True
-                argsum_used = argsum - delta / 3.0
-        gamma = principal_value(sign * -principal_value(argsum_used))
-        return PhaseReport(
-            gamma=gamma,
-            winding=None,
-            gamma_total=None,
-            gamma_per_revolution=None,
-            method="holonomy",
-            n_steps=path.n_steps,
-            revolutions=path.revolutions,
-            diagnostics=diagnostics,
-        )
-
+    # One Richardson sweep against the even-index subsequence, whose cyclic
+    # product is gauge invariant too. Without a resolved winding it refines
+    # the principal value only, and only when asked to; the per-step
+    # quality guard on the half cycle needs the winding.
     argsum_used = argsum
-    if len(cycle) % 2 == 0:
-        half = cycle[::2]
+    if len(cycle) % 2 == 0 and (resolvable or refine):
         try:
-            mags_h, args_h = _raw_loop_argsum(half)
+            _, args_h = _raw_loop_argsum(cycle[::2])
         except VanishingOverlap:
-            mags_h = args_h = None
-        if args_h is not None and np.abs(args_h).max() < TOL.winding_step_cap:
-            correction = (argsum - float(args_h.sum())) / 3.0
+            args_h = None
+        if args_h is not None and not (
+            resolvable and np.abs(args_h).max() >= TOL.winding_step_cap
+        ):
+            delta = float(args_h.sum()) - argsum
+            correction = -(delta if resolvable else principal_value(delta)) / 3.0
             diagnostics["discretization_estimate"] = abs(correction)
             if refine:
                 argsum_used = argsum + correction
                 diagnostics["refined"] = True
 
-    gamma_total = sign * -argsum_used
-    gamma = principal_value(gamma_total)
-    winding = round((gamma_total - gamma) / TWO_PI)
+    gamma_total = sign * -argsum_used if resolvable else None
+    if resolvable:
+        gamma = principal_value(gamma_total)
+    else:
+        gamma = principal_value(sign * -principal_value(argsum_used))
     return PhaseReport(
         gamma=gamma,
-        winding=winding,
+        winding=round((gamma_total - gamma) / TWO_PI) if resolvable else None,
         gamma_total=gamma_total,
-        gamma_per_revolution=gamma_total / path.revolutions,
+        gamma_per_revolution=gamma_total / path.revolutions if resolvable else None,
         method="holonomy",
         n_steps=path.n_steps,
         revolutions=path.revolutions,
@@ -294,72 +279,151 @@ class DriveSchedule:
         if self.dynamic_phase_mode not in DYNAMIC_PHASE_MODES:
             raise ValueError(f"dynamic_phase_mode must be one of {DYNAMIC_PHASE_MODES}")
 
-    def path_parameter(self, t: float) -> float:
-        u = min(max(t / self.total_time, 0.0), 1.0)
+    def path_parameter(self, t):
+        return self._progress(t)[0]
+
+    def _progress(self, t):
+        """s(u) and ds/du at u = t / total_time, clamped to [0, 1]."""
+        u = np.asarray(t, dtype=float) / self.total_time
+        u = np.minimum(np.maximum(u, 0.0), 1.0)
         if self.time_parametrization == "smoothstep":
-            return u * u * (3.0 - 2.0 * u)
-        return u
+            return u * u * (3.0 - 2.0 * u), 6.0 * u * (1.0 - u)
+        return u, np.ones_like(u)
 
-    def rate_factor(self) -> float:
-        """Peak ds/du of the parametrization (1.5 for smoothstep)."""
-        return 1.5 if self.time_parametrization == "smoothstep" else 1.0
+    def drive_point(self, t):
+        """(theta, phi, theta', phi') at time t, a float or an array; linear
+        in the path parameter between samples, so the rates jump at bends."""
+        s, ds = self._progress(t)
+        samples, segments = self.path.samples, self.path.segments
+        x = s * segments
+        i = np.minimum(x.astype(int), segments - 1)
+        chord = samples[i + 1] - samples[i]
+        point = samples[i] + (x - i)[..., None] * chord
+        rate = chord * (ds * (segments / self.total_time))[..., None]
+        # [()] turns the 0-d results of a scalar t into numpy floats
+        theta, phi = point[..., 0][()], point[..., 1][()]
+        return theta, phi, rate[..., 0][()], rate[..., 1][()]
 
-    def drive_point(self, t: float) -> tuple[float, float]:
-        """Drive point (theta, phi) at time t, linear between path samples."""
-        samples = self.path.samples
-        u = self.path_parameter(t) * (len(samples) - 1)
-        i = min(int(u), len(samples) - 2)
-        th, ph = samples[i] + (u - i) * (samples[i + 1] - samples[i])
-        return th, ph
+    def peak_rates(self) -> tuple[float, float]:
+        """Upper bounds on |theta'| and |phi'|: the largest change per
+        segment times the peak ds/dt (1.5 per segment time for smoothstep)."""
+        steepest = 1.5 if self.time_parametrization == "smoothstep" else 1.0
+        chord = np.abs(np.diff(self.path.samples, axis=0)).max(axis=0)
+        rates = chord * (steepest * self.path.segments / self.total_time)
+        return float(rates[0]), float(rates[1])
+
+    def step_times(self, n_steps: int) -> np.ndarray:
+        """Ends of about n_steps equal steps, with a step end wherever the
+        path bends, so that no step straddles a jump of the rates."""
+        chords = np.diff(self.path.samples, axis=0)
+        bends = np.flatnonzero(np.abs(np.diff(chords, axis=0)).max(axis=1) > 1e-12) + 1
+        y = bends / self.path.segments
+        if self.time_parametrization == "smoothstep":
+            y = 0.5 - np.sin(np.arcsin(1.0 - 2.0 * y) / 3.0)  # inverse of s(u)
+        edges = self.total_time * np.concatenate([[0.0], y, [1.0]])
+        pieces = np.ceil(np.diff(edges) * (n_steps / self.total_time)).astype(int)
+        steps = zip(edges, edges[1:], pieces)
+        return np.concatenate([np.linspace(lo, hi, k + 1)[1:] for lo, hi, k in steps])
 
 
-# Largest phase |E| dt (rad) one Magnus step may take. The step error
-# depends only on how fast H(t) changes; at 0.17 rad a T = 200 Ramsey point
-# agrees with a fine RK4 reference to about 3e-7 in p_down.
-STEP_PHASE = 0.17
+# Largest (E dt)(r dt) (rad^2) of one co-moving step, E the largest |energy|
+# of H0, r = |theta'| + |phi'| at its peak. The step error grows as
+# (E dt)^2 (r dt)^2; at 0.01 a resonant Ramsey point lands within 3e-7 of a
+# lab-frame reference in p_down at T = 100 to 400 (517 steps at T = 200).
+STEP_AREA = 0.01
+# Most steps a run may take (about half a minute); more raise StepLimit.
+MAX_STEPS = 1_000_000
+BATCH = 64  # steps built together; larger batches add memory, not speed
 
 
-def magnus_step_count(total_time: float, energy_scale: float, segments: int) -> int:
-    """Steps for a drive of total_time: |E| dt <= STEP_PHASE for the largest
-    |E| = energy_scale, and at least one step per path segment."""
-    return max(math.ceil(total_time * energy_scale / STEP_PHASE), segments)
+def magnus_step_count(
+    total_time: float, energy_scale: float, drive_rate: float, segments: int
+) -> int:
+    """Co-moving steps for a drive of total_time: (E dt)(r dt) <= STEP_AREA
+    for E = energy_scale and r = drive_rate, and at least one step per path
+    segment. Raises StepLimit above MAX_STEPS."""
+    n = max(total_time * math.sqrt(energy_scale * drive_rate / STEP_AREA), segments)
+    if not n <= MAX_STEPS:  # or NaN
+        raise StepLimit(f"the drive needs {n:.3g} steps, above MAX_STEPS = {MAX_STEPS}")
+    return math.ceil(n)
 
 
-def magnus4_evolve(
-    h0: np.ndarray,
-    frame: SchwingerFrame,
-    schedule: DriveSchedule,
-    psi: np.ndarray,
-    n_steps: int,
-):
-    """Propagate psi under H(t) = W(t) h0 W(t)^dag over the schedule's
-    total_time, with W(t) = lift(frame, *schedule.drive_point(t)).
+def drive_charge(frame: SchwingerFrame) -> np.ndarray:
+    """Diagonal of K = J_z + (m/4) sigma_z on a one-doublet basis, with m
+    its sector gap (model.default_basis, iontrap.ramsey_basis)."""
+    basis = frame.basis
+    if basis.mode_count != 2 or not basis.qubit_included:
+        raise BasisMismatch("the co-moving frame needs a qubit and two modes")
+    spin = np.array([1.0 if label[0] == SPIN_UP else -1.0 for label in basis.states])
+    m = basis.sector_totals[-1] - basis.sector_totals[0]
+    return frame.jz_diagonal + 0.25 * m * spin
 
-    Each of the n_steps equal steps is one 4th-order Magnus step [Blanes,
-    Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)]: H is sampled at the two
-    Gauss-Legendre nodes, Omega = -i dt/2 (H1 + H2) - (sqrt(3)/12) dt^2
-    [H2, H1], and exp(Omega) is applied through the eigensystem of the
-    Hermitian i Omega, so the step is unitary to rounding. Yields
-    (t, W(t), psi(t)) after every step, so callers can test their guards
-    at every step.
+
+def comoving_lift(frame: SchwingerFrame, charge, theta, phi) -> np.ndarray:
+    """W(theta, phi) e^{-i phi K}, which maps co-moving to lab-frame states."""
+    return lift(frame, theta, phi) * np.exp(-1j * phi * charge)
+
+
+def comoving_evolve(h0: np.ndarray, frame: SchwingerFrame, schedule: DriveSchedule, xi):
+    """Propagate the co-moving state xi under H_xi(t) over total_time.
+
+    Each step is one 4th-order Magnus step [Blanes, Casas, Oteo & Ros,
+    Phys. Rep. 470, 151 (2009)]: Omega = -i dt/2 (H1 + H2) - (sqrt(3)/12)
+    dt^2 [H2, H1] from H_xi at the two Gauss-Legendre nodes, applied through
+    the eigensystem of the Hermitian i Omega, so the step is unitary to
+    rounding. Steps follow magnus_step_count and schedule.step_times.
+    Yields the step ends (k,) and the states after them (k, d) per batch.
+    Raises SimulationError unless [K, H0] = 0.
     """
-    dt = schedule.total_time / n_steps
-    node = math.sqrt(3.0) / 6.0 * dt  # Gauss-Legendre nodes at mid -+ node
-    comm = 0.5 * node * dt
-
-    def h_at(t: float) -> np.ndarray:
-        w = lift(frame, *schedule.drive_point(t))
-        return w @ h0 @ w.conj().T
-
-    for k in range(n_steps):
-        t = k * dt
-        h1 = h_at(t + 0.5 * dt - node)
-        h2 = h_at(t + 0.5 * dt + node)
-        gen = (0.5 * dt) * (h1 + h2) + (1j * comm) * (h1 @ h2 - h2 @ h1)
+    charge = drive_charge(frame)
+    commutator = np.subtract.outer(charge, charge) * h0
+    if np.abs(commutator).max() > 1e-12 * max(1.0, np.abs(h0).max()):
+        raise SimulationError("H0 does not commute with the drive charge K")
+    energy_scale = float(np.abs(np.linalg.eigvalsh(h0)).max())
+    rate, segments = sum(schedule.peak_rates()), schedule.path.segments
+    times = schedule.step_times(
+        magnus_step_count(schedule.total_time, energy_scale, rate, segments)
+    )
+    jz, jx = np.diag(frame.jz_diagonal), schwinger_jx(frame).matrix
+    spin_term = np.diag(charge - frame.jz_diagonal)
+    for lo in range(0, len(times), BATCH):
+        t = times[lo : lo + BATCH]
+        dt = np.diff(t, prepend=times[lo - 1] if lo else 0.0)[:, None, None]
+        node = math.sqrt(3.0) / 6.0 * dt  # Gauss-Legendre nodes at mid -+ node
+        mid = t[:, None, None] - 0.5 * dt
+        nodes = np.concatenate([mid - node, mid + node])
+        theta, _, dtheta, dphi = schedule.drive_point(nodes)
+        b = np.cos(theta) * jz - np.sin(theta) * jx + spin_term
+        h1, h2 = np.split(h0 - dphi * b - dtheta * frame.j_y.matrix, 2)
+        gen = (0.5 * dt) * (h1 + h2) + (0.5j * node * dt) * (h1 @ h2 - h2 @ h1)
         vals, vecs = np.linalg.eigh(gen)
-        psi = vecs @ (np.exp(-1j * vals) * (vecs.conj().T @ psi))
-        t_end = (k + 1) * dt
-        yield t_end, lift(frame, *schedule.drive_point(t_end)), psi
+        props = (vecs * np.exp(-1j * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+        out = np.empty((len(t), len(xi)), dtype=complex)
+        for k, prop in enumerate(props):
+            xi = out[k] = prop @ xi
+        yield t, out
+
+
+def guarded_evolve(h0, frame, schedule, xi, followed, leak_threshold):
+    """comoving_evolve with the leak guard of both time routes.
+
+    The rows of followed are orthonormal eigenvectors of K, so their span
+    holds the same population in both frames. After every step the rest
+    must stay within leak_threshold, or NonAdiabatic is raised. Yields
+    (t, dt, states, overlaps with the rows, leak) per batch of steps.
+    """
+    t_prev = 0.0
+    for t, block in comoving_evolve(h0, frame, schedule, xi):
+        ov = block @ followed.conj().T
+        norm_sq = np.einsum("ki,ki->k", block.conj(), block).real
+        leak = 1.0 - (np.abs(ov) ** 2).sum(axis=1) / norm_sq
+        if leak.max() > leak_threshold:
+            k = np.argmax(leak > leak_threshold)
+            raise NonAdiabatic(
+                f"leak {leak[k]:.3e} exceeded {leak_threshold:.1e} at t = {t[k]:.3f}"
+            )
+        yield t, np.diff(t, prepend=t_prev), block, ov, leak
+        t_prev = t[-1]
 
 
 def adiabatic_evolution(
@@ -372,15 +436,13 @@ def adiabatic_evolution(
 ) -> tuple[StateVector, PhaseReport]:
     """Integrate the driven Schroedinger equation and extract the phase.
 
-    ``initial`` is an eigenstate of the undriven Hamiltonian; it is lifted
-    to the path start internally. Evolution runs under
-    H(t) = W(t) H0 W(t)^dag by magnus4_evolve in equal steps, |E| dt <=
-    STEP_PHASE for the largest |E| of H0, at least one per path segment.
-    The report carries the geometric phase after dynamic-phase removal
-    (see DriveSchedule; an energy expectation is integrated by the
-    trapezoid rule over the step ends), with the same calibrated sign
-    convention as the holonomy route, plus leak, drift and step
-    diagnostics.
+    ``initial`` is an eigenstate of the undriven Hamiltonian, hence of the
+    drive charge K. Evolution runs in the co-moving frame (guarded_evolve);
+    the state is lifted into the lab frame at the end. The report carries
+    the geometric phase after dynamic-phase removal (see DriveSchedule; an
+    energy expectation <xi|H0|xi> is integrated by the trapezoid rule over
+    the step ends), with the same calibrated sign convention as the
+    holonomy route, plus leak, drift and step diagnostics.
 
     Raises NonAdiabatic as soon as the leak out of the followed eigenstate
     exceeds leak_threshold, and NormDrift if the state norm moved by more
@@ -399,52 +461,45 @@ def adiabatic_evolution(
             "drive time is under ten coupling periods; expect large leak",
             stacklevel=2,
         )
-    n_steps = magnus_step_count(t_total, scale, schedule.path.segments)
-    dt = t_total / n_steps
 
+    charge = drive_charge(frame)
+    norm_sq = np.vdot(base, base).real
+    k_branch = float(np.vdot(base, charge * base).real / norm_sq)
+    if np.abs((charge - k_branch) * base).max() > 1e-12:
+        raise BasisMismatch("the initial state is not an eigenvector of K")
     energy_branch = float(np.real(np.vdot(base, h0 @ base)))
-    w = lift(frame, *schedule.drive_point(0.0))
-    psi = w @ base
+    _, phi0, *_ = schedule.drive_point(0.0)
+    theta, phi, *_ = schedule.drive_point(t_total)
+    # <W chi|psi> = e^{-i phi k} <chi|xi>: follow the argument of <chi|xi>
+    # without the dynamic phase, and put both known phases back at the end
+    xi = np.exp(1j * phi0 * k_branch) * base
+    ov_prev = np.vdot(base, xi)
+    arg_total = dyn_integral = max_leak = 0.0
+    e_prev = energy_branch / norm_sq
+    n_steps = 0
+    for t, dt, block, ov, leak in guarded_evolve(
+        h0, frame, schedule, xi, base[None], leak_threshold
+    ):
+        ov = ov[:, 0] * np.exp(1j * energy_branch * t)
+        arg_total += float(np.angle(ov / np.append(ov_prev, ov[:-1])).sum())
+        if schedule.dynamic_phase_mode == "subtract-energy-expectation":
+            e = np.einsum("ki,ij,kj->k", block.conj(), h0, block).real
+            e = np.append(e_prev, e / np.einsum("ki,ki->k", block.conj(), block).real)
+            dyn_integral += float(np.sum(0.5 * dt * (e[1:] + e[:-1])))
+            e_prev = e[-1]
+        max_leak = max(max_leak, float(leak.max()))
+        ov_prev, xi = ov[-1], block[-1]
+        n_steps += len(t)
+    arg_total -= energy_branch * t_total + k_branch * (phi - phi0)
 
-    def energy(w: np.ndarray, psi: np.ndarray) -> float:
-        rotated = w.conj().T @ psi
-        return float(np.real(np.vdot(rotated, h0 @ rotated) / np.vdot(psi, psi)))
-
-    arg_total = 0.0
-    arg_prev = 0.0
-    dyn_integral = 0.0
-    max_leak = 0.0
-    track_expectation = schedule.dynamic_phase_mode == "subtract-energy-expectation"
-    e_prev = energy(w, psi) if track_expectation else 0.0
-
-    for t, w, psi in magnus4_evolve(h0, frame, schedule, psi, n_steps):
-        if track_expectation:
-            e_now = energy(w, psi)
-            dyn_integral += 0.5 * dt * (e_prev + e_now)
-            e_prev = e_now
-        ov = np.vdot(w @ base, psi)
-        norm_sq = float(np.real(np.vdot(psi, psi)))
-        leak = 1.0 - (abs(ov) ** 2) / norm_sq
-        if leak > max_leak:
-            max_leak = leak
-        if leak > leak_threshold:
-            raise NonAdiabatic(
-                f"leak {leak:.3e} exceeded {leak_threshold:.1e} at t = {t:.3f}"
-            )
-        arg_now = math.atan2(ov.imag, ov.real)
-        arg_total += math.remainder(arg_now - arg_prev, TWO_PI)
-        arg_prev = arg_now
-
-    drift = abs(math.sqrt(float(np.real(np.vdot(psi, psi)))) - 1.0)
+    drift = abs(math.sqrt(float(np.real(np.vdot(xi, xi)))) - 1.0)
     if drift > TOL.norm_drift:
         raise NormDrift(f"norm drifted by {drift:.2e} over the run")
 
-    if schedule.dynamic_phase_mode == "subtract-instantaneous-eigenvalue":
-        dyn_subtracted = energy_branch * t_total
-    elif schedule.dynamic_phase_mode == "subtract-energy-expectation":
-        dyn_subtracted = dyn_integral
-    else:
-        dyn_subtracted = 0.0
+    dyn_subtracted = {
+        "subtract-instantaneous-eigenvalue": energy_branch * t_total,
+        "subtract-energy-expectation": dyn_integral,
+    }.get(schedule.dynamic_phase_mode, 0.0)
     raw_geometric = arg_total + dyn_subtracted
 
     sign = calibrate_sign_convention()
@@ -463,15 +518,15 @@ def adiabatic_evolution(
             "max_nonadiabatic_leak": max_leak,
             "norm_drift": drift,
             "n_steps": n_steps,
-            "dt": dt,
-            "max_step_phase": scale * dt,
-            "propagator": "magnus4",
+            "dt": t_total / n_steps,
+            "propagator": "magnus4-comoving",
             "dynamic_phase_mode": schedule.dynamic_phase_mode,
             "dynamic_phase_subtracted": dyn_subtracted,
             "energy_branch": energy_branch,
             "sign_convention": sign,
         },
     )
+    psi = comoving_lift(frame, charge, theta, phi) @ xi
     return StateVector(frame.basis, psi), report
 
 
@@ -552,17 +607,10 @@ def adiabaticity_budget(
     above 0.5 a fail, in between a warning. The detuning entry is skipped
     when no trap frequency is configured.
     """
-    samples = schedule.path.samples
-    seg_time = schedule.total_time / (len(samples) - 1)
-    dth = np.abs(np.diff(samples[:, 0])).max(initial=0.0)
-    dph = np.abs(np.diff(samples[:, 1])).max(initial=0.0)
-    peak = schedule.rate_factor() / seg_time
     scale = params.lambda_m if params.lambda_m > 0 else 2.0 * params.big_lambda
-    theta_ratio = dth * peak / scale
-    phi_ratio = dph * peak / scale
     entries = [
-        BudgetEntry("theta_rate_over_coupling", theta_ratio, _verdict(theta_ratio)),
-        BudgetEntry("phi_rate_over_coupling", phi_ratio, _verdict(phi_ratio)),
+        BudgetEntry(f"{angle}_rate_over_coupling", rate / scale, _verdict(rate / scale))
+        for angle, rate in zip(("theta", "phi"), schedule.peak_rates())
     ]
     if params.nu > 0:
         ratio = abs(params.delta_m) / params.nu

@@ -262,10 +262,8 @@ def cmd_fig1(args) -> int:
                 row["ratio_holonomy"] = hol
                 worst_cross = max(worst_cross, abs(hol - row["ratio"]))
             rows.append(row)
-    columns = ["delta_over_lambda", "m", "ratio", "linear_entropy"]
-    if args.with_holonomy:
-        columns.append("ratio_holonomy")
-    emit_rows(rows, columns, args, {"worst_holonomy_deviation": worst_cross or None})
+    diagnostics = {"worst_holonomy_deviation": worst_cross or None}
+    emit_rows(rows, list(rows[0]), args, diagnostics)
     if args.strict and args.with_holonomy and worst_cross > 1e-6:
         print("strict: holonomy ratio deviates from closed form", file=sys.stderr)
         return 2
@@ -291,12 +289,7 @@ def cmd_transmute(args) -> int:
         "alpha_resonant": rows[0]["alpha"],
         "alpha_final": rows[-1]["alpha"],
     }
-    emit_rows(
-        rows,
-        ["delta_over_lambda", "m", "omega_solid", "alpha", "ratio"],
-        args,
-        diagnostics,
-    )
+    emit_rows(rows, list(rows[0]), args, diagnostics)
     if args.strict:
         alphas = [row["alpha"] for row in rows]
         if any(b >= a for a, b in zip(alphas, alphas[1:])):
@@ -378,19 +371,7 @@ def cmd_ramsey(args) -> int:
             trap, row["gamma_analytic"], args.pulse_mode
         )
         worst = max(worst, abs(row["p_down"] - predicted))
-    columns = [
-        "m",
-        "eta",
-        "g",
-        "delta_m",
-        "omega_solid",
-        "total_time",
-        "p_down",
-        "gamma_inferred",
-        "gamma_analytic",
-        "leak",
-    ]
-    emit_rows(rows, columns, args, {"worst_p_down_deviation": worst})
+    emit_rows(rows, list(rows[0]), args, {"worst_p_down_deviation": worst})
     if args.budget:
         run = iontrap.make_ramsey_run(trap, omega_max, args.total_time)
         for entry in berry.adiabaticity_budget(
@@ -417,10 +398,6 @@ def cmd_selftest(args) -> int:
 # --- parser assembly ---
 
 
-def _angle(text: str) -> float:
-    return parse_angle(text)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="anyonjc", description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", help="flat key=value defaults file")
@@ -438,8 +415,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--n-prime", type=int, default=0)
     p.add_argument("--branch", choices=("+", "-"), default="+")
-    p.add_argument("--theta", type=_angle, default=None)
-    p.add_argument("--omega", type=_angle, default=None, help="solid angle (wins)")
+    p.add_argument("--theta", type=parse_angle, default=None)
+    p.add_argument("--omega", type=parse_angle, default=None, help="solid angle (wins)")
     p.add_argument("--steps", type=int, default=1024)
     p.add_argument("--revolutions", type=int, default=0, help="0 = parity default")
     p.add_argument("--no-refine", action="store_true")
@@ -460,7 +437,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("transmute", help="statistics parameter against detuning")
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--omega", type=_angle, default=None, help="default 4pi")
+    p.add_argument("--omega", type=parse_angle, default=None, help="default 4pi")
     p.add_argument("--delta-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=21)
     common(p)
@@ -468,7 +445,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("two-anyon", help="exchange-coupled pair cross-check")
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--omega", type=_angle, default=None, help="default 2pi")
+    p.add_argument("--omega", type=parse_angle, default=None, help="default 2pi")
     p.add_argument("--steps", type=int, default=1024)
     common(p)
     p.set_defaults(func=cmd_two_anyon)
@@ -481,7 +458,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--total-time", type=float, default=200.0)
     p.add_argument("--omega-points", type=int, default=9)
-    p.add_argument("--omega-max", type=_angle, default=None, help="default 4pi")
+    p.add_argument("--omega-max", type=parse_angle, default=None, help="default 4pi")
     p.add_argument("--pulse-mode", choices=iontrap.PULSE_MODES, default="timed")
     p.add_argument("--loop-steps", type=int, default=256)
     p.add_argument("--budget", action="store_true", help="print adiabaticity budget")
@@ -534,10 +511,14 @@ def _apply_config(parser: _Parser, args, argv: list[str]):
 
 # Largest magnitude of a float flag, so that its square stays finite.
 FLOAT_LIMIT = 1e150
+# Largest basis (qubit included) a run may build. Its dense matrices grow as
+# the square: a phase run at 1,006 states peaks near 150 MB and takes 0.6 s.
+MAX_BASIS_DIM = 1000
 
 
 def _check_args(args) -> None:
-    """Reject flag values the numerics cannot represent (exit 4)."""
+    """Reject flag values the numerics cannot represent or whose basis is
+    above MAX_BASIS_DIM (exit 4)."""
     for name, value in vars(args).items():
         if isinstance(value, float) and not abs(value) <= FLOAT_LIMIT:  # or NaN
             flag = "--" + name.replace("_", "-")
@@ -552,6 +533,10 @@ def _check_args(args) -> None:
     # (n + m)! / n! grows with m and is >= m!; 171! is beyond the float range
     if m > 170 or falling_product(n, m) > sys.float_info.max:
         raise ValueError(f"(n + m)! / n! overflows a float at m = {m}, n + n' = {n}")
+    # sectors (n, n + m) of two modes, or (0, 0) and (m, m) of a pair
+    dim = 2 * (1 + (m + 1) ** 2) if args.command == "two-anyon" else 2 * (2 * n + m + 2)
+    if dim > MAX_BASIS_DIM:
+        raise ValueError(f"the basis would hold {dim} states, above {MAX_BASIS_DIM}")
 
 
 def main(argv: list[str] | None = None) -> int:

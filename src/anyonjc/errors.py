@@ -65,6 +65,10 @@ class NonAdiabatic(SimulationError):
     """Leakage out of the followed eigenstate exceeded the threshold."""
 
 
+class StepLimit(SimulationError, ValueError):
+    """A time route would need more steps than the step rule allows."""
+
+
 class CalibrationAmbiguous(SimulationError):
     """Sign calibration loop produced a phase too small to fix a sign."""
 

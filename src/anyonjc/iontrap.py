@@ -27,6 +27,16 @@ with beta the actual pulse rotation angle ((pi/2) e^{-eta^2/2} for timed
 pulses of nominal quarter-turn area, exactly pi/2 for idealized
 instantaneous pulses). Both pulses use laser phase pi/2; a zero-phase
 preparation pulse would read out the sine quadrature instead.
+
+The wait runs in the co-moving drive frame psi = W e^{-i phi K} xi of the
+berry module, K = J_z + (m/4) sigma_z, which commutes with the sideband
+Hamiltonian too: i dxi/dt = (H0 - phi' B(theta) - theta' J_y) xi, the
+moving-frame Hamiltonian of transitionless driving [M. V. Berry, J. Phys.
+A 42, 365303 (2009)]. The dressed states and the spectator are
+eigenvectors of K, so the guards are overlaps with xi. Steps follow the
+drive's rates, (E dt)(r dt) <= berry.STEP_AREA up to berry.MAX_STEPS, as
+the Magnus error there depends on the drive's derivatives [Hochbruck &
+Lubich, SIAM J. Numer. Anal. 41, 945 (2003)].
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .berry import DriveSchedule, magnus4_evolve, magnus_step_count
+from .berry import DriveSchedule, comoving_lift, drive_charge, guarded_evolve
 from .config import TOL
 from .errors import CycleMismatch, NonAdiabatic, NormDrift, TruncationWarning
 from .fock import (
@@ -46,6 +56,7 @@ from .fock import (
     BasisSpec,
     FockOperator,
     StateVector,
+    build_pauli,
     matrix_exponential,
 )
 from .model import (
@@ -55,7 +66,7 @@ from .model import (
     dressed_state_vector,
     falling_product,
 )
-from .paths import LoopPath, lift, schwinger_frame, theta_for_solid_angle
+from .paths import LoopPath, schwinger_frame, theta_for_solid_angle
 from .paths import constant_latitude_loop
 
 TWO_PI = 2.0 * math.pi
@@ -211,20 +222,18 @@ def sideband_hamiltonian(trap: TrapParams, basis: BasisSpec) -> FockOperator:
     return FockOperator(basis, mat, dropped)
 
 
+def _laser_coupling(basis: BasisSpec, phi: float) -> np.ndarray:
+    """e^{i phi} sigma_+ + e^{-i phi} sigma_-, identity on the modes."""
+    plus, minus = (build_pauli(basis, which).matrix for which in ("plus", "minus"))
+    return np.exp(1j * phi) * plus + np.exp(-1j * phi) * minus
+
+
 def carrier_hamiltonian(trap: TrapParams, basis: BasisSpec, phi_L: float | None = None) -> FockOperator:
     """f_0(n_a) (e^{i phi} sigma_+ + e^{-i phi} sigma_-): the qubit drive
     with its exact occupation-dependent Rabi frequency."""
     phi = trap.phi_L if phi_L is None else phi_L
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for col, label in enumerate(basis.states):
-        f0 = coupling_strength(trap, label[1], order=0)
-        if label[0] == SPIN_DOWN:
-            row = basis.index((SPIN_UP,) + label[1:])
-            mat[row, col] += f0 * np.exp(1j * phi)
-        else:
-            row = basis.index((SPIN_DOWN,) + label[1:])
-            mat[row, col] += f0 * np.exp(-1j * phi)
-    return FockOperator(basis, mat)
+    f0 = [coupling_strength(trap, label[1], order=0) for label in basis.states]
+    return FockOperator(basis, np.array(f0)[:, None] * _laser_coupling(basis, phi))
 
 
 def pulse_beta(trap: TrapParams, pulse_mode: str) -> float:
@@ -249,17 +258,8 @@ def carrier_pulse_operator(
     if pulse_mode == "timed":
         h_c = carrier_hamiltonian(trap, basis)
         return matrix_exponential(h_c, scale=-1j * math.pi / (2.0 * trap.g))
-    sigma_phi = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for col, label in enumerate(basis.states):
-        if label[0] == SPIN_DOWN:
-            sigma_phi[basis.index((SPIN_UP,) + label[1:]), col] = np.exp(
-                1j * trap.phi_L
-            )
-        else:
-            sigma_phi[basis.index((SPIN_DOWN,) + label[1:]), col] = np.exp(
-                -1j * trap.phi_L
-            )
     angle = 0.25 * math.pi
+    sigma_phi = _laser_coupling(basis, trap.phi_L)
     mat = math.cos(angle) * np.eye(basis.dim) - 1j * math.sin(angle) * sigma_phi
     return FockOperator(basis, mat)
 
@@ -350,12 +350,12 @@ def ramsey_protocol(
 
     The wait time is snapped to the nearest integer number of doublet
     cycles (snap=False instead raises CycleMismatch when the requested
-    time is off-cycle), the loop is driven over the whole snapped wait, so
-    it closes at its end, and the drive is integrated under H(t) =
-    W(t) H0 W(t)^dag by the 4th-order Magnus stepper berry.magnus4_evolve
-    in equal steps (|E| dt <= berry.STEP_PHASE for the largest |E| of H0,
-    at least one per path segment), and leakage out of the instantaneous
-    doublet-plus-spectator subspace is tested after every step.
+    time is off-cycle), and the loop is driven over the whole snapped
+    wait, so it closes at its end. The wait runs in the co-moving frame of
+    the drive on berry.comoving_evolve (steps by berry.magnus_step_count);
+    the state is lifted into the lab frame only before the second pulse.
+    Leakage out of the doublet-plus-spectator subspace is tested after
+    every step.
     """
     trap = run.trap
     model = effective_model(trap)
@@ -374,50 +374,36 @@ def ramsey_protocol(
             )
         t_total = t_req
 
-    # followed subspace: the two transported dressed states and the
-    # stationary |down, 0, 0> spectator arm, which the first pulse starts from
+    # followed subspace: the two dressed states and the |down, 0, 0>
+    # spectator arm, which the first pulse starts from; all three are
+    # eigenvectors of K, so no lift is needed to follow them
     spectator = StateVector.basis_state(basis, (SPIN_DOWN, 0, 0)).amplitudes
     pulse = carrier_pulse_operator(trap, basis, run.pulse_mode)
-    psi = pulse.matrix @ spectator
-    plus, minus = analytic_eigensystem(model)
-    chi_base = np.stack(
-        [
-            dressed_state_vector(plus, basis).amplitudes,
-            dressed_state_vector(minus, basis).amplitudes,
-        ]
-    )
+    dressed = (dressed_state_vector(d, basis) for d in analytic_eigensystem(model))
+    followed = np.stack([*(d.amplitudes for d in dressed), spectator])
 
-    scale = float(np.abs(np.linalg.eigvalsh(h0)).max())
     schedule = replace(run.schedule, total_time=t_total)
-    n_steps = magnus_step_count(t_total, scale, schedule.path.segments)
+    charge = drive_charge(frame)
+    theta, phi, *_ = schedule.drive_point(0.0)
+    xi = comoving_lift(frame, charge, theta, phi).conj().T @ (pulse.matrix @ spectator)
+    p_plus_start = abs(np.vdot(followed[0], xi)) ** 2
+    max_leak, n_steps = 0.0, 0
+    for t, _, block, _, leak in guarded_evolve(
+        h0, frame, schedule, xi, followed, leak_threshold
+    ):
+        max_leak = max(max_leak, float(leak.max()))
+        xi = block[-1]
+        n_steps += len(t)
 
-    w = lift(frame, *schedule.drive_point(0.0))
-    p_plus_start = abs(np.vdot(w @ chi_base[0], psi)) ** 2
-    max_leak = 0.0
-    for t, w, psi in magnus4_evolve(h0, frame, schedule, psi, n_steps):
-        p_in = (
-            abs(np.vdot(w @ chi_base[0], psi)) ** 2
-            + abs(np.vdot(w @ chi_base[1], psi)) ** 2
-            + abs(np.vdot(spectator, psi)) ** 2
-        )
-        leak = 1.0 - p_in / float(np.real(np.vdot(psi, psi)))
-        if leak > max_leak:
-            max_leak = leak
-        if leak > leak_threshold:
-            raise NonAdiabatic(
-                f"loop leak {leak:.3e} exceeded {leak_threshold:.1e} at t = {t:.2f}"
-            )
-
-    drift = abs(math.sqrt(float(np.real(np.vdot(psi, psi)))) - 1.0)
+    norm_sq = float(np.real(np.vdot(xi, xi)))
+    drift = abs(math.sqrt(norm_sq) - 1.0)
     if drift > TOL.norm_drift:
         raise NormDrift(f"norm drifted by {drift:.2e} during the wait evolution")
 
     # The sector leak above cannot see diabatic mixing between the two
     # dressed branches (both lie inside the followed subspace), so check
     # the net branch transfer over the whole wait separately.
-    p_plus_end = abs(np.vdot(w @ chi_base[0], psi)) ** 2 / float(
-        np.real(np.vdot(psi, psi))
-    )
+    p_plus_end = abs(np.vdot(followed[0], xi)) ** 2 / norm_sq
     branch_transfer = abs(p_plus_end - p_plus_start)
     if branch_transfer > leak_threshold:
         raise NonAdiabatic(
@@ -425,7 +411,8 @@ def ramsey_protocol(
             f" (threshold {leak_threshold:.1e}); drive too fast"
         )
 
-    psi = pulse.matrix @ psi
+    theta, phi, *_ = schedule.drive_point(t_total)
+    psi = pulse.matrix @ comoving_lift(frame, charge, theta, phi) @ xi
     spins = np.array([label[0] for label in basis.states])
     p_down = float(np.sum(np.abs(psi[spins == SPIN_DOWN]) ** 2))
     beta = pulse_beta(trap, run.pulse_mode)
@@ -442,8 +429,7 @@ def ramsey_protocol(
         "cycle_residual": residual,
         "n_steps": n_steps,
         "dt": t_total / n_steps,
-        "max_step_phase": scale * t_total / n_steps,
-        "propagator": "magnus4",
+        "propagator": "magnus4-comoving",
         "pulse_beta": beta,
         "sign_ambiguous": True,
         "contrast": math.sin(beta),

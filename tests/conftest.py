@@ -1,11 +1,12 @@
 import contextlib
+import math
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from anyonjc import berry, iontrap, paths
+from anyonjc import berry, paths
 
 settings.register_profile(
     "ci",
@@ -23,40 +24,69 @@ def rng():
 
 
 def rk4_evolve(h0, frame, schedule, psi, n_steps):
-    """Classical RK4 oracle with the signature and yields of
-    berry.magnus4_evolve, for agreement tests of the Magnus stepper."""
+    """Classical RK4 oracle on the lab-frame H(t) = W h0 W^dag, with
+    W = paths.lift at the drive point; yields (t, phi(t), W(t), psi(t))
+    after every step."""
     dt = schedule.total_time / n_steps
+    # the drive at every half step, evaluated in one call
+    thetas, phis = schedule.drive_point(0.5 * dt * np.arange(2 * n_steps + 1))[:2]
 
-    def h_at(t):
-        w = paths.lift(frame, *schedule.drive_point(t))
+    def h_at(j):  # at t = j dt / 2
+        w = paths.lift(frame, thetas[j], phis[j])
         return w, w @ h0 @ w.conj().T
 
-    _, h_now = h_at(0.0)
+    _, h_now = h_at(0)
     for k in range(n_steps):
-        t = k * dt
-        _, h_mid = h_at(t + 0.5 * dt)
-        w, h_end = h_at(t + dt)
+        _, h_mid = h_at(2 * k + 1)
+        w, h_end = h_at(2 * k + 2)
         k1 = -1j * (h_now @ psi)
         k2 = -1j * (h_mid @ (psi + (0.5 * dt) * k1))
         k3 = -1j * (h_mid @ (psi + (0.5 * dt) * k2))
         k4 = -1j * (h_end @ (psi + dt * k3))
         psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         h_now = h_end
-        yield t + dt, w, psi
+        yield (k + 1) * dt, phis[2 * k + 2], w, psi
+
+
+# Largest |E| dt of the oracle's equal steps: 16 times finer than the
+# lab-frame Magnus rule (0.17 rad) the oracle was first written against.
+ORACLE_STEP_PHASE = 0.17 / 16.0
+
+
+def rk4_comoving(h0, frame, schedule, xi):
+    """rk4_evolve behind the seam of berry.comoving_evolve: takes and
+    yields co-moving states xi = e^{i phi K} W^dag psi, in batches of 256
+    steps, on its own step count (|E| dt <= ORACLE_STEP_PHASE, at least one
+    step per path segment), whatever the co-moving step rule says."""
+    charge = berry.drive_charge(frame)
+    scale = float(np.abs(np.linalg.eigvalsh(h0)).max())
+    n_steps = max(
+        math.ceil(schedule.total_time * scale / ORACLE_STEP_PHASE),
+        schedule.path.segments,
+    )
+    theta, phi = schedule.drive_point(0.0)[:2]
+    psi = berry.comoving_lift(frame, charge, theta, phi) @ xi
+    times, states = [], []
+    for t, phi, w, psi in rk4_evolve(h0, frame, schedule, psi, n_steps):
+        times.append(t)
+        states.append(np.exp(1j * phi * charge) * (w.conj().T @ psi))
+        if len(times) == 256:
+            yield np.array(times), np.array(states)
+            times, states = [], []
+    if times:
+        yield np.array(times), np.array(states)
 
 
 @pytest.fixture
 def rk4_reference(monkeypatch):
-    """Context manager running both time routes on the RK4 oracle with
-    steps 16 times finer than the Magnus rule, so guards, step sums and
-    the energy trapezoid all see a converged reference trajectory."""
+    """Context manager running both time routes on the RK4 oracle, so
+    guards, step sums and the energy trapezoid all see a converged
+    reference trajectory."""
 
     @contextlib.contextmanager
     def swap():
         with monkeypatch.context() as patch:
-            patch.setattr(berry, "STEP_PHASE", berry.STEP_PHASE / 16.0)
-            patch.setattr(berry, "magnus4_evolve", rk4_evolve)
-            patch.setattr(iontrap, "magnus4_evolve", rk4_evolve)
+            patch.setattr(berry, "comoving_evolve", rk4_comoving)
             yield
 
     return swap

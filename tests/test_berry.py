@@ -12,15 +12,19 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
 from anyonjc.berry import (
-    STEP_PHASE,
+    MAX_STEPS,
+    STEP_AREA,
     DriveSchedule,
     adiabatic_evolution,
     adiabaticity_budget,
     calibrate_sign_convention,
+    comoving_evolve,
+    drive_charge,
     extrapolated_adiabatic_phase,
     holonomy_phase,
     magnus_step_count,
@@ -28,7 +32,19 @@ from anyonjc.berry import (
     transport_states,
 )
 from anyonjc.config import TOL
-from anyonjc.errors import NonAdiabatic, NormDrift, VanishingOverlap
+from anyonjc.errors import (
+    NonAdiabatic,
+    NormDrift,
+    SimulationError,
+    StepLimit,
+    VanishingOverlap,
+)
+from anyonjc.iontrap import (
+    TrapParams,
+    g_for_unit_coupling,
+    ramsey_basis,
+    sideband_hamiltonian,
+)
 from anyonjc.model import (
     ModelParams,
     analytic_berry_phase,
@@ -37,7 +53,7 @@ from anyonjc.model import (
     default_basis,
     dressed_state_vector,
 )
-from anyonjc.fock import StateVector
+from anyonjc.fock import StateVector, build_pauli
 from anyonjc.paths import (
     constant_latitude_loop,
     default_latitude_loop,
@@ -202,13 +218,14 @@ class TestSchedule:
         assert sched.path_parameter(10.0) == pytest.approx(1.0)
         eps = 1e-4
         assert sched.path_parameter(eps) < eps / 10.0  # starts at rest
-        assert sched.rate_factor() == pytest.approx(1.5)
+        # 2 pi over 10 time units, at 1.5 times the mean rate at mid-drive
+        assert sched.peak_rates() == pytest.approx((0.0, 1.5 * TWO_PI / 10.0))
 
     def test_uniform_rate(self):
         path = constant_latitude_loop(1.0, 32)
         sched = DriveSchedule(path, 8.0, time_parametrization="uniform")
         assert sched.path_parameter(2.0) == pytest.approx(0.25)
-        assert sched.rate_factor() == pytest.approx(1.0)
+        assert sched.peak_rates() == pytest.approx((0.0, TWO_PI / 8.0))
 
     def test_rejects_unknown_settings(self):
         path = constant_latitude_loop(1.0, 32)
@@ -219,20 +236,52 @@ class TestSchedule:
         with pytest.raises(ValueError):
             DriveSchedule(path, 1.0, dynamic_phase_mode="guess")
 
-    @given(st.floats(1e-3, 1e4), st.floats(0.0, 1e3), st.integers(1, 5000))
-    def test_step_rule(self, total_time, energy, segments):
-        n_steps = magnus_step_count(total_time, energy, segments)
-        assert n_steps >= segments
+    @given(
+        st.floats(1e-3, 1e4),
+        st.floats(0.0, 1e3),
+        st.floats(0.0, 1e2),
+        st.integers(1, 5000),
+    )
+    def test_step_rule(self, total_time, energy, rate, segments):
+        wanted = total_time * math.sqrt(energy * rate / STEP_AREA)
+        if wanted > MAX_STEPS:
+            with pytest.raises(StepLimit):
+                magnus_step_count(total_time, energy, rate, segments)
+            return
+        n_steps = magnus_step_count(total_time, energy, rate, segments)
+        assert segments <= n_steps <= max(segments, MAX_STEPS)
         dt = total_time / n_steps
-        assert energy * dt <= STEP_PHASE * (1.0 + 4.0 * sys.float_info.epsilon)
+        area = (energy * dt) * (rate * dt)
+        assert area <= STEP_AREA * (1.0 + 8.0 * sys.float_info.epsilon)
 
     def test_drive_point_interpolates_samples(self):
         path = polygon_loop([[0.5, 0.0], [1.0, 2.0], [0.7, 4.0], [0.5, TWO_PI]])
         sched = DriveSchedule(path, 6.0, time_parametrization="uniform")
-        assert sched.drive_point(0.0) == (0.5, 0.0)
-        assert sched.drive_point(2.0) == pytest.approx((1.0, 2.0))
-        assert sched.drive_point(3.0) == pytest.approx((0.85, 3.0))
-        assert sched.drive_point(6.0) == pytest.approx((0.5, TWO_PI))
+        assert sched.drive_point(0.0) == (0.5, 0.0, 0.25, 1.0)
+        assert sched.drive_point(2.0)[:2] == pytest.approx((1.0, 2.0))
+        assert sched.drive_point(3.0) == pytest.approx((0.85, 3.0, -0.15, 1.0))
+        last = (0.5, TWO_PI, -0.1, 0.5 * (TWO_PI - 4.0))
+        assert sched.drive_point(6.0) == pytest.approx(last)
+        theta, phi, dtheta, dphi = sched.drive_point(np.array([[0.0, 3.0, 6.0]]))
+        assert theta.shape == dphi.shape == (1, 3)
+        assert dtheta[0] == pytest.approx([0.25, -0.15, -0.1])
+        # the drive bends at the two inner vertices, passed at t = 2 and 4
+        assert sched.step_times(3) == pytest.approx([2.0, 4.0, 6.0])
+        assert sched.step_times(4) == pytest.approx([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+
+    def test_step_times_end_at_bends(self):
+        path = polygon_loop([[0.5, 0.0], [1.0, 2.0], [0.7, 4.0], [0.5, TWO_PI]])
+        sched = DriveSchedule(path, 6.0)
+        times = sched.step_times(10)
+        assert times[-1] == pytest.approx(6.0) and np.all(np.diff(times) > 0)
+        assert len(times) <= 10 + 2 and np.diff(times).max() <= 0.6 * (1 + 1e-12)
+        # the smoothstep drive passes the inner vertices at two step ends
+        passed = sched.path_parameter(times) * path.segments
+        assert np.sum(np.abs(passed - 1.0) < 1e-9) == 1
+        assert np.sum(np.abs(passed - 2.0) < 1e-9) == 1
+        # a latitude loop never bends: its steps are all equal
+        latitude = DriveSchedule(constant_latitude_loop(1.0, 32), 6.0)
+        assert latitude.step_times(10) == pytest.approx(np.linspace(0.6, 6.0, 10))
 
 
 class TestAdiabatic:
@@ -354,13 +403,85 @@ class TestMagnusAgainstRK4:
         params, frame, state = doublet_setup(m=2, delta=0.3)
         h0 = build_interaction_hamiltonian(params)
         path = default_latitude_loop(2, 0.8, 96)
-        _, report = adiabatic_evolution(h0, frame, DriveSchedule(path, 40.0), state)
+        sched = DriveSchedule(path, 40.0)
+        _, report = adiabatic_evolution(h0, frame, sched, state)
         diag = report.diagnostics
-        assert diag["propagator"] == "magnus4"
+        assert diag["propagator"] == "magnus4-comoving"
         assert diag["n_steps"] == report.n_steps >= path.segments
         assert diag["dt"] * diag["n_steps"] == pytest.approx(40.0)
-        assert diag["max_step_phase"] <= STEP_PHASE
+        # a latitude loop never bends, so its steps are the rule's, all equal
+        energy = np.abs(np.linalg.eigvalsh(h0.matrix)).max()
+        rate = sum(sched.peak_rates())
+        assert diag["n_steps"] == magnus_step_count(40.0, energy, rate, path.segments)
+        assert (energy * diag["dt"]) * (rate * diag["dt"]) <= STEP_AREA * (1.0 + 1e-12)
         assert diag["norm_drift"] < 1e-12
+
+
+class TestComovingFrame:
+    """The co-moving stepper and the conserved drive charge K it rests on."""
+
+    @pytest.mark.parametrize(
+        "params", [ModelParams(m=1, delta_m=0.3), ModelParams(m=2, n=1, n_prime=2),
+                   ModelParams(m=3, delta_m=-1.1, n=2)],
+        ids=["m1", "m2", "m3"],
+    )
+    def test_charge_commutes_with_exchange_model(self, params):
+        frame = schwinger_frame(default_basis(params))
+        h0 = build_interaction_hamiltonian(params).matrix
+        k = np.diag(drive_charge(frame))
+        assert np.abs(h0).max() > 0.5
+        assert np.abs(k @ h0 - h0 @ k).max() == 0.0
+        # and K is J_z + (m/4) sigma_z
+        sigma_z = build_pauli(frame.basis, "z").matrix
+        assert np.abs(k - frame.j_z.matrix - 0.25 * params.m * sigma_z).max() == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_charge_commutes_with_sideband_hamiltonian(self, m):
+        trap = TrapParams(g=g_for_unit_coupling(0.1, m), eta=0.1, m=m, delta_m=0.7)
+        basis = ramsey_basis(m)
+        h0 = sideband_hamiltonian(trap, basis).matrix
+        k = np.diag(drive_charge(schwinger_frame(basis)))
+        assert np.abs(k @ h0 - h0 @ k).max() == 0.0
+
+    def test_non_commuting_hamiltonian_raises(self):
+        params, frame, state = doublet_setup(m=2)
+        h0 = build_interaction_hamiltonian(params).matrix + 0.1 * frame.j_y.matrix
+        sched = DriveSchedule(constant_latitude_loop(0.7, 16), 30.0)
+        with pytest.raises(SimulationError, match="commute"):
+            next(comoving_evolve(h0, frame, sched, state.amplitudes))
+
+    @pytest.mark.parametrize("m,revolutions", [(1, 2), (2, 1), (3, 1)])
+    def test_uniform_latitude_drive_is_one_exponential(self, m, revolutions):
+        # theta' = 0 and phi' = 2 pi revolutions / T are constant, so H_xi is
+        # constant and the whole drive is exp(-i T H_xi); H_xi is built here
+        # from R_y and sigma_z, not from the stepper's J_x form of B(theta)
+        params, frame, state = doublet_setup(m=m, delta=0.4)
+        h0 = build_interaction_hamiltonian(params).matrix
+        theta, total = 0.9, 60.0
+        path = constant_latitude_loop(theta, 64, revolutions=revolutions)
+        sched = DriveSchedule(path, total, time_parametrization="uniform")
+        r_y = scipy.linalg.expm(-1j * theta * frame.j_y.matrix)
+        sigma_z = build_pauli(frame.basis, "z").matrix
+        b = r_y.conj().T @ frame.j_z.matrix @ r_y + 0.25 * m * sigma_z
+        h_xi = h0 - (TWO_PI * revolutions / total) * b
+        want = scipy.linalg.expm(-1j * total * h_xi) @ state.amplitudes
+        blocks = list(comoving_evolve(h0, frame, sched, state.amplitudes))
+        times = np.concatenate([t for t, _ in blocks])
+        assert len(times) >= path.segments and times[-1] == pytest.approx(total)
+        assert np.abs(blocks[-1][1][-1] - want).max() < 1e-11
+
+    def test_step_ceiling_raises_before_stepping(self, monkeypatch):
+        params, frame, state = doublet_setup(m=2)
+        h0 = build_interaction_hamiltonian(params)
+        sched = DriveSchedule(constant_latitude_loop(0.7, 96), 1e12)
+        steps = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: steps.append(a))
+        with pytest.raises(StepLimit, match="MAX_STEPS"):
+            adiabatic_evolution(h0, frame, sched, state)
+        assert steps == []  # no Magnus step was built
+        assert issubclass(StepLimit, ValueError)
+        with pytest.raises(StepLimit):
+            magnus_step_count(10.0, 1.0, 1.0, MAX_STEPS + 1)
 
 
 class TestBudget:

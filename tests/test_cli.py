@@ -22,7 +22,8 @@ from anyonjc.cli import load_config_file, main, parse_angle
 # its flags appended (a repeated flag overrides the base). Values mix
 # non-finite, huge, zero, negative and ordinary entries. Flags that set the
 # run time (grid points, loop samples, drive energy and wait) stay at the
-# cheap end of the range, so each example takes well under a second;
+# cheap end of the range or go far above the basis and step caps, which
+# must reject them at once, so each example takes well under a second;
 # --jobs never exceeds 2. A plain `selftest` run is criterion 8's job; here
 # it only ever sees flags it must reject.
 EDGE = ("nan", "inf", "1e308", "0", "-1")
@@ -33,7 +34,7 @@ FUZZ = {
         [],
         [
             ("--m", VALUES),
-            ("--n", EDGE + ("8", "100")),
+            ("--n", EDGE + ("8", "100", "100000")),
             ("--n-prime", EDGE + ("8",)),
             ("--delta", VALUES),
             ("--theta", VALUES),
@@ -68,7 +69,7 @@ FUZZ = {
     "two-anyon": (
         [],
         [
-            ("--m", EDGE + ("2", "8")),
+            ("--m", EDGE + ("2", "8", "100")),
             ("--omega", VALUES),
             ("--steps", VALUES),
             JOBS,
@@ -81,8 +82,8 @@ FUZZ = {
             ("--eta", VALUES),
             ("--g", VALUES),
             ("--nu", VALUES),
-            ("--delta", EDGE + ("8",)),
-            ("--total-time", EDGE + ("8",)),
+            ("--delta", EDGE + ("8", "1e100")),
+            ("--total-time", EDGE + ("8", "1e12")),
             ("--omega-points", EDGE + ("1",)),
             ("--omega-max", VALUES),
             ("--loop-steps", VALUES),
@@ -302,6 +303,9 @@ class TestExitCodes:
             ["fig1", "--m-list", "171"],
             ["ramsey", "--omega-points", "0"],
             ["ramsey", "--eta", "0"],
+            ["ramsey", "--total-time", "1e12"],
+            ["phase", "--n", "400"],
+            ["two-anyon", "--m", "30"],
         ],
     )
     def test_unrepresentable_input_exits_4(self, argv, capsys):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from anyonjc.berry import STEP_PHASE
+from anyonjc.berry import STEP_AREA, DriveSchedule, magnus_step_count
 from anyonjc.errors import CycleMismatch, NonAdiabatic, TruncationWarning
 from anyonjc.fock import SPIN_DOWN, SPIN_UP
 from anyonjc.iontrap import (
@@ -212,10 +212,28 @@ class TestProtocol:
         assert ref.diagnostics["n_steps"] > 10 * fast.diagnostics["n_steps"]
         assert fast.result["p_down"] == pytest.approx(ref.result["p_down"], abs=1e-6)
         diag = fast.diagnostics
-        assert diag["propagator"] == "magnus4"
+        assert diag["propagator"] == "magnus4-comoving"
         assert diag["dt"] * diag["n_steps"] == pytest.approx(diag["total_time"])
-        assert diag["max_step_phase"] <= STEP_PHASE
+        energy = np.abs(np.linalg.eigvalsh(sideband_hamiltonian(trap, ramsey_basis(2)).matrix)).max()
+        rate = sum(DriveSchedule(fast.path, diag["total_time"]).peak_rates())
+        assert diag["n_steps"] == magnus_step_count(
+            diag["total_time"], energy, rate, fast.path.segments
+        )
+        assert (energy * diag["dt"]) * (rate * diag["dt"]) <= STEP_AREA * (1.0 + 1e-12)
         assert diag["norm_drift"] < 1e-12
+
+    def test_detuned_point_agrees_with_rk4_oracle(self, rk4_reference):
+        # far off resonance |E| is about delta / 2, yet the co-moving steps
+        # follow the drive: a few times fewer than the lab rule E T / 0.17
+        trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2, delta_m=24.0)
+        run = make_ramsey_run(trap, 2.0, 24.0, pulse_mode="instantaneous")
+        fast = ramsey_protocol(run)
+        with rk4_reference():
+            ref = ramsey_protocol(make_ramsey_run(trap, 2.0, 24.0, pulse_mode="instantaneous"))
+        assert fast.result["p_down"] == pytest.approx(ref.result["p_down"], abs=1e-6)
+        h0 = sideband_hamiltonian(trap, ramsey_basis(2)).matrix
+        lab_steps = np.abs(np.linalg.eigvalsh(h0)).max() * fast.diagnostics["total_time"] / 0.17
+        assert fast.diagnostics["n_steps"] < lab_steps / 3.0
 
     def test_snapped_wait_closes_the_loop(self):
         # a request off the cycle grid must run exactly as a request at the
