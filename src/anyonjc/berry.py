@@ -129,16 +129,21 @@ def transport_states(
     return phases * (runs[0] if len(runs) == 1 else np.concatenate(runs))
 
 
-def _raw_loop_argsum(cycle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cycle_args(cycle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Magnitudes and arguments of consecutive overlaps around a closed cycle."""
-    ov = np.einsum("kd,kd->k", cycle.conj(), np.roll(cycle, -1, axis=0))
-    mags = np.abs(ov)
+    nxt = np.roll(cycle, -1, axis=0)
+    ov = np.einsum("kd,kd->k", cycle.conj(), nxt)
+    return np.abs(ov), np.angle(ov)
+
+
+def _raw_loop_argsum(cycle: np.ndarray):
+    mags, args = _cycle_args(cycle)
     if mags.min() < TOL.vanishing_overlap:
         raise VanishingOverlap(
             f"consecutive overlap {mags.min():.2e} below "
             f"{TOL.vanishing_overlap}; sample the path more finely"
         )
-    return mags, np.angle(ov)
+    return mags, args
 
 
 @lru_cache(maxsize=1)
@@ -206,36 +211,55 @@ def holonomy_phase(
         "discretization_estimate": None,
     }
 
-    # One Richardson sweep against the even-index subsequence, whose cyclic
-    # product is gauge invariant too. Without a resolved winding it refines
-    # the principal value only, and only when asked to; the per-step
-    # quality guard on the half cycle needs the winding.
+    if not resolvable:
+        # The cyclic product of the even-index subsequence is gauge
+        # invariant too, so Richardson still applies to the principal
+        # value; only the per-step quality guard is unavailable here.
+        argsum_used = argsum
+        if refine and len(cycle) % 2 == 0:
+            try:
+                _, args_h = _raw_loop_argsum(cycle[::2])
+            except VanishingOverlap:
+                args_h = None
+            if args_h is not None:
+                delta = principal_value(float(args_h.sum()) - argsum)
+                diagnostics["discretization_estimate"] = abs(delta) / 3.0
+                diagnostics["refined"] = True
+                argsum_used = argsum - delta / 3.0
+        gamma = principal_value(sign * -principal_value(argsum_used))
+        return PhaseReport(
+            gamma=gamma,
+            winding=None,
+            gamma_total=None,
+            gamma_per_revolution=None,
+            method="holonomy",
+            n_steps=path.n_steps,
+            revolutions=path.revolutions,
+            diagnostics=diagnostics,
+        )
+
     argsum_used = argsum
-    if len(cycle) % 2 == 0 and (resolvable or refine):
+    if len(cycle) % 2 == 0:
+        half = cycle[::2]
         try:
-            _, args_h = _raw_loop_argsum(cycle[::2])
+            mags_h, args_h = _raw_loop_argsum(half)
         except VanishingOverlap:
-            args_h = None
-        if args_h is not None and not (
-            resolvable and np.abs(args_h).max() >= TOL.winding_step_cap
-        ):
-            delta = float(args_h.sum()) - argsum
-            correction = -(delta if resolvable else principal_value(delta)) / 3.0
+            mags_h = args_h = None
+        if args_h is not None and np.abs(args_h).max() < TOL.winding_step_cap:
+            correction = (argsum - float(args_h.sum())) / 3.0
             diagnostics["discretization_estimate"] = abs(correction)
             if refine:
                 argsum_used = argsum + correction
                 diagnostics["refined"] = True
 
-    gamma_total = sign * -argsum_used if resolvable else None
-    if resolvable:
-        gamma = principal_value(gamma_total)
-    else:
-        gamma = principal_value(sign * -principal_value(argsum_used))
+    gamma_total = sign * -argsum_used
+    gamma = principal_value(gamma_total)
+    winding = round((gamma_total - gamma) / TWO_PI)
     return PhaseReport(
         gamma=gamma,
-        winding=round((gamma_total - gamma) / TWO_PI) if resolvable else None,
+        winding=winding,
         gamma_total=gamma_total,
-        gamma_per_revolution=gamma_total / path.revolutions if resolvable else None,
+        gamma_per_revolution=gamma_total / path.revolutions,
         method="holonomy",
         n_steps=path.n_steps,
         revolutions=path.revolutions,
@@ -280,9 +304,6 @@ class DriveSchedule:
             raise ValueError(f"dynamic_phase_mode must be one of {DYNAMIC_PHASE_MODES}")
 
     def path_parameter(self, t):
-        return self._progress(t)[0]
-
-    def _progress(self, t):
         """s(u) and ds/du at u = t / total_time, clamped to [0, 1]."""
         u = np.asarray(t, dtype=float) / self.total_time
         u = np.minimum(np.maximum(u, 0.0), 1.0)
@@ -293,7 +314,7 @@ class DriveSchedule:
     def drive_point(self, t):
         """(theta, phi, theta', phi') at time t, a float or an array; linear
         in the path parameter between samples, so the rates jump at bends."""
-        s, ds = self._progress(t)
+        s, ds = self.path_parameter(t)
         samples, segments = self.path.samples, self.path.segments
         x = s * segments
         i = np.minimum(x.astype(int), segments - 1)
@@ -326,11 +347,15 @@ class DriveSchedule:
         return np.concatenate([np.linspace(lo, hi, k + 1)[1:] for lo, hi, k in steps])
 
 
-# Largest (E dt)(r dt) (rad^2) of one co-moving step, E the largest |energy|
-# of H0, r = |theta'| + |phi'| at its peak. The step error grows as
-# (E dt)^2 (r dt)^2; at 0.01 a resonant Ramsey point lands within 3e-7 of a
-# lab-frame reference in p_down at T = 100 to 400 (517 steps at T = 200).
+# The error of a co-moving run grows as (E dt)^2 (r dt)^2, E the largest
+# |energy| of H0 and r = |theta'| + |phi'| at its peak. STEP_AREA (rad^2)
+# bounds (E dt)(r dt), which holds a resonant Ramsey point near 2e-7 in
+# p_down at any wait. STEP_PHASE (rad) bounds E dt, so that at long waits
+# the error falls as (r / E)^2 with the non-adiabatic signal it sits on;
+# on that trap it takes over just above T = 200 (370, 517 and 1,029 steps
+# at T = 100, 200 and 400).
 STEP_AREA = 0.01
+STEP_PHASE = 0.55
 # Most steps a run may take (about half a minute); more raise StepLimit.
 MAX_STEPS = 1_000_000
 BATCH = 64  # steps built together; larger batches add memory, not speed
@@ -340,9 +365,10 @@ def magnus_step_count(
     total_time: float, energy_scale: float, drive_rate: float, segments: int
 ) -> int:
     """Co-moving steps for a drive of total_time: (E dt)(r dt) <= STEP_AREA
-    for E = energy_scale and r = drive_rate, and at least one step per path
-    segment. Raises StepLimit above MAX_STEPS."""
-    n = max(total_time * math.sqrt(energy_scale * drive_rate / STEP_AREA), segments)
+    and E dt <= STEP_PHASE for E = energy_scale and r = drive_rate, and at
+    least one step per path segment. Raises StepLimit above MAX_STEPS."""
+    area = total_time * math.sqrt(energy_scale * drive_rate / STEP_AREA)
+    n = max(area, total_time * energy_scale / STEP_PHASE, segments)
     if not n <= MAX_STEPS:  # or NaN
         raise StepLimit(f"the drive needs {n:.3g} steps, above MAX_STEPS = {MAX_STEPS}")
     return math.ceil(n)

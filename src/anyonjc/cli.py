@@ -262,8 +262,10 @@ def cmd_fig1(args) -> int:
                 row["ratio_holonomy"] = hol
                 worst_cross = max(worst_cross, abs(hol - row["ratio"]))
             rows.append(row)
-    diagnostics = {"worst_holonomy_deviation": worst_cross or None}
-    emit_rows(rows, list(rows[0]), args, diagnostics)
+    columns = ["delta_over_lambda", "m", "ratio", "linear_entropy"]
+    if args.with_holonomy:
+        columns.append("ratio_holonomy")
+    emit_rows(rows, columns, args, {"worst_holonomy_deviation": worst_cross or None})
     if args.strict and args.with_holonomy and worst_cross > 1e-6:
         print("strict: holonomy ratio deviates from closed form", file=sys.stderr)
         return 2
@@ -289,7 +291,12 @@ def cmd_transmute(args) -> int:
         "alpha_resonant": rows[0]["alpha"],
         "alpha_final": rows[-1]["alpha"],
     }
-    emit_rows(rows, list(rows[0]), args, diagnostics)
+    emit_rows(
+        rows,
+        ["delta_over_lambda", "m", "omega_solid", "alpha", "ratio"],
+        args,
+        diagnostics,
+    )
     if args.strict:
         alphas = [row["alpha"] for row in rows]
         if any(b >= a for a, b in zip(alphas, alphas[1:])):
@@ -371,7 +378,19 @@ def cmd_ramsey(args) -> int:
             trap, row["gamma_analytic"], args.pulse_mode
         )
         worst = max(worst, abs(row["p_down"] - predicted))
-    emit_rows(rows, list(rows[0]), args, {"worst_p_down_deviation": worst})
+    columns = [
+        "m",
+        "eta",
+        "g",
+        "delta_m",
+        "omega_solid",
+        "total_time",
+        "p_down",
+        "gamma_inferred",
+        "gamma_analytic",
+        "leak",
+    ]
+    emit_rows(rows, columns, args, {"worst_p_down_deviation": worst})
     if args.budget:
         run = iontrap.make_ramsey_run(trap, omega_max, args.total_time)
         for entry in berry.adiabaticity_budget(
@@ -398,6 +417,10 @@ def cmd_selftest(args) -> int:
 # --- parser assembly ---
 
 
+def _angle(text: str) -> float:
+    return parse_angle(text)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="anyonjc", description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", help="flat key=value defaults file")
@@ -415,8 +438,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--n-prime", type=int, default=0)
     p.add_argument("--branch", choices=("+", "-"), default="+")
-    p.add_argument("--theta", type=parse_angle, default=None)
-    p.add_argument("--omega", type=parse_angle, default=None, help="solid angle (wins)")
+    p.add_argument("--theta", type=_angle, default=None)
+    p.add_argument("--omega", type=_angle, default=None, help="solid angle (wins)")
     p.add_argument("--steps", type=int, default=1024)
     p.add_argument("--revolutions", type=int, default=0, help="0 = parity default")
     p.add_argument("--no-refine", action="store_true")
@@ -437,7 +460,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("transmute", help="statistics parameter against detuning")
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--omega", type=parse_angle, default=None, help="default 4pi")
+    p.add_argument("--omega", type=_angle, default=None, help="default 4pi")
     p.add_argument("--delta-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=21)
     common(p)
@@ -445,7 +468,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("two-anyon", help="exchange-coupled pair cross-check")
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--omega", type=parse_angle, default=None, help="default 2pi")
+    p.add_argument("--omega", type=_angle, default=None, help="default 2pi")
     p.add_argument("--steps", type=int, default=1024)
     common(p)
     p.set_defaults(func=cmd_two_anyon)
@@ -458,7 +481,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--total-time", type=float, default=200.0)
     p.add_argument("--omega-points", type=int, default=9)
-    p.add_argument("--omega-max", type=parse_angle, default=None, help="default 4pi")
+    p.add_argument("--omega-max", type=_angle, default=None, help="default 4pi")
     p.add_argument("--pulse-mode", choices=iontrap.PULSE_MODES, default="timed")
     p.add_argument("--loop-steps", type=int, default=256)
     p.add_argument("--budget", action="store_true", help="print adiabaticity budget")

@@ -203,6 +203,13 @@ class FockOperator:
             raise ValueError("matrix shape does not match basis dimension")
         self.matrix = mat
 
+    @property
+    def has_overflow(self) -> bool:
+        return self.dropped_weight > 0.0
+
+    def dagger(self) -> "FockOperator":
+        return FockOperator(self.basis, self.matrix.conj().T, self.dropped_weight)
+
     def apply(self, state: StateVector) -> StateVector:
         _require_same_basis(self, state)
         return StateVector(self.basis, self.matrix @ state.amplitudes)
@@ -271,6 +278,16 @@ def build_ladder(
             continue
         mat[row, col] = value
     return FockOperator(basis, mat, dropped)
+
+
+def build_number(basis: BasisSpec, mode: str) -> FockOperator:
+    """Occupation-number operator for one mode (always sector preserving)."""
+    if mode not in basis.mode_ids:
+        raise UnknownMode(f"mode {mode!r} not in basis modes {basis.mode_ids}")
+    pos = basis.mode_ids.index(mode)
+    offset = 1 if basis.qubit_included else 0
+    diag = np.array([label[offset + pos] for label in basis.states], dtype=complex)
+    return FockOperator(basis, np.diag(diag))
 
 
 def build_pauli(basis: BasisSpec, which: str) -> FockOperator:

@@ -34,9 +34,10 @@ Hamiltonian too: i dxi/dt = (H0 - phi' B(theta) - theta' J_y) xi, the
 moving-frame Hamiltonian of transitionless driving [M. V. Berry, J. Phys.
 A 42, 365303 (2009)]. The dressed states and the spectator are
 eigenvectors of K, so the guards are overlaps with xi. Steps follow the
-drive's rates, (E dt)(r dt) <= berry.STEP_AREA up to berry.MAX_STEPS, as
-the Magnus error there depends on the drive's derivatives [Hochbruck &
-Lubich, SIAM J. Numer. Anal. 41, 945 (2003)].
+drive's rates, (E dt)(r dt) <= berry.STEP_AREA and E dt <=
+berry.STEP_PHASE up to berry.MAX_STEPS, as the Magnus error there depends
+on the drive's derivatives [Hochbruck & Lubich, SIAM J. Numer. Anal. 41,
+945 (2003)].
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .fock import (
     BasisSpec,
     FockOperator,
     StateVector,
-    build_pauli,
     matrix_exponential,
 )
 from .model import (
@@ -222,18 +222,20 @@ def sideband_hamiltonian(trap: TrapParams, basis: BasisSpec) -> FockOperator:
     return FockOperator(basis, mat, dropped)
 
 
-def _laser_coupling(basis: BasisSpec, phi: float) -> np.ndarray:
-    """e^{i phi} sigma_+ + e^{-i phi} sigma_-, identity on the modes."""
-    plus, minus = (build_pauli(basis, which).matrix for which in ("plus", "minus"))
-    return np.exp(1j * phi) * plus + np.exp(-1j * phi) * minus
-
-
 def carrier_hamiltonian(trap: TrapParams, basis: BasisSpec, phi_L: float | None = None) -> FockOperator:
     """f_0(n_a) (e^{i phi} sigma_+ + e^{-i phi} sigma_-): the qubit drive
     with its exact occupation-dependent Rabi frequency."""
     phi = trap.phi_L if phi_L is None else phi_L
-    f0 = [coupling_strength(trap, label[1], order=0) for label in basis.states]
-    return FockOperator(basis, np.array(f0)[:, None] * _laser_coupling(basis, phi))
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for col, label in enumerate(basis.states):
+        f0 = coupling_strength(trap, label[1], order=0)
+        if label[0] == SPIN_DOWN:
+            row = basis.index((SPIN_UP,) + label[1:])
+            mat[row, col] += f0 * np.exp(1j * phi)
+        else:
+            row = basis.index((SPIN_DOWN,) + label[1:])
+            mat[row, col] += f0 * np.exp(-1j * phi)
+    return FockOperator(basis, mat)
 
 
 def pulse_beta(trap: TrapParams, pulse_mode: str) -> float:
@@ -258,8 +260,17 @@ def carrier_pulse_operator(
     if pulse_mode == "timed":
         h_c = carrier_hamiltonian(trap, basis)
         return matrix_exponential(h_c, scale=-1j * math.pi / (2.0 * trap.g))
+    sigma_phi = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for col, label in enumerate(basis.states):
+        if label[0] == SPIN_DOWN:
+            sigma_phi[basis.index((SPIN_UP,) + label[1:]), col] = np.exp(
+                1j * trap.phi_L
+            )
+        else:
+            sigma_phi[basis.index((SPIN_DOWN,) + label[1:]), col] = np.exp(
+                -1j * trap.phi_L
+            )
     angle = 0.25 * math.pi
-    sigma_phi = _laser_coupling(basis, trap.phi_L)
     mat = math.cos(angle) * np.eye(basis.dim) - 1j * math.sin(angle) * sigma_phi
     return FockOperator(basis, mat)
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from anyonjc.berry import (
     MAX_STEPS,
     STEP_AREA,
+    STEP_PHASE,
     DriveSchedule,
     adiabatic_evolution,
     adiabaticity_budget,
@@ -214,17 +215,18 @@ class TestSchedule:
     def test_smoothstep_endpoints_at_rest(self):
         path = constant_latitude_loop(1.0, 32)
         sched = DriveSchedule(path, 10.0)
-        assert sched.path_parameter(0.0) == 0.0
-        assert sched.path_parameter(10.0) == pytest.approx(1.0)
+        assert sched.path_parameter(0.0) == (0.0, 0.0)
+        assert sched.path_parameter(10.0) == pytest.approx((1.0, 0.0))
         eps = 1e-4
-        assert sched.path_parameter(eps) < eps / 10.0  # starts at rest
+        s, ds = sched.path_parameter(eps)
+        assert s < eps / 10.0 and ds < 1e-3  # starts at rest
         # 2 pi over 10 time units, at 1.5 times the mean rate at mid-drive
         assert sched.peak_rates() == pytest.approx((0.0, 1.5 * TWO_PI / 10.0))
 
     def test_uniform_rate(self):
         path = constant_latitude_loop(1.0, 32)
         sched = DriveSchedule(path, 8.0, time_parametrization="uniform")
-        assert sched.path_parameter(2.0) == pytest.approx(0.25)
+        assert sched.path_parameter(2.0) == pytest.approx((0.25, 1.0))
         assert sched.peak_rates() == pytest.approx((0.0, TWO_PI / 8.0))
 
     def test_rejects_unknown_settings(self):
@@ -243,7 +245,8 @@ class TestSchedule:
         st.integers(1, 5000),
     )
     def test_step_rule(self, total_time, energy, rate, segments):
-        wanted = total_time * math.sqrt(energy * rate / STEP_AREA)
+        area_steps = total_time * math.sqrt(energy * rate / STEP_AREA)
+        wanted = max(area_steps, total_time * energy / STEP_PHASE)
         if wanted > MAX_STEPS:
             with pytest.raises(StepLimit):
                 magnus_step_count(total_time, energy, rate, segments)
@@ -253,6 +256,7 @@ class TestSchedule:
         dt = total_time / n_steps
         area = (energy * dt) * (rate * dt)
         assert area <= STEP_AREA * (1.0 + 8.0 * sys.float_info.epsilon)
+        assert energy * dt <= STEP_PHASE * (1.0 + 4.0 * sys.float_info.epsilon)
 
     def test_drive_point_interpolates_samples(self):
         path = polygon_loop([[0.5, 0.0], [1.0, 2.0], [0.7, 4.0], [0.5, TWO_PI]])
@@ -276,7 +280,7 @@ class TestSchedule:
         assert times[-1] == pytest.approx(6.0) and np.all(np.diff(times) > 0)
         assert len(times) <= 10 + 2 and np.diff(times).max() <= 0.6 * (1 + 1e-12)
         # the smoothstep drive passes the inner vertices at two step ends
-        passed = sched.path_parameter(times) * path.segments
+        passed = sched.path_parameter(times)[0] * path.segments
         assert np.sum(np.abs(passed - 1.0) < 1e-9) == 1
         assert np.sum(np.abs(passed - 2.0) < 1e-9) == 1
         # a latitude loop never bends: its steps are all equal
@@ -414,6 +418,7 @@ class TestMagnusAgainstRK4:
         rate = sum(sched.peak_rates())
         assert diag["n_steps"] == magnus_step_count(40.0, energy, rate, path.segments)
         assert (energy * diag["dt"]) * (rate * diag["dt"]) <= STEP_AREA * (1.0 + 1e-12)
+        assert energy * diag["dt"] <= STEP_PHASE * (1.0 + 1e-12)
         assert diag["norm_drift"] < 1e-12
 
 

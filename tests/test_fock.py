@@ -26,6 +26,7 @@ from anyonjc.fock import (
     DensityMatrix,
     StateVector,
     build_ladder,
+    build_number,
     build_pauli,
     identity,
     linear_entropy,
@@ -107,7 +108,7 @@ class TestLadder:
         for mode in ("a", "b"):
             low = build_ladder(basis, mode)
             raise_ = build_ladder(basis, mode, create=True)
-            assert np.array_equal(raise_.matrix, low.matrix.conj().T)
+            assert np.array_equal(raise_.matrix, low.dagger().matrix)
 
     def test_commutator_is_identity_on_interior(self):
         basis = truncated_basis(4)
@@ -126,7 +127,7 @@ class TestLadder:
         # from sector 2 every creation leaves the basis; from sector 0 the
         # target sector 1 is absent too
         expected = 2 * (1.0 + (3.0 + 2.0 + 1.0))
-        assert adag.dropped_weight > 0.0
+        assert adag.has_overflow
         assert adag.dropped_weight == pytest.approx(expected)
         with pytest.raises(SectorOverflow):
             build_ladder(basis, "a", create=True, strict=True)
@@ -137,15 +138,13 @@ class TestLadder:
         with pytest.raises(UnknownMode):
             build_ladder(truncated_basis(1), "c")
         with pytest.raises(UnknownMode):
-            build_ladder(truncated_basis(1), "q", create=True)
+            build_number(truncated_basis(1), "q")
 
     def test_number_operator(self):
-        # b^dag b from the ladders is exactly diagonal on the cutoff basis
         basis = truncated_basis(2)
-        nb = build_ladder(basis, "b", create=True) @ build_ladder(basis, "b")
-        assert np.count_nonzero(nb.matrix - np.diag(np.diag(nb.matrix))) == 0
+        nb = build_number(basis, "b")
         diag = np.diag(nb.matrix).real
-        assert diag == pytest.approx([label[2] for label in basis.states], abs=1e-15)
+        assert list(diag) == [label[2] for label in basis.states]
 
 
 class TestPauli:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from anyonjc.berry import STEP_AREA, DriveSchedule, magnus_step_count
+from anyonjc.berry import STEP_AREA, STEP_PHASE, DriveSchedule, magnus_step_count
 from anyonjc.errors import CycleMismatch, NonAdiabatic, TruncationWarning
 from anyonjc.fock import SPIN_DOWN, SPIN_UP
 from anyonjc.iontrap import (
@@ -220,6 +220,7 @@ class TestProtocol:
             diag["total_time"], energy, rate, fast.path.segments
         )
         assert (energy * diag["dt"]) * (rate * diag["dt"]) <= STEP_AREA * (1.0 + 1e-12)
+        assert energy * diag["dt"] <= STEP_PHASE * (1.0 + 1e-12)
         assert diag["norm_drift"] < 1e-12
 
     def test_detuned_point_agrees_with_rk4_oracle(self, rk4_reference):

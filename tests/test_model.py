@@ -46,6 +46,7 @@ from anyonjc.model import (
     two_anyon_analytic_phase,
     two_anyon_basis,
     two_anyon_eigenstate,
+    two_anyon_energy,
 )
 from anyonjc.paths import schwinger_frame
 
@@ -271,6 +272,7 @@ class TestTwoAnyon:
                 state = two_anyon_eigenstate(pair, branch=branch)
                 v = state.amplitudes
                 energy = sign * math.factorial(m)
+                assert two_anyon_energy(pair, branch) == pytest.approx(energy)
                 assert np.abs(h.matrix @ v - energy * v).max() < 1e-12
                 assert state.norm == pytest.approx(1.0, abs=1e-14)
 
