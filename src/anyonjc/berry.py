@@ -25,6 +25,9 @@ Ramsey wait. Its error is set by the drive's rates, not by the norm of H0
 [Hochbruck & Lubich, SIAM J. Numer. Anal. 41, 945 (2003)], hence the step
 rule magnus_step_count. The dressed states are eigenvectors of K, so
 guards and phases are overlaps with xi up to the known phase e^{-i phi k}.
+H_xi links no two blocks of Q = N + m [spin up] (H0, J_x and J_y conserve
+it, J_z and sigma_z are diagonal), so only the block of the start state is
+stepped, and the restriction is exact rather than an approximation.
 The dynamical phase is subtracted; the family is isospectral, so the
 instantaneous eigenvalue is a constant and its subtraction is exact. What
 remains is the geometric phase plus a secular level-repulsion shift of
@@ -398,6 +401,9 @@ def comoving_evolve(h0: np.ndarray, frame: SchwingerFrame, schedule: DriveSchedu
     dt^2 [H2, H1] from H_xi at the two Gauss-Legendre nodes, applied through
     the eigensystem of the Hermitian i Omega, so the step is unitary to
     rounding. Steps follow magnus_step_count and schedule.step_times.
+    Only the states reachable from the support of xi through the nonzero
+    entries of H0, J_x and J_y are stepped; H_xi has no element leading
+    out of them, so the others hold exact zeros at every step.
     Yields the step ends (k,) and the states after them (k, d) per batch.
     Raises SimulationError unless [K, H0] = 0.
     """
@@ -410,8 +416,16 @@ def comoving_evolve(h0: np.ndarray, frame: SchwingerFrame, schedule: DriveSchedu
     times = schedule.step_times(
         magnus_step_count(schedule.total_time, energy_scale, rate, segments)
     )
-    jz, jx = np.diag(frame.jz_diagonal), schwinger_jx(frame).matrix
-    spin_term = np.diag(charge - frame.jz_diagonal)
+    jx, jy = schwinger_jx(frame).matrix, frame.j_y.matrix
+    link = (h0 != 0) | (jx != 0) | (jy != 0)
+    keep, grown = np.zeros(len(xi), dtype=bool), xi != 0
+    while (grown != keep).any():
+        keep, grown = grown, grown | link[:, grown].any(axis=1)
+    block = np.ix_(keep, keep)
+    h0, jx, jy = h0[block], jx[block], jy[block]
+    jz = np.diag(frame.jz_diagonal[keep])
+    spin_term = np.diag((charge - frame.jz_diagonal)[keep])
+    xi = xi[keep]
     for lo in range(0, len(times), BATCH):
         t = times[lo : lo + BATCH]
         dt = np.diff(t, prepend=times[lo - 1] if lo else 0.0)[:, None, None]
@@ -420,13 +434,15 @@ def comoving_evolve(h0: np.ndarray, frame: SchwingerFrame, schedule: DriveSchedu
         nodes = np.concatenate([mid - node, mid + node])
         theta, _, dtheta, dphi = schedule.drive_point(nodes)
         b = np.cos(theta) * jz - np.sin(theta) * jx + spin_term
-        h1, h2 = np.split(h0 - dphi * b - dtheta * frame.j_y.matrix, 2)
+        h1, h2 = np.split(h0 - dphi * b - dtheta * jy, 2)
         gen = (0.5 * dt) * (h1 + h2) + (0.5j * node * dt) * (h1 @ h2 - h2 @ h1)
         vals, vecs = np.linalg.eigh(gen)
         props = (vecs * np.exp(-1j * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-        out = np.empty((len(t), len(xi)), dtype=complex)
+        states = np.empty((len(t), len(xi)), dtype=complex)
         for k, prop in enumerate(props):
-            xi = out[k] = prop @ xi
+            xi = states[k] = prop @ xi
+        out = np.zeros((len(t), len(keep)), dtype=complex)
+        out[:, keep] = states
         yield t, out
 
 

@@ -25,8 +25,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import berry, iontrap, selftest
+from . import __version__, berry, iontrap, selftest
 from .config import TOL
 from .errors import (
     CycleMismatch,
@@ -108,6 +109,12 @@ def emit_rows(rows: list[dict], columns: list[str], args, diagnostics: dict) -> 
             for k, v in sorted(vars(args).items())
             if k not in ("func", "output", "format") and not k.startswith("_")
         }
+        provenance = {
+            "anyonjc": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        }
+        diagnostics = {**diagnostics, "provenance": provenance}
         text = json.dumps(
             {"config": config, "rows": rows, "diagnostics": diagnostics}, indent=2
         )
@@ -537,18 +544,27 @@ FLOAT_LIMIT = 1e150
 # Largest basis (qubit included) a run may build. Its dense matrices grow as
 # the square: a phase run at 1,006 states peaks near 150 MB and takes 0.6 s.
 MAX_BASIS_DIM = 1000
+# Most loop samples times basis states one run may lift. The holonomy route
+# holds every lifted row at once: 1.2 million amplitudes (phase --m 1
+# --steps 100000) peak near 124 MB.
+MAX_LIFTED = 2_000_000
+# Most grid points of --points (fig1, transmute) and of --omega-points
+# (ramsey, where each point is a whole simulated wait).
+MAX_POINTS = 10_000
+MAX_OMEGA_POINTS = 1_000
 
 
 def _check_args(args) -> None:
-    """Reject flag values the numerics cannot represent or whose basis is
-    above MAX_BASIS_DIM (exit 4)."""
+    """Reject flag values the numerics cannot represent, or whose basis,
+    lifted loop or grid is above MAX_BASIS_DIM, MAX_LIFTED, MAX_POINTS or
+    MAX_OMEGA_POINTS (exit 4)."""
     for name, value in vars(args).items():
         if isinstance(value, float) and not abs(value) <= FLOAT_LIMIT:  # or NaN
             flag = "--" + name.replace("_", "-")
             raise ValueError(f"{flag} {value!r} is not finite or above {FLOAT_LIMIT:g}")
-    for name in ("points", "omega_points"):
-        if getattr(args, name, 1) < 1:
-            raise ValueError(f"--{name.replace('_', '-')} must be at least 1")
+    for name, cap in (("points", MAX_POINTS), ("omega_points", MAX_OMEGA_POINTS)):
+        if not 1 <= getattr(args, name, 1) <= cap:
+            raise ValueError(f"--{name.replace('_', '-')} must lie in [1, {cap}]")
     m_values = _m_values(args) if hasattr(args, "m_list") else [getattr(args, "m", 0)]
     if not m_values:
         raise ValueError("--m-list names no m")
@@ -560,6 +576,19 @@ def _check_args(args) -> None:
     dim = 2 * (1 + (m + 1) ** 2) if args.command == "two-anyon" else 2 * (2 * n + m + 2)
     if dim > MAX_BASIS_DIM:
         raise ValueError(f"the basis would hold {dim} states, above {MAX_BASIS_DIM}")
+    # loop samples: --steps per revolution, two revolutions by default at odd m
+    if args.command == "ramsey":
+        rows = args.loop_steps
+    elif args.command in ("phase", "two-anyon") or getattr(args, "with_holonomy", False):
+        odd = any(v % 2 for v in m_values)
+        rows = args.steps * (getattr(args, "revolutions", 0) or (2 if odd else 1))
+    else:
+        rows = 0
+    if (rows + 1) * dim > MAX_LIFTED:
+        raise ValueError(
+            f"the loop would hold {rows + 1} samples of {dim} states, "
+            f"above {MAX_LIFTED} amplitudes"
+        )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -33,7 +33,10 @@ berry module, K = J_z + (m/4) sigma_z, which commutes with the sideband
 Hamiltonian too: i dxi/dt = (H0 - phi' B(theta) - theta' J_y) xi, the
 moving-frame Hamiltonian of transitionless driving [M. V. Berry, J. Phys.
 A 42, 365303 (2009)]. The dressed states and the spectator are
-eigenvectors of K, so the guards are overlaps with xi. Steps follow the
+eigenvectors of K, so the guards are overlaps with xi. The stepper only
+steps the five states the pulsed vacuum can reach (the spectator and the
+doublet's block of 4 for m = 2): H_xi conserves Q = N + m [spin up], so
+the rest stay exactly empty. Steps follow the
 drive's rates, (E dt)(r dt) <= berry.STEP_AREA and E dt <=
 berry.STEP_PHASE up to berry.MAX_STEPS, as the Magnus error there depends
 on the drive's derivatives [Hochbruck & Lubich, SIAM J. Numer. Anal. 41,
@@ -98,6 +101,8 @@ class TrapParams:
             raise ValueError("g must be positive")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must lie in (0, 1)")
+        if not self.nu >= 0.0:
+            raise ValueError("trap frequency nu must be non-negative")
         if not isinstance(self.m, int) or self.m < 0:
             raise ValueError("sideband order m must be a non-negative integer")
         if self.omega0 is not None:
@@ -123,6 +128,8 @@ def g_for_unit_coupling(eta: float, m: int) -> float:
     """Carrier Rabi frequency that makes |lambda_m| = 1."""
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
+    if m < 0:
+        raise ValueError("sideband order m must be a non-negative integer")
     return 2.0 * math.factorial(m) * math.exp(0.5 * eta**2) / eta**m
 
 
@@ -456,8 +463,8 @@ def ramsey_sweep(
     pulse_mode: str = "timed",
     n_steps: int = 256,
 ) -> list[dict]:
-    """Run the protocol over a solid-angle grid; one CSV-ready row each,
-    in grid order."""
+    """Run the protocol over a solid-angle grid; one row each, in grid
+    order, with the run's n_steps, norm_drift and branch_transfer."""
 
     def one(omega: float) -> dict:
         run = make_ramsey_run(
@@ -476,6 +483,9 @@ def ramsey_sweep(
             "gamma_inferred": run.result["gamma_inferred"],
             "gamma_analytic": gamma_analytic,
             "leak": run.diagnostics["max_nonadiabatic_leak"],
+            "n_steps": run.diagnostics["n_steps"],
+            "norm_drift": run.diagnostics["norm_drift"],
+            "branch_transfer": run.diagnostics["branch_transfer"],
         }
 
     return [one(omega) for omega in omega_values]

@@ -75,6 +75,8 @@ class ModelParams:
             raise ValueError("m must be a positive integer")
         if self.lambda_m < 0:
             raise ValueError("lambda_m must be non-negative")
+        if not self.nu >= 0.0:
+            raise ValueError("trap frequency nu must be non-negative")
         if self.free_mode and self.lambda_m != 0.0:
             raise ValueError("free_mode requires lambda_m = 0")
         for name in ("n", "n_prime"):

@@ -16,6 +16,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from anyonjc import berry
 from anyonjc.berry import (
     MAX_STEPS,
     STEP_AREA,
@@ -43,7 +44,9 @@ from anyonjc.errors import (
 from anyonjc.iontrap import (
     TrapParams,
     g_for_unit_coupling,
+    make_ramsey_run,
     ramsey_basis,
+    ramsey_protocol,
     sideband_hamiltonian,
 )
 from anyonjc.model import (
@@ -54,7 +57,7 @@ from anyonjc.model import (
     default_basis,
     dressed_state_vector,
 )
-from anyonjc.fock import StateVector, build_pauli
+from anyonjc.fock import SPIN_UP, StateVector, build_pauli
 from anyonjc.paths import (
     constant_latitude_loop,
     default_latitude_loop,
@@ -455,12 +458,24 @@ class TestComovingFrame:
         with pytest.raises(SimulationError, match="commute"):
             next(comoving_evolve(h0, frame, sched, state.amplitudes))
 
-    @pytest.mark.parametrize("m,revolutions", [(1, 2), (2, 1), (3, 1)])
-    def test_uniform_latitude_drive_is_one_exponential(self, m, revolutions):
+    @pytest.mark.parametrize(
+        "m,revolutions,start",
+        [
+            pytest.param(m, r, start, id=f"{m}-{r}" + "-random" * (start == "random"))
+            for start in ("dressed", "random")
+            for m, r in [(1, 2), (2, 1), (3, 1)]
+        ],
+    )
+    def test_uniform_latitude_drive_is_one_exponential(self, m, revolutions, start, rng):
         # theta' = 0 and phi' = 2 pi revolutions / T are constant, so H_xi is
         # constant and the whole drive is exp(-i T H_xi); H_xi is built here
-        # from R_y and sigma_z, not from the stepper's J_x form of B(theta)
+        # from R_y and sigma_z, not from the stepper's J_x form of B(theta).
+        # The random start has amplitude in every block, so every state is
+        # stepped.
         params, frame, state = doublet_setup(m=m, delta=0.4)
+        if start == "random":
+            z = np.array([1.0, 1j]) @ rng.normal(size=(2, frame.basis.dim))
+            state = StateVector(frame.basis, z / np.linalg.norm(z))
         h0 = build_interaction_hamiltonian(params).matrix
         theta, total = 0.9, 60.0
         path = constant_latitude_loop(theta, 64, revolutions=revolutions)
@@ -474,6 +489,42 @@ class TestComovingFrame:
         times = np.concatenate([t for t, _ in blocks])
         assert len(times) >= path.segments and times[-1] == pytest.approx(total)
         assert np.abs(blocks[-1][1][-1] - want).max() < 1e-11
+
+    @pytest.mark.parametrize("case,kept", [("m1", 3), ("m2", 4), ("m3", 5), ("ramsey", 5)])
+    def test_only_the_reachable_block_is_stepped(self, monkeypatch, case, kept):
+        # H_xi conserves Q = N + m [spin up]: outside the Q blocks of the
+        # start state every yielded amplitude is exactly 0, and eigh only
+        # sees the states inside them
+        starts, blocks, shapes = [], [], []
+        evolve, eigh = berry.comoving_evolve, np.linalg.eigh
+
+        def recording_evolve(h0, frame, schedule, xi):
+            starts.append((frame.basis, xi))
+            for t, states in evolve(h0, frame, schedule, xi):
+                blocks.append(states)
+                yield t, states
+
+        def recording_eigh(a):
+            shapes.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(berry, "comoving_evolve", recording_evolve)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        if case == "ramsey":
+            trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
+            ramsey_protocol(make_ramsey_run(trap, math.pi, 60.0))
+        else:
+            params, frame, state = doublet_setup(m=int(case[1:]))
+            h0 = build_interaction_hamiltonian(params)
+            sched = DriveSchedule(constant_latitude_loop(0.7, 32), 60.0)
+            adiabatic_evolution(h0, frame, sched, state)
+        [(basis, xi)] = starts
+        m = basis.sector_totals[-1] - basis.sector_totals[0]
+        q = np.array([sum(s[1:]) + m * (s[0] == SPIN_UP) for s in basis.states])
+        inside = np.isin(q, q[xi != 0])
+        assert inside.sum() == kept < basis.dim
+        assert blocks and all(np.all(states[:, ~inside] == 0) for states in blocks)
+        assert {s[1:] for s in shapes if len(s) == 3} == {(kept, kept)}
 
     def test_step_ceiling_raises_before_stepping(self, monkeypatch):
         params, frame, state = doublet_setup(m=2)

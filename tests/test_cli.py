@@ -11,10 +11,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anyonjc
 from anyonjc.cli import load_config_file, main, parse_angle
 
 
@@ -254,6 +257,13 @@ class TestTableCommands:
         assert len(data["rows"]) == 3
         assert data["config"]["points"] == 3
         assert data["diagnostics"]["alpha_resonant"] == pytest.approx(1.0)
+        # the run names the software it came from
+        provenance = data["diagnostics"]["provenance"]
+        assert provenance == {
+            "anyonjc": anyonjc.__version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        }
 
 
 class TestRamseyCommand:
@@ -270,6 +280,18 @@ class TestRamseyCommand:
             "gamma_inferred,gamma_analytic,leak"
         )
         assert len(lines) == 3
+
+    def test_json_rows_carry_run_record(self, tmp_path):
+        target = tmp_path / "out.json"
+        argv = ["ramsey", "--omega-points", "2", "--total-time", "60",
+                "--format", "json", "--output", str(target)]
+        assert main(argv) == 0
+        rows = json.loads(target.read_text())["rows"]
+        assert len(rows) == 2
+        for row in rows:
+            assert isinstance(row["n_steps"], int) and row["n_steps"] > 0
+            assert 0.0 <= row["norm_drift"] < 1e-9
+            assert 0.0 <= row["branch_transfer"] <= row["leak"] + 1e-2
 
     def test_fast_drive_exits_3(self, capsys):
         code = main(["ramsey", "--omega-points", "2", "--total-time", "3"])
@@ -306,6 +328,15 @@ class TestExitCodes:
             ["ramsey", "--total-time", "1e12"],
             ["phase", "--n", "400"],
             ["two-anyon", "--m", "30"],
+            ["phase", "--steps", "100000000"],
+            ["phase", "--revolutions", "1000000"],
+            ["ramsey", "--loop-steps", "1000000"],
+            ["ramsey", "--omega-points", "1000000"],
+            ["fig1", "--points", "100000000"],
+            ["fig1", "--with-holonomy", "--steps", "1000000"],
+            ["two-anyon", "--steps", "10000000"],
+            ["ramsey", "--nu", "-1"],
+            ["ramsey", "--m", "-1"],
         ],
     )
     def test_unrepresentable_input_exits_4(self, argv, capsys):

@@ -112,6 +112,15 @@ class TestTrapParams:
         with pytest.raises(ValueError):
             TrapParams(g=1.0, eta=0.1, m=-1)
 
+    def test_rejects_negative_trap_frequency_and_order(self):
+        with pytest.raises(ValueError, match="nu must be non-negative"):
+            TrapParams(g=1.0, eta=0.1, nu=-1.0)
+        with pytest.raises(ValueError, match="nu must be non-negative"):
+            TrapParams(g=1.0, eta=0.1, nu=float("nan"))
+        # a named message, not factorial()'s
+        with pytest.raises(ValueError, match="sideband order m"):
+            g_for_unit_coupling(0.1, -1)
+
     def test_effective_model_carries_detuning(self):
         trap = TrapParams(g=1.0, eta=0.1, m=2, delta_m=0.7)
         model = effective_model(trap)
@@ -268,5 +277,9 @@ class TestProtocol:
             "gamma_inferred",
             "gamma_analytic",
             "leak",
+            # the run record, which JSON output keeps and CSV leaves out
+            "n_steps",
+            "norm_drift",
+            "branch_transfer",
         ]
         assert rows[1]["gamma_analytic"] == pytest.approx(math.pi / 2.0)

@@ -70,6 +70,11 @@ class TestParams:
         with pytest.raises(ValueError):
             ModelParams(m=1, free_mode=True)  # coupling still on
 
+    def test_rejects_negative_trap_frequency(self):
+        with pytest.raises(ValueError, match="nu must be non-negative"):
+            ModelParams(m=2, nu=-1.0)
+        assert ModelParams(m=2, nu=0.0).nu == 0.0
+
     def test_frame_consistency(self):
         # omega must equal delta + m nu when all three are given
         ModelParams(m=2, nu=1.0, delta_m=0.5, omega=2.5)
