@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import anyonjc
 from anyonjc.cli import load_config_file, main, parse_angle
+from anyonjc.config import TOL
 
 
 # Argv fuzz: every subcommand, from a small base argv, with up to three of
@@ -291,7 +292,7 @@ class TestRamseyCommand:
         for row in rows:
             assert isinstance(row["n_steps"], int) and row["n_steps"] > 0
             assert 0.0 <= row["norm_drift"] < 1e-9
-            assert 0.0 <= row["branch_transfer"] <= row["leak"] + 1e-2
+            assert 0.0 <= row["branch_transfer"] < TOL.leak_threshold
 
     def test_fast_drive_exits_3(self, capsys):
         code = main(["ramsey", "--omega-points", "2", "--total-time", "3"])
