@@ -112,30 +112,53 @@ def transport_states(
 ) -> np.ndarray:
     """Lift the state to every path sample: row k is W(theta_k, phi_k) psi.
 
-    The azimuth phases are diagonal and applied to all rows at once; the
-    rows are rotated in runs of equal theta, one rotation matrix per run
-    (a single one for a latitude loop).
+    The rows are built in runs of equal theta, one rotation matrix R per
+    run (a single one for a latitude loop). Every level h of 2 J_z is an
+    integer, so with w_k = e^{-i phi_k / 2} row k is sum_e w_k^e c_e, where
+    (c_e)_i sums R_ij psi_j over the j with h_i - h_j = e. One exponential
+    per sample gives w_k; its powers up to the widest level difference
+    come by repeated multiplication, and the negative ones are their
+    conjugates. Each product adds one rounding, so the table is exact to
+    rounding, with an error that grows linearly with the level span.
+    Raises ValueError if a level of J_z is not a half-integer.
     """
     if state.basis != frame.basis:
         raise BasisMismatch("state and frame use different bases")
+    levels = np.rint(2.0 * frame.jz_diagonal).astype(np.intp)
+    if np.abs(levels - 2.0 * frame.jz_diagonal).max() > 1e-12:
+        raise ValueError("J_z has a level that is not a half-integer")
     thetas, phis = path.samples.T
-    phases = np.exp(-1j * np.outer(phis, frame.jz_diagonal))
+    span = int(levels.max() - levels.min())
+    w = np.exp(-0.5j * phis)
+    powers = np.empty((2 * span + 1, len(phis)), dtype=complex)  # w^e in row span + e
+    powers[span] = 1.0
+    for e in range(span + 1, 2 * span + 1):
+        np.multiply(powers[e - 1], w, out=powers[e])
+    np.conjugate(powers[:span:-1], out=powers[:span])
+    # sum the columns of R psi by level, then move row i to e = h_i - level
+    values = np.unique(levels)
+    by_level = levels[:, None] == values
+    shift = levels[:, None] - values + span
     changes = np.flatnonzero(thetas[1:] != thetas[:-1]) + 1
     bounds = [0, *changes.tolist(), len(thetas)]
-    runs = [
-        (phases[lo:hi].conj() * state.amplitudes)
-        @ frame.rotation_about_y(float(thetas[lo])).T
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    runs = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        coeffs = np.zeros((len(levels), 2 * span + 1), dtype=complex)
+        rotated = frame.rotation_about_y(float(thetas[lo])) * state.amplitudes
+        np.put_along_axis(coeffs, shift, rotated @ by_level, axis=1)
+        runs.append(powers[:, lo:hi].T @ coeffs.T)
     # a single run needs no concatenated copy, which measurably slows
     # the holonomy cycle that follows
-    return phases * (runs[0] if len(runs) == 1 else np.concatenate(runs))
+    return runs[0] if len(runs) == 1 else np.concatenate(runs)
 
 
 def _cycle_args(cycle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Magnitudes and arguments of consecutive overlaps around a closed cycle."""
-    nxt = np.roll(cycle, -1, axis=0)
-    ov = np.einsum("kd,kd->k", cycle.conj(), nxt)
+    """Magnitudes and arguments of consecutive overlaps around a closed
+    cycle, taken on views: each row against the next, the last against
+    the first."""
+    ov = np.empty(len(cycle), dtype=complex)
+    ov[:-1] = np.einsum("kd,kd->k", cycle[:-1].conj(), cycle[1:])
+    ov[-1] = np.vdot(cycle[-1], cycle[0])
     return np.abs(ov), np.angle(ov)
 
 

@@ -51,14 +51,18 @@ from anyonjc.iontrap import (
 )
 from anyonjc.model import (
     ModelParams,
+    TwoAnyonParams,
     analytic_berry_phase,
     analytic_eigensystem,
     build_interaction_hamiltonian,
     default_basis,
     dressed_state_vector,
+    two_anyon_basis,
+    two_anyon_eigenstate,
 )
-from anyonjc.fock import SPIN_UP, StateVector, build_pauli
+from anyonjc.fock import SPIN_UP, FockOperator, StateVector, build_pauli
 from anyonjc.paths import (
+    SchwingerFrame,
     constant_latitude_loop,
     default_latitude_loop,
     lift,
@@ -212,6 +216,49 @@ class TestHolonomy:
         want = [lift(frame, th, ph) @ state.amplitudes for th, ph in path.samples]
         assert rows.shape == (len(path.samples), frame.basis.dim)
         assert np.abs(rows - np.array(want)).max() < 1e-13
+
+    @pytest.mark.parametrize("case", ["wide-doublet", "exchange-pair", "polygon-runs"])
+    def test_transport_rows_are_lifted_state_at_wide_level_spans(self, case):
+        # the power table's rounding grows with the span of the 2 J_z
+        # levels: 486 at n = n' = 120, m = 3 (970 states, near the CLI cap)
+        if case == "wide-doublet":
+            params, frame, state = doublet_setup(m=3, delta=0.4, n=120, n_prime=120)
+            path = constant_latitude_loop(2.1, 8)
+        elif case == "exchange-pair":
+            pair = TwoAnyonParams(m=2)
+            basis = two_anyon_basis(pair)
+            frame, state = schwinger_frame(basis), two_anyon_eigenstate(pair, basis)
+            path = constant_latitude_loop(1.3, 64, revolutions=2)
+        else:
+            params, frame, state = doublet_setup(m=3, delta=-0.7, n=2, n_prime=1)
+            path = polygon_loop(
+                [(0.3, 0.0), (0.3, 1.0), (0.3, 1.5), (1.2, 2.0), (1.2, 3.0),
+                 (2.5, 3.5), (2.5, 4.5), (2.5, 5.0), (0.9, 5.5)]
+            )
+        rows = transport_states(frame, state, path)
+        want = [lift(frame, th, ph) @ state.amplitudes for th, ph in path.samples]
+        assert np.abs(rows - np.array(want)).max() < 1e-12
+
+    def test_transport_rejects_levels_off_the_half_integers(self):
+        params, frame, state = doublet_setup(m=2)
+        shifted = np.diag(frame.jz_diagonal + 0.25).astype(complex)
+        bent = SchwingerFrame(frame.basis, frame.j_y, FockOperator(frame.basis, shifted))
+        with pytest.raises(ValueError, match="half-integer"):
+            transport_states(bent, state, constant_latitude_loop(1.0, 16))
+
+    @pytest.mark.parametrize("length", [2, 3, 9, 513])
+    def test_cycle_overlaps_match_the_rolled_copy(self, length):
+        # the overlaps are taken on views; the rolled copy is the old form
+        rng = np.random.default_rng(length)
+        base = rng.normal(size=6) + 1j * rng.normal(size=6)
+        cycle = base + 0.3 * (rng.normal(size=(length, 6)) + 1j * rng.normal(size=(length, 6)))
+        cycle /= np.linalg.norm(cycle, axis=1, keepdims=True)
+        for view in (cycle, cycle[::2]):
+            ov = np.einsum("kd,kd->k", view.conj(), np.roll(view, -1, axis=0))
+            mags, args = berry._raw_loop_argsum(view)
+            assert len(args) == len(view)
+            assert np.abs(mags - np.abs(ov)).max() < 1e-14
+            assert np.abs(args - np.angle(ov)).max() < 1e-14
 
 
 class TestSchedule:
