@@ -152,24 +152,20 @@ def transport_states(
     return runs[0] if len(runs) == 1 else np.concatenate(runs)
 
 
-def _cycle_args(cycle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _raw_loop_argsum(cycle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Magnitudes and arguments of consecutive overlaps around a closed
     cycle, taken on views: each row against the next, the last against
-    the first."""
+    the first. Raises VanishingOverlap if one is too small to trust."""
     ov = np.empty(len(cycle), dtype=complex)
     ov[:-1] = np.einsum("kd,kd->k", cycle[:-1].conj(), cycle[1:])
     ov[-1] = np.vdot(cycle[-1], cycle[0])
-    return np.abs(ov), np.angle(ov)
-
-
-def _raw_loop_argsum(cycle: np.ndarray):
-    mags, args = _cycle_args(cycle)
+    mags = np.abs(ov)
     if mags.min() < TOL.vanishing_overlap:
         raise VanishingOverlap(
             f"consecutive overlap {mags.min():.2e} below "
             f"{TOL.vanishing_overlap}; sample the path more finely"
         )
-    return mags, args
+    return mags, np.angle(ov)
 
 
 @lru_cache(maxsize=1)
