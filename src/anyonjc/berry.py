@@ -396,6 +396,14 @@ def magnus_step_count(
     return math.ceil(n)
 
 
+def comoving_step_count(h0: np.ndarray, schedule: DriveSchedule) -> int:
+    """magnus_step_count of a co-moving run of H0 on the schedule: E the
+    largest |energy| of H0, r the sum of the peak rates."""
+    energy_scale = float(np.abs(np.linalg.eigvalsh(h0)).max())
+    rate, segments = sum(schedule.peak_rates()), schedule.path.segments
+    return magnus_step_count(schedule.total_time, energy_scale, rate, segments)
+
+
 def drive_charge(frame: SchwingerFrame) -> np.ndarray:
     """Diagonal of K = J_z + (m/4) sigma_z on a one-doublet basis, with m
     its sector gap (model.default_basis, iontrap.ramsey_basis)."""
@@ -419,7 +427,7 @@ def comoving_evolve(h0: np.ndarray, frame: SchwingerFrame, schedule: DriveSchedu
     Phys. Rep. 470, 151 (2009)]: Omega = -i dt/2 (H1 + H2) - (sqrt(3)/12)
     dt^2 [H2, H1] from H_xi at the two Gauss-Legendre nodes, applied through
     the eigensystem of the Hermitian i Omega, so the step is unitary to
-    rounding. Steps follow magnus_step_count and schedule.step_times.
+    rounding. Steps follow comoving_step_count and schedule.step_times.
     Only the states reachable from the support of xi through the nonzero
     entries of H0, J_x and J_y are stepped; H_xi has no element leading
     out of them, so the others hold exact zeros at every step.
@@ -430,11 +438,7 @@ def comoving_evolve(h0: np.ndarray, frame: SchwingerFrame, schedule: DriveSchedu
     commutator = np.subtract.outer(charge, charge) * h0
     if np.abs(commutator).max() > 1e-12 * max(1.0, np.abs(h0).max()):
         raise SimulationError("H0 does not commute with the drive charge K")
-    energy_scale = float(np.abs(np.linalg.eigvalsh(h0)).max())
-    rate, segments = sum(schedule.peak_rates()), schedule.path.segments
-    times = schedule.step_times(
-        magnus_step_count(schedule.total_time, energy_scale, rate, segments)
-    )
+    times = schedule.step_times(comoving_step_count(h0, schedule))
     jx, jy = schwinger_jx(frame).matrix, frame.j_y.matrix
     link = (h0 != 0) | (jx != 0) | (jy != 0)
     keep, grown = np.zeros(len(xi), dtype=bool), xi != 0

@@ -51,7 +51,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .berry import DriveSchedule, comoving_lift, drive_charge, guarded_evolve
+from .berry import (
+    DriveSchedule,
+    comoving_lift,
+    comoving_step_count,
+    drive_charge,
+    guarded_evolve,
+)
 from .config import TOL
 from .errors import CycleMismatch, NonAdiabatic, NormDrift, TruncationWarning
 from .fock import (
@@ -356,6 +362,17 @@ def make_ramsey_run(
         dynamic_phase_mode="spin-echo-none",
     )
     return RamseyRun(trap, path, schedule, pulse_mode=pulse_mode)
+
+
+def wait_step_count(trap: TrapParams, total_time: float, n_steps: int = 256) -> int:
+    """Co-moving steps of one ramsey_protocol wait requested at total_time
+    on an n_steps loop: the same at every solid angle, as the rates of a
+    latitude loop do not depend on it. Raises StepLimit above MAX_STEPS."""
+    run = make_ramsey_run(trap, 0.0, snap_to_cycles(trap, total_time)[0], n_steps=n_steps)
+    with warnings.catch_warnings():  # the protocol itself warns
+        warnings.simplefilter("ignore", TruncationWarning)
+        h0 = sideband_hamiltonian(trap, ramsey_basis(trap.m)).matrix
+    return len(run.schedule.step_times(comoving_step_count(h0, run.schedule)))
 
 
 def ramsey_protocol(

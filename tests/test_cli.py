@@ -333,6 +333,7 @@ class TestExitCodes:
             ["phase", "--revolutions", "1000000"],
             ["ramsey", "--loop-steps", "1000000"],
             ["ramsey", "--omega-points", "1000000"],
+            ["ramsey", "--omega-points", "1000", "--loop-steps", "249999"],
             ["fig1", "--points", "100000000"],
             ["fig1", "--with-holonomy", "--steps", "1000000"],
             ["two-anyon", "--steps", "10000000"],

@@ -32,6 +32,7 @@ from anyonjc.iontrap import (
     sideband_hamiltonian,
     snap_to_cycles,
     vacuum_splitting,
+    wait_step_count,
 )
 from anyonjc.model import analytic_berry_phase
 
@@ -261,6 +262,21 @@ class TestProtocol:
         run = make_ramsey_run(trap, 4.0 * math.pi, 3.0)
         with pytest.raises(NonAdiabatic):
             ramsey_protocol(run)
+
+    @pytest.mark.parametrize(
+        "omega,total_time,n_steps",
+        [(0.0, 200.0, 256), (3.0, 202.0, 256), (4.0 * math.pi, 20.0, 1500)],
+    )
+    def test_wait_step_count_predicts_the_run(self, omega, total_time, n_steps):
+        # the step rule (517 steps at T = 200, snapped from 202 too) or
+        # the loop samples (1,500 at T = 20, one more from rounding in
+        # step_times), whichever is more
+        trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
+        run = make_ramsey_run(trap, omega, total_time, n_steps=n_steps)
+        ramsey_protocol(run)
+        predicted = wait_step_count(trap, total_time, n_steps)
+        assert predicted == run.diagnostics["n_steps"]
+        assert predicted == (1501 if n_steps == 1500 else 517)
 
     def test_sweep_rows_are_csv_ready(self):
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
