@@ -8,6 +8,10 @@ the point of having both.
 
 Holonomy route: the loop is sampled, the state is lifted at every sample,
 and the phase is read off the Bargmann product of consecutive overlaps.
+The lift takes one exponential per sample: the levels of 2 J_z are
+integers, so every azimuth phase is a power of w = e^{-i phi/2}, and
+powers built by repeated multiplication are exact to rounding, one
+rounding per product (transport_states).
 The per-step arguments of the smooth lift also resolve the winding number,
 which the principal value of the closed product cannot see. The plain
 product estimator is second-order accurate in the step count; by default
