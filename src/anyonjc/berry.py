@@ -605,26 +605,23 @@ def extrapolated_adiabatic_phase(
     schedule: DriveSchedule,
     initial: StateVector,
     *,
-    ratio: int = 2,
     leak_threshold: float = TOL.leak_threshold,
 ) -> PhaseReport:
-    """Cancel the secular 1/T phase shift with two runs at T and T/ratio.
+    """Cancel the secular 1/T phase shift with two runs at T and T/2.
 
     The single-run extraction carries a level-repulsion shift proportional
-    to 1/T even deep in the adiabatic regime; combining two run lengths as
-    (ratio * gamma_T - gamma_short) / (ratio - 1) removes it. Leak
-    thresholds apply to the shorter (leakier) run as well.
+    to 1/T even deep in the adiabatic regime; combining the two run
+    lengths as 2 gamma_T - gamma_{T/2} removes it. Leak thresholds apply
+    to the shorter (leakier) run as well.
     """
-    if ratio < 2:
-        raise ValueError("ratio must be at least 2")
     _, full = adiabatic_evolution(
         hamiltonian, frame, schedule, initial, leak_threshold=leak_threshold
     )
-    short_schedule = replace(schedule, total_time=schedule.total_time / ratio)
+    short_schedule = replace(schedule, total_time=schedule.total_time / 2)
     _, short = adiabatic_evolution(
         hamiltonian, frame, short_schedule, initial, leak_threshold=leak_threshold
     )
-    gamma_total = (ratio * full.gamma_total - short.gamma_total) / (ratio - 1)
+    gamma_total = 2 * full.gamma_total - short.gamma_total
     gamma = principal_value(gamma_total)
     diagnostics = dict(full.diagnostics)
     diagnostics.update(
@@ -635,7 +632,7 @@ def extrapolated_adiabatic_phase(
             ),
             "gamma_total_full": full.gamma_total,
             "gamma_total_short": short.gamma_total,
-            "extrapolation_ratio": ratio,
+            "extrapolation_ratio": 2,
         }
     )
     return PhaseReport(

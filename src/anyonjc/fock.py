@@ -13,11 +13,14 @@ ascending, qubit up before down inside a sector, then n_a descending
 SPIN_UP = 0 and SPIN_DOWN = 1, so lexicographic order on the state label
 is the basis order within a sector.
 
-Operators carry their basis with them. A ladder element that leaves the
-sector set is not an error by default: its squared magnitude is
-accumulated in ``dropped_weight`` so callers can see exactly how much
-operator weight the truncation discarded, and strict mode upgrades any
-such drop to :class:`~anyonjc.errors.SectorOverflow`.
+Operators carry their basis with them. Every operator that moves one
+basis label to another (ladders, Pauli operators, the exchange couplings,
+the ion-trap sideband and carrier, the Schwinger J_y) is built by
+:func:`hopping_operator`, the one place the truncation policy lives: an
+element that leaves the sector set is not an error by default, its
+squared magnitude is accumulated in ``dropped_weight`` so callers can see
+exactly how much operator weight the truncation discarded, and strict
+mode upgrades any such drop to :class:`~anyonjc.errors.SectorOverflow`.
 """
 
 from __future__ import annotations
@@ -176,9 +179,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        return StateVector(self.basis, self.amplitudes / self.norm)
-
     def overlap(self, other: "StateVector") -> complex:
         _require_same_basis(self, other)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -214,10 +214,6 @@ class FockOperator:
         _require_same_basis(self, state)
         return StateVector(self.basis, self.matrix @ state.amplitudes)
 
-    def expectation(self, state: StateVector) -> complex:
-        _require_same_basis(self, state)
-        return complex(np.vdot(state.amplitudes, self.matrix @ state.amplitudes))
-
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         _require_same_basis(self, other)
         return FockOperator(self.basis, self.matrix @ other.matrix)
@@ -240,6 +236,28 @@ def identity(basis: BasisSpec) -> FockOperator:
     return FockOperator(basis, np.eye(basis.dim, dtype=complex))
 
 
+def hopping_operator(basis: BasisSpec, hop, *, strict: bool = False) -> FockOperator:
+    """Operator with element value at (target, label) for every pair
+    (target, value) in the list hop(label), summed over the basis labels.
+
+    A target outside the basis drops its element and adds |value|^2 to
+    ``dropped_weight``, or raises SectorOverflow in strict mode.
+    """
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    dropped = 0.0
+    index = basis.index_map
+    for col, label in enumerate(basis.states):
+        for target, value in hop(label):
+            row = index.get(target)
+            if row is None:
+                if strict:
+                    raise SectorOverflow(f"{label} hops to {target}, outside the basis")
+                dropped += (value * value.conjugate()).real
+                continue
+            mat[row, col] += value
+    return FockOperator(basis, mat, dropped)
+
+
 def build_ladder(
     basis: BasisSpec, mode: str, *, create: bool = False, strict: bool = False
 ) -> FockOperator:
@@ -251,33 +269,15 @@ def build_ladder(
     """
     if mode not in basis.mode_ids:
         raise UnknownMode(f"mode {mode!r} not in basis modes {basis.mode_ids}")
-    pos = basis.mode_ids.index(mode)
-    offset = 1 if basis.qubit_included else 0
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    dropped = 0.0
-    for col, label in enumerate(basis.states):
-        occ = list(label)
-        n = occ[offset + pos]
+    pos = basis.mode_ids.index(mode) + (1 if basis.qubit_included else 0)
+
+    def hop(label):
+        n = label[pos]
         if create:
-            value = math.sqrt(n + 1)
-            occ[offset + pos] = n + 1
-        else:
-            if n == 0:
-                continue
-            value = math.sqrt(n)
-            occ[offset + pos] = n - 1
-        target = tuple(occ)
-        row = basis.index_map.get(target)
-        if row is None:
-            if strict:
-                raise SectorOverflow(
-                    f"{'creation' if create else 'annihilation'} on mode {mode!r} "
-                    f"maps {label} outside the sector set"
-                )
-            dropped += value * value
-            continue
-        mat[row, col] = value
-    return FockOperator(basis, mat, dropped)
+            return [(label[:pos] + (n + 1,) + label[pos + 1 :], math.sqrt(n + 1))]
+        return [(label[:pos] + (n - 1,) + label[pos + 1 :], math.sqrt(n))] if n else []
+
+    return hopping_operator(basis, hop, strict=strict)
 
 
 def build_number(basis: BasisSpec, mode: str) -> FockOperator:
@@ -290,34 +290,34 @@ def build_number(basis: BasisSpec, mode: str) -> FockOperator:
     return FockOperator(basis, np.diag(diag))
 
 
+# value of the down -> up and the up -> down element of each spin flip
+_SPIN_FLIPS = {
+    "x": (1.0, 1.0),
+    "y": (-1.0j, 1.0j),
+    "plus": (1.0, 0.0),
+    "minus": (0.0, 1.0),
+}
+
+
 def build_pauli(basis: BasisSpec, which: str) -> FockOperator:
     """Qubit operator ('z', 'x', 'y', 'plus' or 'minus') acting as identity
     on the boson modes. 'plus' maps down to up."""
     if not basis.qubit_included:
         raise NoQubit("basis has no two-level system")
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
     if which == "z":
-        for k, label in enumerate(basis.states):
-            mat[k, k] = 1.0 if label[0] == SPIN_UP else -1.0
-        return FockOperator(basis, mat)
-    if which not in ("plus", "minus", "x", "y"):
+        return hopping_operator(
+            basis, lambda label: [(label, 1.0 if label[0] == SPIN_UP else -1.0)]
+        )
+    if which not in _SPIN_FLIPS:
         raise ValueError(f"unknown qubit operator {which!r}")
-    for col, label in enumerate(basis.states):
+    raise_value, lower_value = _SPIN_FLIPS[which]
+
+    def hop(label):
         if label[0] == SPIN_DOWN:
-            up = (SPIN_UP,) + label[1:]
-            row = basis.index(up)  # same boson occupations, always present
-            if which in ("plus", "x"):
-                mat[row, col] += 1.0
-            if which == "y":
-                mat[row, col] += -1.0j
-        else:
-            down = (SPIN_DOWN,) + label[1:]
-            row = basis.index(down)
-            if which in ("minus", "x"):
-                mat[row, col] += 1.0
-            if which == "y":
-                mat[row, col] += 1.0j
-    return FockOperator(basis, mat)
+            return [((SPIN_UP,) + label[1:], raise_value)]
+        return [((SPIN_DOWN,) + label[1:], lower_value)]
+
+    return hopping_operator(basis, hop)
 
 
 def matrix_exponential(op: FockOperator, scale: complex = 1.0) -> FockOperator:

@@ -66,6 +66,7 @@ from .fock import (
     BasisSpec,
     FockOperator,
     StateVector,
+    build_pauli,
     matrix_exponential,
 )
 from .model import (
@@ -73,6 +74,7 @@ from .model import (
     analytic_berry_phase,
     analytic_eigensystem,
     dressed_state_vector,
+    exchange_hamiltonian,
     falling_product,
 )
 from .paths import LoopPath, schwinger_frame, theta_for_solid_angle
@@ -89,9 +91,8 @@ class TrapParams:
 
     g is the bare carrier Rabi frequency, eta the Lamb-Dicke parameter,
     nu the trap frequency, m the driven sideband order (0 = carrier) and
-    delta_m the residual detuning from that sideband. omega0 may be given
-    instead of (or along with) delta_m; the frames must agree. phi_L is
-    the laser phase used by the Ramsey pulses.
+    delta_m the residual detuning from that sideband. phi_L is the laser
+    phase used by the Ramsey pulses.
     """
 
     g: float
@@ -99,7 +100,6 @@ class TrapParams:
     nu: float = 0.0
     m: int = 1
     delta_m: float = 0.0
-    omega0: float | None = None
     phi_L: float = math.pi / 2.0
 
     def __post_init__(self):
@@ -111,13 +111,6 @@ class TrapParams:
             raise ValueError("trap frequency nu must be non-negative")
         if not isinstance(self.m, int) or self.m < 0:
             raise ValueError("sideband order m must be a non-negative integer")
-        if self.omega0 is not None:
-            expected = self.delta_m + self.m * self.nu
-            scale = max(1.0, abs(expected), abs(self.omega0))
-            if abs(self.omega0 - expected) > 1e-9 * scale:
-                raise ValueError(
-                    "inconsistent frames: omega0 - m * nu must equal delta_m"
-                )
 
 
 def lamb_dicke_lambda(trap: TrapParams) -> complex:
@@ -211,44 +204,27 @@ def sideband_hamiltonian(trap: TrapParams, basis: BasisSpec) -> FockOperator:
     if trap.m < 1:
         raise ValueError("sideband order must be at least 1; see carrier_hamiltonian")
     _warn_if_marginal(trap, basis)
-    m = trap.m
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    dropped = 0.0
-    for col, label in enumerate(basis.states):
-        spin, n_a = label[0], label[1]
-        mat[col, col] += 0.5 * trap.delta_m * (1.0 if spin == SPIN_UP else -1.0)
-        if spin == SPIN_UP:
-            value = coupling_strength(trap, n_a) * math.sqrt(falling_product(n_a, m))
-            target = (SPIN_DOWN, n_a + m) + label[2:]
-        else:
-            if n_a < m:
-                continue
-            value = coupling_strength(trap, n_a - m) * math.sqrt(
-                falling_product(n_a - m, m)
-            )
-            target = (SPIN_UP, n_a - m) + label[2:]
-        row = basis.index_map.get(target)
-        if row is None:
-            dropped += value * value
-            continue
-        mat[row, col] += value
-    return FockOperator(basis, mat, dropped)
+    m, half_delta = trap.m, 0.5 * trap.delta_m
+    return exchange_hamiltonian(
+        basis,
+        m,
+        lambda n: coupling_strength(trap, n) * math.sqrt(falling_product(n, m)),
+        lambda label: half_delta if label[0] == SPIN_UP else -half_delta,
+    )
 
 
-def carrier_hamiltonian(trap: TrapParams, basis: BasisSpec, phi_L: float | None = None) -> FockOperator:
+def _sigma_phi(trap: TrapParams, basis: BasisSpec) -> np.ndarray:
+    """e^{i phi_L} sigma_+ + e^{-i phi_L} sigma_-, the spin flip of both
+    pulse modes."""
+    plus = build_pauli(basis, "plus") * np.exp(1j * trap.phi_L)
+    return (plus + build_pauli(basis, "minus") * np.exp(-1j * trap.phi_L)).matrix
+
+
+def carrier_hamiltonian(trap: TrapParams, basis: BasisSpec) -> FockOperator:
     """f_0(n_a) (e^{i phi} sigma_+ + e^{-i phi} sigma_-): the qubit drive
     with its exact occupation-dependent Rabi frequency."""
-    phi = trap.phi_L if phi_L is None else phi_L
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for col, label in enumerate(basis.states):
-        f0 = coupling_strength(trap, label[1], order=0)
-        if label[0] == SPIN_DOWN:
-            row = basis.index((SPIN_UP,) + label[1:])
-            mat[row, col] += f0 * np.exp(1j * phi)
-        else:
-            row = basis.index((SPIN_DOWN,) + label[1:])
-            mat[row, col] += f0 * np.exp(-1j * phi)
-    return FockOperator(basis, mat)
+    f0 = np.array([coupling_strength(trap, lab[1], order=0) for lab in basis.states])
+    return FockOperator(basis, f0[:, None] * _sigma_phi(trap, basis))
 
 
 def pulse_beta(trap: TrapParams, pulse_mode: str) -> float:
@@ -273,17 +249,7 @@ def carrier_pulse_operator(
     if pulse_mode == "timed":
         h_c = carrier_hamiltonian(trap, basis)
         return matrix_exponential(h_c, scale=-1j * math.pi / (2.0 * trap.g))
-    sigma_phi = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for col, label in enumerate(basis.states):
-        if label[0] == SPIN_DOWN:
-            sigma_phi[basis.index((SPIN_UP,) + label[1:]), col] = np.exp(
-                1j * trap.phi_L
-            )
-        else:
-            sigma_phi[basis.index((SPIN_DOWN,) + label[1:]), col] = np.exp(
-                -1j * trap.phi_L
-            )
-    angle = 0.25 * math.pi
+    sigma_phi, angle = _sigma_phi(trap, basis), 0.25 * math.pi
     mat = math.cos(angle) * np.eye(basis.dim) - 1j * math.sin(angle) * sigma_phi
     return FockOperator(basis, mat)
 
@@ -351,16 +317,11 @@ def make_ramsey_run(
     *,
     n_steps: int = 256,
     pulse_mode: str = "timed",
-    time_parametrization: str = "smoothstep",
 ) -> RamseyRun:
-    """Convenience constructor: latitude loop enclosing omega_solid."""
+    """Convenience constructor: latitude loop enclosing omega_solid, driven
+    with the smoothstep ramp."""
     path = constant_latitude_loop(theta_for_solid_angle(omega_solid), n_steps)
-    schedule = DriveSchedule(
-        path,
-        total_time,
-        time_parametrization=time_parametrization,
-        dynamic_phase_mode="spin-echo-none",
-    )
+    schedule = DriveSchedule(path, total_time, dynamic_phase_mode="spin-echo-none")
     return RamseyRun(trap, path, schedule, pulse_mode=pulse_mode)
 
 

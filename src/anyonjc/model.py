@@ -29,15 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import (
-    BadSolidAngle,
-    DegenerateCoupling,
-    SectorOverflow,
-    WrongExcitation,
+from .errors import BadSolidAngle, DegenerateCoupling, WrongExcitation
+from .fock import (
+    SPIN_DOWN,
+    SPIN_UP,
+    BasisSpec,
+    FockOperator,
+    StateVector,
+    hopping_operator,
 )
-from .fock import SPIN_DOWN, SPIN_UP, BasisSpec, FockOperator, StateVector
 
 FOUR_PI = 4.0 * math.pi
 
@@ -111,69 +111,59 @@ def default_basis(params: ModelParams) -> BasisSpec:
     return BasisSpec(2, (n_low, n_low + params.m))
 
 
-def _coupling_elements(basis: BasisSpec, m: int, lam: float, strict: bool):
-    """Yield (row, col, value) for lambda * sigma_+ a^m and track the weight
-    of elements leaving the sector set. Built element by element rather than
-    by ladder composition, so intermediate sectors need not be present."""
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    dropped = 0.0
-    for col, label in enumerate(basis.states):
-        spin, n_a = label[0], label[1]
-        if spin == SPIN_DOWN and n_a >= m:
-            value = lam * math.sqrt(falling_product(n_a - m, m))
-            target = (SPIN_UP, n_a - m) + label[2:]
-            row = basis.index_map.get(target)
-            if row is None:
-                if strict:
-                    raise SectorOverflow(f"sigma_+ a^{m} maps {label} out of basis")
-                dropped += value * value
-                continue
-            mat[row, col] = value
-        elif spin == SPIN_UP:
-            # adjoint direction, sigma_- a^dag^m
-            value = lam * math.sqrt(falling_product(n_a, m))
-            target = (SPIN_DOWN, n_a + m) + label[2:]
-            row = basis.index_map.get(target)
-            if row is None:
-                if strict:
-                    raise SectorOverflow(f"sigma_- a^dag^{m} maps {label} out of basis")
-                dropped += value * value
-                continue
-            mat[row, col] = value
-    return mat, dropped
+def exchange_hamiltonian(basis: BasisSpec, m: int, strength, diagonal) -> FockOperator:
+    """diagonal(label) + sigma_- (a^dag)^m s(n_a) + h.c. on a two-mode
+    basis, where s = strength links |up, n_a> to |down, n_a + m>. Built
+    element by element rather than by ladder composition, so intermediate
+    sectors need not be present."""
+
+    def hop(label):
+        n_a, out = label[1], [(label, diagonal(label))]
+        if label[0] == SPIN_UP:
+            out.append(((SPIN_DOWN, n_a + m) + label[2:], strength(n_a)))
+        elif n_a >= m:
+            out.append(((SPIN_UP, n_a - m) + label[2:], strength(n_a - m)))
+        return out
+
+    return hopping_operator(basis, hop)
+
+
+def _doublet_hamiltonian(params: ModelParams, basis: BasisSpec | None, diagonal):
+    m, lam = params.m, params.lambda_m
+    return exchange_hamiltonian(
+        default_basis(params) if basis is None else basis,
+        m,
+        lambda n: lam * math.sqrt(falling_product(n, m)),
+        diagonal,
+    )
 
 
 def build_interaction_hamiltonian(
-    params: ModelParams, basis: BasisSpec | None = None, *, strict: bool = False
+    params: ModelParams, basis: BasisSpec | None = None
 ) -> FockOperator:
     """(Delta/2) sigma_z + lambda (sigma_+ a^m + sigma_- a^dag^m) on a
     two-mode basis. Real symmetric by construction."""
-    if basis is None:
-        basis = default_basis(params)
-    mat, dropped = _coupling_elements(basis, params.m, params.lambda_m, strict)
     half_delta = 0.5 * params.delta_m
-    for k, label in enumerate(basis.states):
-        mat[k, k] += half_delta if label[0] == SPIN_UP else -half_delta
-    return FockOperator(basis, mat, dropped)
+    return _doublet_hamiltonian(
+        params, basis, lambda label: half_delta if label[0] == SPIN_UP else -half_delta
+    )
 
 
 def build_full_hamiltonian(
-    params: ModelParams, basis: BasisSpec | None = None, *, strict: bool = False
+    params: ModelParams, basis: BasisSpec | None = None
 ) -> FockOperator:
     """Lab-frame Hamiltonian nu (n_a + n_b) + (omega/2) sigma_z + coupling.
 
     Shares its eigenvectors with the interaction-frame form; the spectrum
     is shifted by nu N +- (m nu / 2) sector by sector.
     """
-    if basis is None:
-        basis = default_basis(params)
-    mat, dropped = _coupling_elements(basis, params.m, params.lambda_m, strict)
     half_omega = 0.5 * params.omega_effective
-    for k, label in enumerate(basis.states):
-        boson_total = label[1] + label[2]
-        mat[k, k] += params.nu * boson_total
-        mat[k, k] += half_omega if label[0] == SPIN_UP else -half_omega
-    return FockOperator(basis, mat, dropped)
+    return _doublet_hamiltonian(
+        params,
+        basis,
+        lambda label: params.nu * (label[1] + label[2])
+        + (half_omega if label[0] == SPIN_UP else -half_omega),
+    )
 
 
 @dataclass(frozen=True)
@@ -315,36 +305,24 @@ def two_anyon_basis(params: TwoAnyonParams) -> BasisSpec:
 
 
 def build_two_anyon_hamiltonian(
-    params: TwoAnyonParams, basis: BasisSpec | None = None, *, strict: bool = False
+    params: TwoAnyonParams, basis: BasisSpec | None = None
 ) -> FockOperator:
     """lambda (sigma_+ a^m c^m + h.c.) on a four-mode basis."""
     if basis is None:
         basis = two_anyon_basis(params)
-    m = params.m
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    dropped = 0.0
-    for col, label in enumerate(basis.states):
+    m, lam = params.m, params.lambda_m
+
+    def hop(label):
         spin, n_a, n_b, n_c, n_d = label
-        if spin == SPIN_DOWN:
-            if n_a < m or n_c < m:
-                continue
-            value = params.lambda_m * math.sqrt(
-                falling_product(n_a - m, m) * falling_product(n_c - m, m)
-            )
-            target = (SPIN_UP, n_a - m, n_b, n_c - m, n_d)
-        else:
-            value = params.lambda_m * math.sqrt(
-                falling_product(n_a, m) * falling_product(n_c, m)
-            )
-            target = (SPIN_DOWN, n_a + m, n_b, n_c + m, n_d)
-        row = basis.index_map.get(target)
-        if row is None:
-            if strict:
-                raise SectorOverflow(f"pair exchange maps {label} out of basis")
-            dropped += value * value
-            continue
-        mat[row, col] = value
-    return FockOperator(basis, mat, dropped)
+        if spin == SPIN_UP:
+            weight = falling_product(n_a, m) * falling_product(n_c, m)
+            return [((SPIN_DOWN, n_a + m, n_b, n_c + m, n_d), lam * math.sqrt(weight))]
+        if n_a < m or n_c < m:
+            return []
+        weight = falling_product(n_a - m, m) * falling_product(n_c - m, m)
+        return [((SPIN_UP, n_a - m, n_b, n_c - m, n_d), lam * math.sqrt(weight))]
+
+    return hopping_operator(basis, hop)
 
 
 def two_anyon_eigenstate(

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import BadSolidAngle, BadTheta, DegeneratePath
-from .fock import BasisSpec, FockOperator
+from .fock import BasisSpec, FockOperator, hopping_operator
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -204,18 +204,6 @@ class SchwingerFrame:
         return self._last_ry[1]
 
 
-def _pair_jy_elements(basis: BasisSpec, offset: int, mat: np.ndarray):
-    # i/2 (a b^dag - a^dag b) for the pair at the given label offset
-    for col, label in enumerate(basis.states):
-        n_a, n_b = label[offset], label[offset + 1]
-        if n_a >= 1:
-            target = label[:offset] + (n_a - 1, n_b + 1) + label[offset + 2 :]
-            mat[basis.index(target), col] += 0.5j * math.sqrt(n_a * (n_b + 1))
-        if n_b >= 1:
-            target = label[:offset] + (n_a + 1, n_b - 1) + label[offset + 2 :]
-            mat[basis.index(target), col] += -0.5j * math.sqrt((n_a + 1) * n_b)
-
-
 def schwinger_frame(basis: BasisSpec) -> SchwingerFrame:
     """Build J_y and J_z for a two- or four-mode basis.
 
@@ -225,12 +213,23 @@ def schwinger_frame(basis: BasisSpec) -> SchwingerFrame:
     """
     if basis.mode_count not in (2, 4):
         raise ValueError("Schwinger frame needs a two- or four-mode basis")
-    dim = basis.dim
     offset = 1 if basis.qubit_included else 0
-    jy = np.zeros((dim, dim), dtype=complex)
-    jz = np.zeros(dim, dtype=float)
-    for pair_start in range(offset, offset + basis.mode_count, 2):
-        _pair_jy_elements(basis, pair_start, jy)
+    starts = range(offset, offset + basis.mode_count, 2)
+
+    def jy_hop(label):
+        # i/2 (a b^dag - a^dag b) for each mode pair
+        out = []
+        for i in starts:
+            n_a, n_b = label[i], label[i + 1]
+            if n_a >= 1:
+                value = 0.5j * math.sqrt(n_a * (n_b + 1))
+                out.append((label[:i] + (n_a - 1, n_b + 1) + label[i + 2 :], value))
+            if n_b >= 1:
+                value = -0.5j * math.sqrt((n_a + 1) * n_b)
+                out.append((label[:i] + (n_a + 1, n_b - 1) + label[i + 2 :], value))
+        return out
+
+    jz = np.zeros(basis.dim, dtype=float)
     for k, label in enumerate(basis.states):
         occ = label[offset:]
         jz[k] = 0.5 * (occ[0] - occ[1])
@@ -238,7 +237,7 @@ def schwinger_frame(basis: BasisSpec) -> SchwingerFrame:
             jz[k] += 0.5 * (occ[2] - occ[3])
     return SchwingerFrame(
         basis,
-        FockOperator(basis, jy),
+        hopping_operator(basis, jy_hop),
         FockOperator(basis, np.diag(jz).astype(complex)),
     )
 

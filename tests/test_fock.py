@@ -28,6 +28,7 @@ from anyonjc.fock import (
     build_ladder,
     build_number,
     build_pauli,
+    hopping_operator,
     identity,
     linear_entropy,
     matrix_exponential,
@@ -145,6 +146,30 @@ class TestLadder:
         nb = build_number(basis, "b")
         diag = np.diag(nb.matrix).real
         assert list(diag) == [label[2] for label in basis.states]
+
+
+class TestHoppingOperator:
+    def test_complex_hop_out_of_the_basis(self):
+        # a J_y-like hop a -> b, which stays in its sector, plus a
+        # creation on a that leaves the sectors {0, 2}; dropped weight is
+        # |value|^2, where value^2 of an imaginary element would be negative
+        basis = BasisSpec(2, (0, 2))
+
+        def hop(label):
+            s, n_a, n_b = label
+            out = [((s, n_a + 1, n_b), -0.5j * math.sqrt(n_a + 1))]
+            if n_a:
+                out.append(((s, n_a - 1, n_b + 1), 0.5j * math.sqrt(n_a * (n_b + 1))))
+            return out
+
+        op = hopping_operator(basis, hop)
+        # 2 spins x (sector 0: n_a = 0; sector 2: n_a = 2, 1, 0)
+        assert op.dropped_weight == pytest.approx(2 * 0.25 * (1 + 3 + 2 + 1))
+        row, col = basis.index((SPIN_UP, 1, 1)), basis.index((SPIN_UP, 2, 0))
+        assert op.matrix[row, col] == 0.5j * math.sqrt(2)
+        assert np.count_nonzero(op.matrix) == 2 * 2
+        with pytest.raises(SectorOverflow):
+            hopping_operator(basis, hop, strict=True)
 
 
 class TestPauli:
