@@ -129,7 +129,11 @@ def g_for_unit_coupling(eta: float, m: int) -> float:
         raise ValueError("eta must lie in (0, 1)")
     if m < 0:
         raise ValueError("sideband order m must be a non-negative integer")
-    return 2.0 * math.factorial(m) * math.exp(0.5 * eta**2) / eta**m
+    power = eta**m
+    g = 2.0 * math.factorial(m) * math.exp(0.5 * eta**2) / power if power else math.inf
+    if g == math.inf:
+        raise ValueError(f"eta^m = {power:.3g} leaves no finite g (eta = {eta}, m = {m})")
+    return g
 
 
 def effective_model(trap: TrapParams, n: int = 0, n_prime: int = 0) -> ModelParams:
@@ -277,7 +281,9 @@ def snap_to_cycles(trap: TrapParams, total_time: float) -> tuple[float, int, flo
     half-cycles flip the sign of the interference term.
     """
     splitting = vacuum_splitting(trap)
-    cycle = TWO_PI / splitting
+    cycle = TWO_PI / splitting if splitting > 0.0 else math.inf
+    if not 0.0 < cycle < math.inf:
+        raise ValueError(f"a vacuum splitting of {splitting:.3g} has no finite cycle")
     j = max(1, round(total_time / cycle))
     snapped = j * cycle
     return snapped, j, abs(snapped - total_time)

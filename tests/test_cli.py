@@ -30,7 +30,7 @@ from anyonjc.config import TOL
 # must reject them at once, so each example takes well under a second;
 # --jobs never exceeds 2. A plain `selftest` run is criterion 8's job; here
 # it only ever sees flags it must reject.
-EDGE = ("nan", "inf", "1e308", "0", "-1")
+EDGE = ("nan", "inf", "1e308", "1e-200", "0", "-1")
 VALUES = EDGE + ("8", "200", "pi/2")
 JOBS = ("--jobs", ("-1", "0", "2"))
 FUZZ = {
@@ -339,6 +339,8 @@ class TestExitCodes:
             ["two-anyon", "--steps", "10000000"],
             ["ramsey", "--nu", "-1"],
             ["ramsey", "--m", "-1"],
+            ["ramsey", "--g", "1e-200"],
+            ["ramsey", "--eta", "1e-200"],
         ],
     )
     def test_unrepresentable_input_exits_4(self, argv, capsys):
