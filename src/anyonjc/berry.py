@@ -368,7 +368,9 @@ class DriveSchedule:
         if self.time_parametrization == "smoothstep":
             y = 0.5 - np.sin(np.arcsin(1.0 - 2.0 * y) / 3.0)  # inverse of s(u)
         edges = self.total_time * np.concatenate([[0.0], y, [1.0]])
-        pieces = np.ceil(np.diff(edges) * (n_steps / self.total_time)).astype(int)
+        # rounded first, so that rounding in the product adds no step
+        pieces = np.diff(edges) * (n_steps / self.total_time)
+        pieces = np.ceil(np.round(pieces, 9)).astype(int)
         steps = zip(edges, edges[1:], pieces)
         return np.concatenate([np.linspace(lo, hi, k + 1)[1:] for lo, hi, k in steps])
 

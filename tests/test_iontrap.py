@@ -269,14 +269,13 @@ class TestProtocol:
     )
     def test_wait_step_count_predicts_the_run(self, omega, total_time, n_steps):
         # the step rule (517 steps at T = 200, snapped from 202 too) or
-        # the loop samples (1,500 at T = 20, one more from rounding in
-        # step_times), whichever is more
+        # the loop samples (1,500 at T = 20), whichever is more
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
         run = make_ramsey_run(trap, omega, total_time, n_steps=n_steps)
         ramsey_protocol(run)
         predicted = wait_step_count(trap, total_time, n_steps)
         assert predicted == run.diagnostics["n_steps"]
-        assert predicted == (1501 if n_steps == 1500 else 517)
+        assert predicted == (1500 if n_steps == 1500 else 517)
 
     def test_sweep_rows_are_csv_ready(self):
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
