@@ -237,55 +237,39 @@ def holonomy_phase(
         "discretization_estimate": None,
     }
 
-    if not resolvable:
-        # The cyclic product of the even-index subsequence is gauge
-        # invariant too, so Richardson still applies to the principal
-        # value; only the per-step quality guard is unavailable here.
-        argsum_used = argsum
-        if refine and len(cycle) % 2 == 0:
-            try:
-                _, args_h = _raw_loop_argsum(cycle[::2])
-            except VanishingOverlap:
-                args_h = None
-            if args_h is not None:
-                delta = principal_value(float(args_h.sum()) - argsum)
-                diagnostics["discretization_estimate"] = abs(delta) / 3.0
-                diagnostics["refined"] = True
-                argsum_used = argsum - delta / 3.0
-        gamma = principal_value(sign * -principal_value(argsum_used))
-        return PhaseReport(
-            gamma=gamma,
-            winding=None,
-            gamma_total=None,
-            gamma_per_revolution=None,
-            method="holonomy",
-            n_steps=path.n_steps,
-            revolutions=path.revolutions,
-            diagnostics=diagnostics,
-        )
-
+    # One Richardson sweep against the even-index subsequence, whose
+    # cyclic product is gauge invariant too. A resolvable run compares the
+    # smooth argument sums and reports the estimate even unrefined; an
+    # unresolvable one can only compare principal values.
     argsum_used = argsum
-    if len(cycle) % 2 == 0:
-        half = cycle[::2]
+    if len(cycle) % 2 == 0 and (refine or resolvable):
         try:
-            mags_h, args_h = _raw_loop_argsum(half)
+            _, args_h = _raw_loop_argsum(cycle[::2])
         except VanishingOverlap:
-            mags_h = args_h = None
-        if args_h is not None and np.abs(args_h).max() < TOL.winding_step_cap:
-            correction = (argsum - float(args_h.sum())) / 3.0
-            diagnostics["discretization_estimate"] = abs(correction)
+            args_h = None
+        smooth = args_h is not None and np.abs(args_h).max() < TOL.winding_step_cap
+        if args_h is not None and (smooth or not resolvable):
+            delta = float(args_h.sum()) - argsum
+            if not resolvable:
+                delta = principal_value(delta)
+            diagnostics["discretization_estimate"] = abs(delta) / 3.0
             if refine:
-                argsum_used = argsum + correction
+                argsum_used = argsum - delta / 3.0
                 diagnostics["refined"] = True
 
-    gamma_total = sign * -argsum_used
-    gamma = principal_value(gamma_total)
-    winding = round((gamma_total - gamma) / TWO_PI)
+    if resolvable:
+        gamma_total = sign * -argsum_used
+        gamma = principal_value(gamma_total)
+        winding = round((gamma_total - gamma) / TWO_PI)
+        per_revolution = gamma_total / path.revolutions
+    else:
+        gamma = principal_value(sign * -principal_value(argsum_used))
+        winding = gamma_total = per_revolution = None
     return PhaseReport(
         gamma=gamma,
         winding=winding,
         gamma_total=gamma_total,
-        gamma_per_revolution=gamma_total / path.revolutions,
+        gamma_per_revolution=per_revolution,
         method="holonomy",
         n_steps=path.n_steps,
         revolutions=path.revolutions,
