@@ -203,17 +203,6 @@ class FockOperator:
             raise ValueError("matrix shape does not match basis dimension")
         self.matrix = mat
 
-    @property
-    def has_overflow(self) -> bool:
-        return self.dropped_weight > 0.0
-
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.basis, self.matrix.conj().T, self.dropped_weight)
-
-    def apply(self, state: StateVector) -> StateVector:
-        _require_same_basis(self, state)
-        return StateVector(self.basis, self.matrix @ state.amplitudes)
-
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         _require_same_basis(self, other)
         return FockOperator(self.basis, self.matrix @ other.matrix)
@@ -230,10 +219,6 @@ class FockOperator:
         return FockOperator(self.basis, self.matrix * scalar, self.dropped_weight)
 
     __rmul__ = __mul__
-
-
-def identity(basis: BasisSpec) -> FockOperator:
-    return FockOperator(basis, np.eye(basis.dim, dtype=complex))
 
 
 def hopping_operator(basis: BasisSpec, hop, *, strict: bool = False) -> FockOperator:
@@ -278,16 +263,6 @@ def build_ladder(
         return [(label[:pos] + (n - 1,) + label[pos + 1 :], math.sqrt(n))] if n else []
 
     return hopping_operator(basis, hop, strict=strict)
-
-
-def build_number(basis: BasisSpec, mode: str) -> FockOperator:
-    """Occupation-number operator for one mode (always sector preserving)."""
-    if mode not in basis.mode_ids:
-        raise UnknownMode(f"mode {mode!r} not in basis modes {basis.mode_ids}")
-    pos = basis.mode_ids.index(mode)
-    offset = 1 if basis.qubit_included else 0
-    diag = np.array([label[offset + pos] for label in basis.states], dtype=complex)
-    return FockOperator(basis, np.diag(diag))
 
 
 # value of the down -> up and the up -> down element of each spin flip

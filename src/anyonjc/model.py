@@ -343,11 +343,6 @@ def two_anyon_eigenstate(
     )
 
 
-def two_anyon_energy(params: TwoAnyonParams, branch: str = "+") -> float:
-    e = params.lambda_m * math.factorial(params.m)
-    return e if branch == "+" else -e
-
-
 def two_anyon_analytic_phase(m: int, omega_solid: float) -> float:
     """Geometric phase of the exchange-coupled pair: (m / 2) Omega, twice
     the single-excitation fractional phase."""

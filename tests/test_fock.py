@@ -24,12 +24,11 @@ from anyonjc.fock import (
     SPIN_UP,
     BasisSpec,
     DensityMatrix,
+    FockOperator,
     StateVector,
     build_ladder,
-    build_number,
     build_pauli,
     hopping_operator,
-    identity,
     linear_entropy,
     matrix_exponential,
     partial_trace,
@@ -109,7 +108,7 @@ class TestLadder:
         for mode in ("a", "b"):
             low = build_ladder(basis, mode)
             raise_ = build_ladder(basis, mode, create=True)
-            assert np.array_equal(raise_.matrix, low.dagger().matrix)
+            assert np.array_equal(raise_.matrix, low.matrix.conj().T)
 
     def test_commutator_is_identity_on_interior(self):
         basis = truncated_basis(4)
@@ -128,7 +127,6 @@ class TestLadder:
         # from sector 2 every creation leaves the basis; from sector 0 the
         # target sector 1 is absent too
         expected = 2 * (1.0 + (3.0 + 2.0 + 1.0))
-        assert adag.has_overflow
         assert adag.dropped_weight == pytest.approx(expected)
         with pytest.raises(SectorOverflow):
             build_ladder(basis, "a", create=True, strict=True)
@@ -138,14 +136,6 @@ class TestLadder:
 
         with pytest.raises(UnknownMode):
             build_ladder(truncated_basis(1), "c")
-        with pytest.raises(UnknownMode):
-            build_number(truncated_basis(1), "q")
-
-    def test_number_operator(self):
-        basis = truncated_basis(2)
-        nb = build_number(basis, "b")
-        diag = np.diag(nb.matrix).real
-        assert list(diag) == [label[2] for label in basis.states]
 
 
 class TestHoppingOperator:
@@ -192,8 +182,8 @@ class TestPauli:
         basis = truncated_basis(1)
         sp = build_pauli(basis, "plus")
         state = StateVector.basis_state(basis, (SPIN_DOWN, 1, 0))
-        out = sp.apply(state)
-        assert out.amplitudes[basis.index((SPIN_UP, 1, 0))] == 1.0
+        out = sp.matrix @ state.amplitudes
+        assert out[basis.index((SPIN_UP, 1, 0))] == 1.0
 
     def test_requires_qubit(self):
         with pytest.raises(NoQubit):
@@ -205,7 +195,7 @@ class TestPauli:
 class TestExponential:
     def test_zero_gives_identity(self):
         basis = truncated_basis(2)
-        zero = 0.0 * identity(basis)
+        zero = FockOperator(basis, np.zeros((basis.dim, basis.dim)))
         assert np.array_equal(matrix_exponential(zero).matrix, np.eye(basis.dim))
 
     def test_sigma_z_closed_form(self):
@@ -232,9 +222,7 @@ class TestExponential:
                 size=(basis.dim,) * 2
             )
             h = h + h.conj().T
-            u = matrix_exponential(
-                type(identity(basis))(basis, h), scale=-1j
-            ).matrix
+            u = matrix_exponential(FockOperator(basis, h), scale=-1j).matrix
             assert np.abs(u @ u.conj().T - np.eye(basis.dim)).max() < 1e-11
 
     def test_general_matrix_matches_scipy(self, rng):
@@ -243,8 +231,6 @@ class TestExponential:
             size=(basis.dim,) * 2
         )
         m = np.triu(m)  # not normal, forces the generic branch
-        from anyonjc.fock import FockOperator
-
         got = matrix_exponential(FockOperator(basis, m)).matrix
         assert np.abs(got - scipy.linalg.expm(m)).max() < 1e-10
 
