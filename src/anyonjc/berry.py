@@ -280,11 +280,6 @@ def holonomy_phase(
 # --- adiabatic route ---
 
 TIME_PARAMETRIZATIONS = ("uniform", "smoothstep")
-DYNAMIC_PHASE_MODES = (
-    "subtract-instantaneous-eigenvalue",
-    "subtract-energy-expectation",
-    "spin-echo-none",
-)
 
 
 @dataclass
@@ -292,16 +287,12 @@ class DriveSchedule:
     """How a loop is traversed in time.
 
     smoothstep ramps the path parameter with s(u) = 3u^2 - 2u^3 so the
-    drive starts and stops at rest; uniform sweeps at constant rate. The
-    dynamic phase is removed according to dynamic_phase_mode: the constant
-    instantaneous eigenvalue (default, exact for this isospectral family),
-    the running energy expectation, or not at all.
+    drive starts and stops at rest; uniform sweeps at constant rate.
     """
 
     path: LoopPath
     total_time: float
     time_parametrization: str = "smoothstep"
-    dynamic_phase_mode: str = "subtract-instantaneous-eigenvalue"
 
     def __post_init__(self):
         if self.total_time <= 0:
@@ -310,8 +301,6 @@ class DriveSchedule:
             raise ValueError(
                 f"time_parametrization must be one of {TIME_PARAMETRIZATIONS}"
             )
-        if self.dynamic_phase_mode not in DYNAMIC_PHASE_MODES:
-            raise ValueError(f"dynamic_phase_mode must be one of {DYNAMIC_PHASE_MODES}")
 
     def path_parameter(self, t):
         """s(u) and ds/du at u = t / total_time, clamped to [0, 1]."""
@@ -459,26 +448,25 @@ def comoving_evolve(h0: np.ndarray, frame: SchwingerFrame, schedule: DriveSchedu
         yield t, out
 
 
-def guarded_evolve(h0, frame, schedule, xi, followed, leak_threshold):
+def guarded_evolve(h0, frame, schedule, xi, followed):
     """comoving_evolve with the leak guard of both time routes.
 
     The rows of followed are orthonormal eigenvectors of K, so their span
     holds the same population in both frames. After every step the rest
-    must stay within leak_threshold, or NonAdiabatic is raised. Yields
-    (t, dt, states, overlaps with the rows, leak) per batch of steps.
+    must stay within TOL.leak_threshold, or NonAdiabatic is raised. Yields
+    (t, states, overlaps with the rows, leak) per batch of steps.
     """
-    t_prev = 0.0
+    threshold = TOL.leak_threshold
     for t, block in comoving_evolve(h0, frame, schedule, xi):
         ov = block @ followed.conj().T
         norm_sq = np.einsum("ki,ki->k", block.conj(), block).real
         leak = 1.0 - (np.abs(ov) ** 2).sum(axis=1) / norm_sq
-        if leak.max() > leak_threshold:
-            k = np.argmax(leak > leak_threshold)
+        if leak.max() > threshold:
+            k = np.argmax(leak > threshold)
             raise NonAdiabatic(
-                f"leak {leak[k]:.3e} exceeded {leak_threshold:.1e} at t = {t[k]:.3f}"
+                f"leak {leak[k]:.3e} exceeded {threshold:.1e} at t = {t[k]:.3f}"
             )
-        yield t, np.diff(t, prepend=t_prev), block, ov, leak
-        t_prev = t[-1]
+        yield t, block, ov, leak
 
 
 def adiabatic_evolution(
@@ -486,21 +474,19 @@ def adiabatic_evolution(
     frame: SchwingerFrame,
     schedule: DriveSchedule,
     initial: StateVector,
-    *,
-    leak_threshold: float = TOL.leak_threshold,
 ) -> tuple[StateVector, PhaseReport]:
     """Integrate the driven Schroedinger equation and extract the phase.
 
     ``initial`` is an eigenstate of the undriven Hamiltonian, hence of the
     drive charge K. Evolution runs in the co-moving frame (guarded_evolve);
     the state is lifted into the lab frame at the end. The report carries
-    the geometric phase after dynamic-phase removal (see DriveSchedule; an
-    energy expectation <xi|H0|xi> is integrated by the trapezoid rule over
-    the step ends), with the same calibrated sign convention as the
-    holonomy route, plus leak, drift and step diagnostics.
+    the geometric phase after the dynamic phase energy * total_time is
+    subtracted (exact, as the family is isospectral), with the same
+    calibrated sign convention as the holonomy route, plus leak, drift and
+    step diagnostics.
 
     Raises NonAdiabatic as soon as the leak out of the followed eigenstate
-    exceeds leak_threshold, and NormDrift if the state norm moved by more
+    exceeds TOL.leak_threshold, and NormDrift if the state norm moved by more
     than the budget over the run.
     """
     if hamiltonian.basis != frame.basis or initial.basis != frame.basis:
@@ -529,19 +515,11 @@ def adiabatic_evolution(
     # without the dynamic phase, and put both known phases back at the end
     xi = np.exp(1j * phi0 * k_branch) * base
     ov_prev = np.vdot(base, xi)
-    arg_total = dyn_integral = max_leak = 0.0
-    e_prev = energy_branch / norm_sq
+    arg_total = max_leak = 0.0
     n_steps = 0
-    for t, dt, block, ov, leak in guarded_evolve(
-        h0, frame, schedule, xi, base[None], leak_threshold
-    ):
+    for t, block, ov, leak in guarded_evolve(h0, frame, schedule, xi, base[None]):
         ov = ov[:, 0] * np.exp(1j * energy_branch * t)
         arg_total += float(np.angle(ov / np.append(ov_prev, ov[:-1])).sum())
-        if schedule.dynamic_phase_mode == "subtract-energy-expectation":
-            e = np.einsum("ki,ij,kj->k", block.conj(), h0, block).real
-            e = np.append(e_prev, e / np.einsum("ki,ki->k", block.conj(), block).real)
-            dyn_integral += float(np.sum(0.5 * dt * (e[1:] + e[:-1])))
-            e_prev = e[-1]
         max_leak = max(max_leak, float(leak.max()))
         ov_prev, xi = ov[-1], block[-1]
         n_steps += len(t)
@@ -551,10 +529,7 @@ def adiabatic_evolution(
     if drift > TOL.norm_drift:
         raise NormDrift(f"norm drifted by {drift:.2e} over the run")
 
-    dyn_subtracted = {
-        "subtract-instantaneous-eigenvalue": energy_branch * t_total,
-        "subtract-energy-expectation": dyn_integral,
-    }.get(schedule.dynamic_phase_mode, 0.0)
+    dyn_subtracted = energy_branch * t_total
     raw_geometric = arg_total + dyn_subtracted
 
     sign = calibrate_sign_convention()
@@ -575,7 +550,6 @@ def adiabatic_evolution(
             "n_steps": n_steps,
             "dt": t_total / n_steps,
             "propagator": "magnus4-comoving",
-            "dynamic_phase_mode": schedule.dynamic_phase_mode,
             "dynamic_phase_subtracted": dyn_subtracted,
             "energy_branch": energy_branch,
             "sign_convention": sign,
@@ -590,23 +564,17 @@ def extrapolated_adiabatic_phase(
     frame: SchwingerFrame,
     schedule: DriveSchedule,
     initial: StateVector,
-    *,
-    leak_threshold: float = TOL.leak_threshold,
 ) -> PhaseReport:
     """Cancel the secular 1/T phase shift with two runs at T and T/2.
 
     The single-run extraction carries a level-repulsion shift proportional
     to 1/T even deep in the adiabatic regime; combining the two run
-    lengths as 2 gamma_T - gamma_{T/2} removes it. Leak thresholds apply
+    lengths as 2 gamma_T - gamma_{T/2} removes it. The leak guard applies
     to the shorter (leakier) run as well.
     """
-    _, full = adiabatic_evolution(
-        hamiltonian, frame, schedule, initial, leak_threshold=leak_threshold
-    )
+    _, full = adiabatic_evolution(hamiltonian, frame, schedule, initial)
     short_schedule = replace(schedule, total_time=schedule.total_time / 2)
-    _, short = adiabatic_evolution(
-        hamiltonian, frame, short_schedule, initial, leak_threshold=leak_threshold
-    )
+    _, short = adiabatic_evolution(hamiltonian, frame, short_schedule, initial)
     gamma_total = 2 * full.gamma_total - short.gamma_total
     gamma = principal_value(gamma_total)
     diagnostics = dict(full.diagnostics)

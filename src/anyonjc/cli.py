@@ -10,7 +10,7 @@ Subcommands:
 
 Angles accept plain radians or pi expressions ("pi/2", "2pi/3", "4pi").
 Exit codes: 0 success, 2 cross-check failure (with --strict) or internal
-inconsistency, 3 adiabaticity/cycle failure, 4 configuration error.
+inconsistency, 3 adiabaticity failure, 4 configuration error.
 A --config file holds flat key=value lines matching long option names;
 explicit command line flags win over file values.
 """
@@ -29,13 +29,7 @@ import scipy
 
 from . import __version__, berry, iontrap, selftest
 from .config import TOL
-from .errors import (
-    CycleMismatch,
-    NonAdiabatic,
-    NormDrift,
-    SimulationError,
-    StepLimit,
-)
+from .errors import NonAdiabatic, NormDrift, SimulationError, StepLimit
 from .fock import DensityMatrix, linear_entropy, partial_trace
 from .model import (
     ModelParams,
@@ -263,7 +257,7 @@ def cmd_fig1(args) -> int:
                 "delta_over_lambda": float(delta),
                 "m": m,
                 "ratio": detuning_ratio(params),
-                "linear_entropy": linear_entropy(partial_trace(rho, {"qubit"})),
+                "linear_entropy": linear_entropy(partial_trace(rho)),
             }
             if args.with_holonomy:
                 hol = _fig1_holonomy_ratio(m, float(delta), args.steps)
@@ -607,7 +601,7 @@ def main(argv: list[str] | None = None) -> int:
             _apply_config(parser, args, argv)
         _check_args(args)
         return args.func(args)
-    except (NonAdiabatic, NormDrift, CycleMismatch) as exc:
+    except (NonAdiabatic, NormDrift) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -12,13 +12,11 @@ class Tolerances:
     # linear-algebra hygiene
     hermiticity: float = 1e-12
     unitarity: float = 1e-11
-    state_norm: float = 1e-12
     eigvec_residual: float = 1e-10
     psd_floor: float = -1e-10
 
     # matrix exponential
     expm_norm_cap: float = 50.0
-    expm_accuracy: float = 1e-12
 
     # geometry
     loop_closure: float = 1e-9
@@ -35,7 +33,6 @@ class Tolerances:
     # time evolution
     norm_drift: float = 1e-9
     leak_threshold: float = 1e-2
-    cycle_residual: float = 1e-9
 
     # adiabaticity budget verdicts
     budget_pass: float = 0.05

@@ -13,10 +13,6 @@ class UnknownMode(SimulationError, ValueError):
     """A mode id does not exist in the basis at hand."""
 
 
-class SectorOverflow(SimulationError):
-    """An operator element leaves the truncated sector set in strict mode."""
-
-
 class NoQubit(SimulationError, ValueError):
     """A qubit operator was requested on a basis without the two-level system."""
 
@@ -25,12 +21,8 @@ class NormTooLarge(SimulationError):
     """Matrix exponential argument is outside the supported norm range."""
 
 
-class BadSubsystem(SimulationError, ValueError):
-    """Partial trace asked to keep an invalid subsystem combination."""
-
-
 class DegenerateCoupling(SimulationError, ValueError):
-    """Dressed-state construction with a vanishing coupling and no free-mode flag."""
+    """Dressed-state construction with a vanishing coupling."""
 
 
 class WrongExcitation(SimulationError, ValueError):
@@ -71,10 +63,6 @@ class StepLimit(SimulationError, ValueError):
 
 class CalibrationAmbiguous(SimulationError):
     """Sign calibration loop produced a phase too small to fix a sign."""
-
-
-class CycleMismatch(SimulationError):
-    """Ramsey wait time is not an integer number of dynamical cycles."""
 
 
 class TruncationWarning(UserWarning):

@@ -17,10 +17,9 @@ Operators carry their basis with them. Every operator that moves one
 basis label to another (ladders, Pauli operators, the exchange couplings,
 the ion-trap sideband and carrier, the Schwinger J_y) is built by
 :func:`hopping_operator`, the one place the truncation policy lives: an
-element that leaves the sector set is not an error by default, its
-squared magnitude is accumulated in ``dropped_weight`` so callers can see
-exactly how much operator weight the truncation discarded, and strict
-mode upgrades any such drop to :class:`~anyonjc.errors.SectorOverflow`.
+element that leaves the sector set is dropped, and its squared magnitude
+is accumulated in ``dropped_weight`` so callers can see exactly how much
+operator weight the truncation discarded.
 """
 
 from __future__ import annotations
@@ -33,19 +32,10 @@ import numpy as np
 import scipy.linalg
 
 from .config import TOL
-from .errors import (
-    BadSubsystem,
-    BasisMismatch,
-    NoQubit,
-    NormTooLarge,
-    SectorOverflow,
-    UnknownMode,
-)
+from .errors import BasisMismatch, NoQubit, NormTooLarge, UnknownMode
 
 SPIN_UP = 0
 SPIN_DOWN = 1
-
-_PAIRS = {2: (("a", "b"),), 4: (("a", "b"), ("c", "d"))}
 
 
 def _enumerate_pair(total: int) -> list[tuple[int, int]]:
@@ -221,12 +211,12 @@ class FockOperator:
     __rmul__ = __mul__
 
 
-def hopping_operator(basis: BasisSpec, hop, *, strict: bool = False) -> FockOperator:
+def hopping_operator(basis: BasisSpec, hop) -> FockOperator:
     """Operator with element value at (target, label) for every pair
     (target, value) in the list hop(label), summed over the basis labels.
 
     A target outside the basis drops its element and adds |value|^2 to
-    ``dropped_weight``, or raises SectorOverflow in strict mode.
+    ``dropped_weight``.
     """
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
     dropped = 0.0
@@ -235,22 +225,18 @@ def hopping_operator(basis: BasisSpec, hop, *, strict: bool = False) -> FockOper
         for target, value in hop(label):
             row = index.get(target)
             if row is None:
-                if strict:
-                    raise SectorOverflow(f"{label} hops to {target}, outside the basis")
                 dropped += (value * value.conjugate()).real
                 continue
             mat[row, col] += value
     return FockOperator(basis, mat, dropped)
 
 
-def build_ladder(
-    basis: BasisSpec, mode: str, *, create: bool = False, strict: bool = False
-) -> FockOperator:
+def build_ladder(basis: BasisSpec, mode: str, *, create: bool = False) -> FockOperator:
     """Single-mode ladder operator, lowering by default.
 
-    Elements that leave the sector set are dropped (tracked) or, in strict
-    mode, raise SectorOverflow. ``build_ladder(b, m, create=True)`` is the
-    exact adjoint of ``build_ladder(b, m)`` restricted to the basis.
+    Elements that leave the sector set are dropped (tracked in
+    ``dropped_weight``). ``build_ladder(b, m, create=True)`` is the exact
+    adjoint of ``build_ladder(b, m)`` restricted to the basis.
     """
     if mode not in basis.mode_ids:
         raise UnknownMode(f"mode {mode!r} not in basis modes {basis.mode_ids}")
@@ -262,7 +248,7 @@ def build_ladder(
             return [(label[:pos] + (n + 1,) + label[pos + 1 :], math.sqrt(n + 1))]
         return [(label[:pos] + (n - 1,) + label[pos + 1 :], math.sqrt(n))] if n else []
 
-    return hopping_operator(basis, hop, strict=strict)
+    return hopping_operator(basis, hop)
 
 
 # value of the down -> up and the up -> down element of each spin flip
@@ -337,107 +323,32 @@ class DensityMatrix:
         amp = state.amplitudes
         return cls(state.basis, np.outer(amp, amp.conj()))
 
-    def validate(self):
-        """Raise ValueError unless Hermitian, unit trace and PSD within
-        the configured tolerances."""
-        mat = self.matrix
-        if np.abs(mat - mat.conj().T).max() > TOL.hermiticity:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > 10 * TOL.state_norm or abs(
-            np.trace(mat).imag
-        ) > TOL.hermiticity:
-            raise ValueError("density matrix trace is not 1")
-        if np.linalg.eigvalsh(mat).min() < TOL.psd_floor:
-            raise ValueError("density matrix has a negative eigenvalue")
-        return self
-
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-# subsystem units that can be kept or traced as a whole: the qubit, and
-# each mode pair (a sector total binds the pair, so tracing half a pair
-# has no sector-resolved meaning here)
-def _subsystem_units(basis: BasisSpec) -> list[tuple[str, ...]]:
-    units: list[tuple[str, ...]] = []
-    if basis.qubit_included:
-        units.append(("qubit",))
-    for pair in _PAIRS.get(basis.mode_count, ()):
-        units.append(pair)
-    return units
+def partial_trace(rho: DensityMatrix) -> DensityMatrix:
+    """The qubit's 2x2 state: rho with the boson modes traced out.
 
-
-def partial_trace(rho: DensityMatrix, keep: set) -> DensityMatrix:
-    """Trace out everything except the subsystems named in ``keep``.
-
-    keep is a set of ids from {'qubit', 'a', 'b', 'c', 'd'}; it must be a
-    union of whole units (the qubit, the (a, b) pair, the (c, d) pair)
-    and must leave at least one unit on each side of the cut.
+    Every mode occupation appears once with the qubit up and once with it
+    down, so the reduced state sums one 2x2 block per occupation (in basis
+    order). Raises NoQubit on a basis without the qubit.
     """
     basis = rho.basis
-    units = _subsystem_units(basis)
-    all_ids = set().union(*units) if units else set()
-    keep = set(keep)
-    if not keep or not keep.issubset(all_ids):
-        raise BadSubsystem(f"keep must be a non-empty subset of {sorted(all_ids)}")
-    kept_units = [u for u in units if keep.issuperset(u)]
-    covered = set().union(*kept_units) if kept_units else set()
-    if covered != keep:
-        # some requested id is only half of its unit
-        raise BadSubsystem(
-            "keep must be a union of whole subsystems: the qubit and mode pairs"
-        )
-    if len(kept_units) == len(units):
-        raise BadSubsystem("nothing left to trace out")
-
-    keep_qubit = ("qubit",) in kept_units
-    kept_pairs = [u for u in kept_units if u != ("qubit",)]
-
-    def split(label: tuple) -> tuple[tuple, tuple]:
-        parts_kept, parts_rest = [], []
-        pos = 0
-        if basis.qubit_included:
-            (parts_kept if keep_qubit else parts_rest).append(label[0])
-            pos = 1
-        for pair in _PAIRS.get(basis.mode_count, ()):
-            chunk = label[pos : pos + 2]
-            (parts_kept if pair in kept_pairs else parts_rest).append(chunk)
-            pos += 2
-        flat_kept = tuple(
-            x for p in parts_kept for x in (p if isinstance(p, tuple) else (p,))
-        )
-        flat_rest = tuple(
-            x for p in parts_rest for x in (p if isinstance(p, tuple) else (p,))
-        )
-        return flat_kept, flat_rest
-
-    # reduced basis over the kept units
-    if kept_pairs:
-        if len(kept_pairs) == 1:
-            sectors = sorted(
-                {
-                    (s if isinstance(s, int) else s[0 if kept_pairs[0] == ("a", "b") else 1])
-                    for s in basis.sector_totals
-                }
-            )
-            reduced = BasisSpec(2, tuple(sectors), qubit_included=keep_qubit)
-        else:
-            reduced = BasisSpec(4, basis.sector_totals, qubit_included=keep_qubit)
-    else:
-        reduced = BasisSpec(0, (), qubit_included=True)
-
-    kept_index = np.empty(basis.dim, dtype=int)
-    rest_groups: dict[tuple, list[int]] = {}
-    for k, label in enumerate(basis.states):
-        fk, fr = split(label)
-        kept_index[k] = reduced.index(fk)
-        rest_groups.setdefault(fr, []).append(k)
-
-    out = np.zeros((reduced.dim, reduced.dim), dtype=complex)
-    for idxs in rest_groups.values():
-        sel = np.asarray(idxs)
-        out[np.ix_(kept_index[sel], kept_index[sel])] += rho.matrix[np.ix_(sel, sel)]
-    return DensityMatrix(reduced, out)
+    if not basis.qubit_included:
+        raise NoQubit("basis has no two-level system")
+    index = basis.index_map
+    pairs = np.array(
+        [
+            (k, index[(SPIN_DOWN,) + label[1:]])
+            for k, label in enumerate(basis.states)
+            if label[0] == SPIN_UP
+        ]
+    )
+    out = np.zeros((2, 2), dtype=complex)
+    for block in rho.matrix[pairs[:, :, None], pairs[:, None, :]]:
+        out += block
+    return DensityMatrix(BasisSpec(0, ()), out)
 
 
 def linear_entropy(rho: DensityMatrix) -> float:

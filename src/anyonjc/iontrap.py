@@ -25,8 +25,8 @@ interference sign), carrier pi/2 pulse, then the qubit-down population
 
 with beta the actual pulse rotation angle ((pi/2) e^{-eta^2/2} for timed
 pulses of nominal quarter-turn area, exactly pi/2 for idealized
-instantaneous pulses). Both pulses use laser phase pi/2; a zero-phase
-preparation pulse would read out the sine quadrature instead.
+instantaneous pulses). Both pulses use the laser phase LASER_PHASE = pi/2;
+a zero-phase preparation pulse would read out the sine quadrature instead.
 
 The wait runs in the co-moving drive frame psi = W e^{-i phi K} xi of the
 berry module, K = J_z + (m/4) sigma_z, which commutes with the sideband
@@ -59,7 +59,7 @@ from .berry import (
     guarded_evolve,
 )
 from .config import TOL
-from .errors import CycleMismatch, NonAdiabatic, NormDrift, TruncationWarning
+from .errors import NonAdiabatic, NormDrift, TruncationWarning
 from .fock import (
     SPIN_DOWN,
     SPIN_UP,
@@ -77,12 +77,12 @@ from .model import (
     exchange_hamiltonian,
     falling_product,
 )
-from .paths import LoopPath, schwinger_frame, theta_for_solid_angle
-from .paths import constant_latitude_loop
+from .paths import constant_latitude_loop, schwinger_frame, theta_for_solid_angle
 
 TWO_PI = 2.0 * math.pi
 
 PULSE_MODES = ("timed", "instantaneous")
+LASER_PHASE = math.pi / 2.0  # of both Ramsey pulses
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,7 @@ class TrapParams:
 
     g is the bare carrier Rabi frequency, eta the Lamb-Dicke parameter,
     nu the trap frequency, m the driven sideband order (0 = carrier) and
-    delta_m the residual detuning from that sideband. phi_L is the laser
-    phase used by the Ramsey pulses.
+    delta_m the residual detuning from that sideband.
     """
 
     g: float
@@ -100,7 +99,6 @@ class TrapParams:
     nu: float = 0.0
     m: int = 1
     delta_m: float = 0.0
-    phi_L: float = math.pi / 2.0
 
     def __post_init__(self):
         if self.g <= 0:
@@ -150,44 +148,21 @@ def effective_model(trap: TrapParams, n: int = 0, n_prime: int = 0) -> ModelPara
     )
 
 
-def coupling_strength(
-    trap: TrapParams, n: int, order: int | None = None, l_max: int | None = None
-) -> float:
+def coupling_strength(trap: TrapParams, n: int, order: int | None = None) -> float:
     """f_order(n), the exact sideband coupling at motional occupation n.
 
-    order defaults to the trap's sideband; the series terminates at l = n
-    on its own. Passing l_max truncates earlier, and a truncation that
-    drops terms above the relative noise floor warns.
+    order defaults to the trap's sideband; the series terminates at l = n.
     """
     m = trap.m if order is None else order
-    last = n if l_max is None else min(l_max, n)
     total = 0.0
-    for l in range(last + 1):
+    for l in range(n + 1):
         total += (
             (-1.0) ** l
             * trap.eta ** (2 * l + m)
             * math.factorial(n)
             / (math.factorial(l) * math.factorial(l + m) * math.factorial(n - l))
         )
-    value = 0.5 * trap.g * math.exp(-0.5 * trap.eta**2) * total
-    if l_max is not None and l_max < n:
-        dropped = (
-            trap.eta ** (2 * (l_max + 1) + m)
-            * math.factorial(n)
-            / (
-                math.factorial(l_max + 1)
-                * math.factorial(l_max + 1 + m)
-                * math.factorial(n - l_max - 1)
-            )
-        )
-        if dropped > 1e-12 * max(abs(total), 1e-300):
-            warnings.warn(
-                f"series for f_{m}({n}) truncated at l = {l_max}; "
-                f"next term relative size {dropped / max(abs(total), 1e-300):.1e}",
-                TruncationWarning,
-                stacklevel=2,
-            )
-    return value
+    return 0.5 * trap.g * math.exp(-0.5 * trap.eta**2) * total
 
 
 def _warn_if_marginal(trap: TrapParams, basis: BasisSpec):
@@ -218,10 +193,10 @@ def sideband_hamiltonian(trap: TrapParams, basis: BasisSpec) -> FockOperator:
 
 
 def _sigma_phi(trap: TrapParams, basis: BasisSpec) -> np.ndarray:
-    """e^{i phi_L} sigma_+ + e^{-i phi_L} sigma_-, the spin flip of both
-    pulse modes."""
-    plus = build_pauli(basis, "plus") * np.exp(1j * trap.phi_L)
-    return (plus + build_pauli(basis, "minus") * np.exp(-1j * trap.phi_L)).matrix
+    """e^{i phi} sigma_+ + e^{-i phi} sigma_- at phi = LASER_PHASE, the
+    spin flip of both pulse modes."""
+    plus = build_pauli(basis, "plus") * np.exp(1j * LASER_PHASE)
+    return (plus + build_pauli(basis, "minus") * np.exp(-1j * LASER_PHASE)).matrix
 
 
 def carrier_hamiltonian(trap: TrapParams, basis: BasisSpec) -> FockOperator:
@@ -242,7 +217,7 @@ def pulse_beta(trap: TrapParams, pulse_mode: str) -> float:
 def carrier_pulse_operator(
     trap: TrapParams, basis: BasisSpec, pulse_mode: str = "timed"
 ) -> FockOperator:
-    """One nominal pi/2 pulse at the trap's laser phase.
+    """One nominal pi/2 pulse at LASER_PHASE.
 
     timed: evolve under the carrier Hamiltonian for pi / (2 g), so the
     rotation angle on occupation n is pi f_0(n) / g (Debye-Waller reduced).
@@ -300,7 +275,6 @@ class RamseyRun:
     """
 
     trap: TrapParams
-    path: LoopPath
     schedule: DriveSchedule
     j_cycles: int | None = None
     pulse_mode: str = "timed"
@@ -310,10 +284,6 @@ class RamseyRun:
     def __post_init__(self):
         if self.pulse_mode not in PULSE_MODES:
             raise ValueError(f"pulse_mode must be one of {PULSE_MODES}")
-        if self.schedule.path is not self.path and not np.array_equal(
-            self.schedule.path.samples, self.path.samples
-        ):
-            raise ValueError("schedule.path and path disagree")
 
 
 def make_ramsey_run(
@@ -327,8 +297,7 @@ def make_ramsey_run(
     """Convenience constructor: latitude loop enclosing omega_solid, driven
     with the smoothstep ramp."""
     path = constant_latitude_loop(theta_for_solid_angle(omega_solid), n_steps)
-    schedule = DriveSchedule(path, total_time, dynamic_phase_mode="spin-echo-none")
-    return RamseyRun(trap, path, schedule, pulse_mode=pulse_mode)
+    return RamseyRun(trap, DriveSchedule(path, total_time), pulse_mode=pulse_mode)
 
 
 def wait_step_count(trap: TrapParams, total_time: float, n_steps: int = 256) -> int:
@@ -342,18 +311,12 @@ def wait_step_count(trap: TrapParams, total_time: float, n_steps: int = 256) -> 
     return len(run.schedule.step_times(comoving_step_count(h0, run.schedule)))
 
 
-def ramsey_protocol(
-    run: RamseyRun,
-    *,
-    snap: bool = True,
-    leak_threshold: float = TOL.leak_threshold,
-) -> RamseyRun:
+def ramsey_protocol(run: RamseyRun) -> RamseyRun:
     """Simulate the full pulse-loop-pulse sequence and fill run.result.
 
     The wait time is snapped to the nearest integer number of doublet
-    cycles (snap=False instead raises CycleMismatch when the requested
-    time is off-cycle), and the loop is driven over the whole snapped
-    wait, so it closes at its end. The wait runs in the co-moving frame of
+    cycles, and the loop is driven over the whole snapped wait, so it
+    closes at its end. The wait runs in the co-moving frame of
     the drive on berry.comoving_evolve (steps by berry.magnus_step_count);
     the state is lifted into the lab frame only before the second pulse.
     Leakage out of the doublet-plus-spectator subspace is tested after
@@ -365,16 +328,7 @@ def ramsey_protocol(
     frame = schwinger_frame(basis)
     h0 = sideband_hamiltonian(trap, basis).matrix
 
-    t_req = run.schedule.total_time
-    snapped, j, residual = snap_to_cycles(trap, t_req)
-    if snap:
-        t_total = snapped
-    else:
-        if residual > TOL.cycle_residual * max(1.0, t_req):
-            raise CycleMismatch(
-                f"wait time {t_req} is {residual:.3e} away from {j} full cycles"
-            )
-        t_total = t_req
+    t_total, j, residual = snap_to_cycles(trap, run.schedule.total_time)
 
     # followed subspace: the two dressed states and the |down, 0, 0>
     # spectator arm, which the first pulse starts from; all three are
@@ -390,9 +344,7 @@ def ramsey_protocol(
     xi = comoving_lift(frame, charge, theta, phi).conj().T @ (pulse.matrix @ spectator)
     p_plus_start = abs(np.vdot(followed[0], xi)) ** 2
     max_leak, n_steps = 0.0, 0
-    for t, _, block, _, leak in guarded_evolve(
-        h0, frame, schedule, xi, followed, leak_threshold
-    ):
+    for t, block, _, leak in guarded_evolve(h0, frame, schedule, xi, followed):
         max_leak = max(max_leak, float(leak.max()))
         xi = block[-1]
         n_steps += len(t)
@@ -407,10 +359,10 @@ def ramsey_protocol(
     # the net branch transfer over the whole wait separately.
     p_plus_end = abs(np.vdot(followed[0], xi)) ** 2 / norm_sq
     branch_transfer = abs(p_plus_end - p_plus_start)
-    if branch_transfer > leak_threshold:
+    if branch_transfer > TOL.leak_threshold:
         raise NonAdiabatic(
             f"branch population moved by {branch_transfer:.3e} over the wait"
-            f" (threshold {leak_threshold:.1e}); drive too fast"
+            f" (threshold {TOL.leak_threshold:.1e}); drive too fast"
         )
 
     theta, phi, *_ = schedule.drive_point(t_total)

@@ -52,23 +52,16 @@ class ModelParams:
     """Model configuration for a single doublet.
 
     n and n_prime are the occupations of the upper bare state
-    |up, n, n_prime>; the partner is |down, n + m, n_prime>. omega is the
-    bare qubit splitting; when omitted it is derived from the detuning as
-    omega = delta_m + m * nu, and when given it must satisfy that relation
-    (both frames must describe the same physics).
-
-    free_mode marks the decoupled limit lambda_m = 0, where the doublet
-    degenerates to bare spin states.
+    |up, n, n_prime>; the partner is |down, n + m, n_prime>. nu is the
+    trap frequency, which only the adiabaticity budget reads.
     """
 
     m: int
     lambda_m: float = 1.0
     delta_m: float = 0.0
     nu: float = 0.0
-    omega: float | None = None
     n: int = 0
     n_prime: int = 0
-    free_mode: bool = False
 
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
@@ -77,23 +70,10 @@ class ModelParams:
             raise ValueError("lambda_m must be non-negative")
         if not self.nu >= 0.0:
             raise ValueError("trap frequency nu must be non-negative")
-        if self.free_mode and self.lambda_m != 0.0:
-            raise ValueError("free_mode requires lambda_m = 0")
         for name in ("n", "n_prime"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
-        if self.omega is not None:
-            expected = self.delta_m + self.m * self.nu
-            scale = max(1.0, abs(expected), abs(self.omega))
-            if abs(self.omega - expected) > 1e-9 * scale:
-                raise ValueError(
-                    "inconsistent frames: omega - m * nu must equal delta_m"
-                )
-
-    @property
-    def omega_effective(self) -> float:
-        return self.delta_m + self.m * self.nu if self.omega is None else self.omega
 
     @property
     def kappa(self) -> float:
@@ -128,41 +108,17 @@ def exchange_hamiltonian(basis: BasisSpec, m: int, strength, diagonal) -> FockOp
     return hopping_operator(basis, hop)
 
 
-def _doublet_hamiltonian(params: ModelParams, basis: BasisSpec | None, diagonal):
-    m, lam = params.m, params.lambda_m
-    return exchange_hamiltonian(
-        default_basis(params) if basis is None else basis,
-        m,
-        lambda n: lam * math.sqrt(falling_product(n, m)),
-        diagonal,
-    )
-
-
 def build_interaction_hamiltonian(
     params: ModelParams, basis: BasisSpec | None = None
 ) -> FockOperator:
     """(Delta/2) sigma_z + lambda (sigma_+ a^m + sigma_- a^dag^m) on a
     two-mode basis. Real symmetric by construction."""
-    half_delta = 0.5 * params.delta_m
-    return _doublet_hamiltonian(
-        params, basis, lambda label: half_delta if label[0] == SPIN_UP else -half_delta
-    )
-
-
-def build_full_hamiltonian(
-    params: ModelParams, basis: BasisSpec | None = None
-) -> FockOperator:
-    """Lab-frame Hamiltonian nu (n_a + n_b) + (omega/2) sigma_z + coupling.
-
-    Shares its eigenvectors with the interaction-frame form; the spectrum
-    is shifted by nu N +- (m nu / 2) sector by sector.
-    """
-    half_omega = 0.5 * params.omega_effective
-    return _doublet_hamiltonian(
-        params,
-        basis,
-        lambda label: params.nu * (label[1] + label[2])
-        + (half_omega if label[0] == SPIN_UP else -half_omega),
+    m, lam, half_delta = params.m, params.lambda_m, 0.5 * params.delta_m
+    return exchange_hamiltonian(
+        default_basis(params) if basis is None else basis,
+        m,
+        lambda n: lam * math.sqrt(falling_product(n, m)),
+        lambda label: half_delta if label[0] == SPIN_UP else -half_delta,
     )
 
 
@@ -193,27 +149,20 @@ def analytic_eigensystem(params: ModelParams) -> tuple[DressedState, DressedStat
     of the plus branch, not an independent formula, so orthogonality holds
     identically for every detuning.
     """
-    if params.lambda_m == 0.0 and not params.free_mode:
-        raise DegenerateCoupling(
-            "lambda_m = 0 leaves the doublet uncoupled; set free_mode for bare states"
-        )
+    if params.lambda_m == 0.0:
+        raise DegenerateCoupling("lambda_m = 0 leaves the doublet uncoupled")
     lam = params.big_lambda
-    if params.free_mode:
-        # bare spin states; for delta >= 0 the upper level is |up, n, n'>
-        up_first = params.delta_m >= 0.0
-        c_up, c_down = (1.0, 0.0) if up_first else (0.0, 1.0)
+    # Compute the larger weight from its own square root and the smaller
+    # one from c_up c_down = g / (2 Lambda); the naive pair of formulas
+    # cancels catastrophically (down to division by zero) at large
+    # detuning of the unfavourable sign.
+    g = params.lambda_m * params.kappa
+    if params.delta_m >= 0.0:
+        c_up = math.sqrt((lam + 0.5 * params.delta_m) / (2.0 * lam))
+        c_down = g / (2.0 * lam * c_up)
     else:
-        # Compute the larger weight from its own square root and the
-        # smaller one from c_up c_down = g / (2 Lambda); the naive pair of
-        # formulas cancels catastrophically (down to division by zero) at
-        # large detuning of the unfavourable sign.
-        g = params.lambda_m * params.kappa
-        if params.delta_m >= 0.0:
-            c_up = math.sqrt((lam + 0.5 * params.delta_m) / (2.0 * lam))
-            c_down = g / (2.0 * lam * c_up)
-        else:
-            c_down = math.sqrt((lam - 0.5 * params.delta_m) / (2.0 * lam))
-            c_up = g / (2.0 * lam * c_down)
+        c_down = math.sqrt((lam - 0.5 * params.delta_m) / (2.0 * lam))
+        c_up = g / (2.0 * lam * c_down)
     plus = DressedState(params, "+", c_up, c_down, lam)
     minus = DressedState(params, "-", -c_down, c_up, lam)
     return plus, minus

@@ -119,7 +119,7 @@ def check_partial_trace(count: int = 1000) -> list[CheckResult]:
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho_full = a @ a.conj().T
         rho_full /= np.trace(rho_full).real
-        reduced = partial_trace(DensityMatrix(basis, rho_full), {"qubit"})
+        reduced = partial_trace(DensityMatrix(basis, rho_full))
         mat = reduced.matrix
         worst_trace = max(worst_trace, abs(float(np.trace(mat).real) - 1.0))
         worst_herm = max(worst_herm, float(np.abs(mat - mat.conj().T).max()))

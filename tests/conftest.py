@@ -80,8 +80,7 @@ def rk4_comoving(h0, frame, schedule, xi):
 @pytest.fixture
 def rk4_reference(monkeypatch):
     """Context manager running both time routes on the RK4 oracle, so
-    guards, step sums and the energy trapezoid all see a converged
-    reference trajectory."""
+    guards and step sums see a converged reference trajectory."""
 
     @contextlib.contextmanager
     def swap():

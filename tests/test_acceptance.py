@@ -190,8 +190,7 @@ def test_criterion_4_detuning_curves(tmp_path):
             rho = partial_trace(
                 DensityMatrix.from_state(
                     dressed_state_vector(analytic_eigensystem(params)[0])
-                ),
-                {"qubit"},
+                )
             )
             worst_closed_form = max(
                 worst_closed_form,

@@ -106,15 +106,11 @@ class TestHolonomy:
     def test_bare_spin_state_gets_half_omega(self):
         # with the coupling off, the transported |up, 1, 0> doublet member
         # must pick up Omega * (n - n') / 2 = Omega / 2
-        params, frame, state = doublet_setup()
-        bare = ModelParams(m=1, lambda_m=0.0, delta_m=1.0, n=1, free_mode=True)
-        frame = schwinger_frame(default_basis(bare))
-        state = dressed_state_vector(analytic_eigensystem(bare)[0])
+        basis = default_basis(ModelParams(m=1, n=1))
+        state = StateVector.basis_state(basis, (SPIN_UP, 1, 0))
         path = constant_latitude_loop(1.234, 512)
-        report = holonomy_phase(state, frame, path)
-        want = analytic_berry_phase(bare, path.omega_solid)
-        assert want == pytest.approx(path.omega_solid / 2.0)
-        assert report.gamma_total == pytest.approx(want, abs=1e-8)
+        report = holonomy_phase(state, schwinger_frame(basis), path)
+        assert report.gamma_total == pytest.approx(path.omega_solid / 2.0, abs=1e-8)
 
     @pytest.mark.parametrize(
         "m,theta,delta", [(1, 0.7, 0.0), (2, 1.2, 0.4), (3, 2.0, -1.1)]
@@ -187,9 +183,9 @@ class TestHolonomy:
     def test_vanishing_overlap_raises(self):
         # a spin-90 stretched state walked around the equator in 8 strides
         # has successive overlaps around cos(pi/8)^180 ~ 7e-7
-        bare = ModelParams(m=1, lambda_m=0.0, delta_m=1.0, n=180, free_mode=True)
-        frame = schwinger_frame(default_basis(bare))
-        state = dressed_state_vector(analytic_eigensystem(bare)[0])
+        basis = default_basis(ModelParams(m=1, n=180))
+        frame = schwinger_frame(basis)
+        state = StateVector.basis_state(basis, (SPIN_UP, 180, 0))
         path = constant_latitude_loop(math.pi / 2, 8)
         with pytest.raises(VanishingOverlap):
             holonomy_phase(state, frame, path)
@@ -285,8 +281,6 @@ class TestSchedule:
             DriveSchedule(path, -1.0)
         with pytest.raises(ValueError):
             DriveSchedule(path, 1.0, time_parametrization="cubic")
-        with pytest.raises(ValueError):
-            DriveSchedule(path, 1.0, dynamic_phase_mode="guess")
 
     @given(
         st.floats(1e-3, 1e4),
@@ -404,21 +398,6 @@ class TestAdiabatic:
         with pytest.raises(NormDrift):
             adiabatic_evolution(h0, frame, DriveSchedule(path, 30.0), off)
 
-    def test_energy_expectation_mode_runs(self):
-        params, frame, state = doublet_setup(m=2)
-        h0 = build_interaction_hamiltonian(params)
-        path = default_latitude_loop(2, 0.7, 96)
-        sched = DriveSchedule(
-            path, 100.0, dynamic_phase_mode="subtract-energy-expectation"
-        )
-        _, report = adiabatic_evolution(h0, frame, sched, state)
-        want = analytic_berry_phase(params, path.omega_solid)
-        # this subtraction carries a larger secular bias; just bound it
-        assert report.gamma_total == pytest.approx(want, abs=0.5)
-        assert report.diagnostics["dynamic_phase_mode"] == (
-            "subtract-energy-expectation"
-        )
-
 
 class TestMagnusAgainstRK4:
     """The Magnus stepper against the RK4 oracle (conftest.rk4_reference)."""
@@ -439,19 +418,6 @@ class TestMagnusAgainstRK4:
             _, ref = adiabatic_evolution(h0, frame, sched, state)
         assert ref.n_steps > 10 * fast.n_steps
         assert fast.gamma_total == pytest.approx(ref.gamma_total, abs=1e-5)
-
-    def test_energy_expectation_integral_agrees(self, rk4_reference):
-        params, frame, state = doublet_setup(m=2, delta=0.3)
-        h0 = build_interaction_hamiltonian(params)
-        path = default_latitude_loop(2, 0.8, 96)
-        sched = DriveSchedule(
-            path, 40.0, dynamic_phase_mode="subtract-energy-expectation"
-        )
-        _, fast = adiabatic_evolution(h0, frame, sched, state)
-        with rk4_reference():
-            _, ref = adiabatic_evolution(h0, frame, sched, state)
-        key = "dynamic_phase_subtracted"
-        assert fast.diagnostics[key] == pytest.approx(ref.diagnostics[key], abs=1e-4)
 
     def test_step_diagnostics(self):
         params, frame, state = doublet_setup(m=2, delta=0.3)

@@ -13,12 +13,8 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anyonjc.errors import (
-    BadSubsystem,
-    NormTooLarge,
-    NoQubit,
-    SectorOverflow,
-)
+from anyonjc.config import TOL
+from anyonjc.errors import NormTooLarge, NoQubit
 from anyonjc.fock import (
     SPIN_DOWN,
     SPIN_UP,
@@ -128,8 +124,6 @@ class TestLadder:
         # target sector 1 is absent too
         expected = 2 * (1.0 + (3.0 + 2.0 + 1.0))
         assert adag.dropped_weight == pytest.approx(expected)
-        with pytest.raises(SectorOverflow):
-            build_ladder(basis, "a", create=True, strict=True)
 
     def test_unknown_mode(self):
         from anyonjc.errors import UnknownMode
@@ -158,8 +152,6 @@ class TestHoppingOperator:
         row, col = basis.index((SPIN_UP, 1, 1)), basis.index((SPIN_UP, 2, 0))
         assert op.matrix[row, col] == 0.5j * math.sqrt(2)
         assert np.count_nonzero(op.matrix) == 2 * 2
-        with pytest.raises(SectorOverflow):
-            hopping_operator(basis, hop, strict=True)
 
 
 class TestPauli:
@@ -186,8 +178,11 @@ class TestPauli:
         assert out[basis.index((SPIN_UP, 1, 0))] == 1.0
 
     def test_requires_qubit(self):
+        no_qubit = truncated_basis(1, qubit=False)
         with pytest.raises(NoQubit):
-            build_pauli(truncated_basis(1, qubit=False), "z")
+            build_pauli(no_qubit, "z")
+        with pytest.raises(NoQubit):
+            partial_trace(DensityMatrix(no_qubit, np.eye(no_qubit.dim) / no_qubit.dim))
         with pytest.raises(ValueError):
             build_pauli(truncated_basis(1), "w")
 
@@ -241,24 +236,16 @@ class TestExponential:
             matrix_exponential(sz, scale=51.0)
 
 
-def reduced_by_hand(rho, keep_qubit):
-    """Index-sum oracle for the qubit/mode-pair cut of a two-mode basis."""
+def qubit_by_hand(rho):
+    """Index-sum oracle for the qubit's reduced state: sum the elements
+    whose two labels share every mode occupation."""
     basis = rho.basis
-    if keep_qubit:
-        out = np.zeros((2, 2), dtype=complex)
-        for i, li in enumerate(basis.states):
-            for j, lj in enumerate(basis.states):
-                if li[1:] == lj[1:]:
-                    out[li[0], lj[0]] += rho.matrix[i, j]
-        return out
-    occs = list(dict.fromkeys(lab[1:] for lab in basis.states))
-    pos = {occ: k for k, occ in enumerate(occs)}
-    out = np.zeros((len(occs), len(occs)), dtype=complex)
+    out = np.zeros((2, 2), dtype=complex)
     for i, li in enumerate(basis.states):
         for j, lj in enumerate(basis.states):
-            if li[0] == lj[0]:
-                out[pos[li[1:]], pos[lj[1:]]] += rho.matrix[i, j]
-    return out, occs
+            if li[1:] == lj[1:]:
+                out[li[0], lj[0]] += rho.matrix[i, j]
+    return out
 
 
 class TestPartialTrace:
@@ -269,7 +256,7 @@ class TestPartialTrace:
             basis, {(SPIN_UP,) + occ: amp for occ, amp in boson.items()}
         )
         rho = DensityMatrix.from_state(state)
-        red = partial_trace(rho, {"qubit"})
+        red = partial_trace(rho)
         assert linear_entropy(red) < 1e-14
         assert red.matrix[0, 0] == pytest.approx(1.0)
 
@@ -279,57 +266,34 @@ class TestPartialTrace:
             basis,
             {(SPIN_UP, 1, 0): 1 / math.sqrt(2), (SPIN_DOWN, 0, 1): 1 / math.sqrt(2)},
         )
-        red = partial_trace(DensityMatrix.from_state(state), {"qubit"})
+        red = partial_trace(DensityMatrix.from_state(state))
         assert np.abs(red.matrix - np.eye(2) / 2).max() < 1e-14
         assert linear_entropy(red) == pytest.approx(0.5)
 
     def test_matches_index_sum_oracle(self, rng):
         basis = BasisSpec(2, (0, 1, 2))
         rho = random_density(basis, rng)
-        got_q = partial_trace(rho, {"qubit"})
-        assert np.abs(got_q.matrix - reduced_by_hand(rho, True)).max() < 1e-13
-        got_ab = partial_trace(rho, {"a", "b"})
-        want, occs = reduced_by_hand(rho, False)
-        assert [lab for lab in got_ab.basis.states] == occs
-        assert np.abs(got_ab.matrix - want).max() < 1e-13
+        got = partial_trace(rho)
+        assert got.basis == BasisSpec(0, ())
+        assert np.abs(got.matrix - qubit_by_hand(rho)).max() < 1e-13
 
     def test_four_mode_pair_cut(self, rng):
-        basis = BasisSpec(4, ((0, 0), (1, 1)))
+        # both mode pairs traced out of a four-mode state
+        basis = BasisSpec(4, ((0, 0), (1, 1), (2, 1)))
         rho = random_density(basis, rng)
-        red = partial_trace(rho, {"qubit", "a", "b"})
-        # oracle: sum over (n_c, n_d) on the diagonal of that factor
-        want = np.zeros((red.basis.dim, red.basis.dim), dtype=complex)
-        for i, li in enumerate(basis.states):
-            for j, lj in enumerate(basis.states):
-                if li[3:] == lj[3:]:
-                    want[
-                        red.basis.index(li[:3]), red.basis.index(lj[:3])
-                    ] += rho.matrix[i, j]
-        assert np.abs(red.matrix - want).max() < 1e-13
+        red = partial_trace(rho)
+        assert np.abs(red.matrix - qubit_by_hand(rho)).max() < 1e-13
         assert abs(np.trace(red.matrix) - 1.0) < 1e-12
-
-    def test_rejects_partial_units(self):
-        basis = truncated_basis(1)
-        rho = DensityMatrix.from_state(
-            StateVector.basis_state(basis, (SPIN_UP, 0, 0))
-        )
-        with pytest.raises(BadSubsystem):
-            partial_trace(rho, {"a"})
-        with pytest.raises(BadSubsystem):
-            partial_trace(rho, {"qubit", "a", "b"})
-        with pytest.raises(BadSubsystem):
-            partial_trace(rho, set())
-        with pytest.raises(BadSubsystem):
-            partial_trace(rho, {"c", "d"})
 
     def test_random_outputs_are_states(self, rng):
         basis = BasisSpec(2, (0, 2))
         for _ in range(50):
-            rho = random_density(basis, rng)
-            for keep in ({"qubit"}, {"a", "b"}):
-                red = partial_trace(rho, keep).validate()
-                ent = linear_entropy(red)
-                assert -1e-12 <= ent <= 1.0 - 1.0 / red.basis.dim + 1e-12
+            red = partial_trace(random_density(basis, rng))
+            mat = red.matrix
+            assert np.abs(mat - mat.conj().T).max() <= TOL.hermiticity
+            assert abs(np.trace(mat) - 1.0) < 1e-12
+            assert np.linalg.eigvalsh(mat).min() >= TOL.psd_floor
+            assert -1e-12 <= linear_entropy(red) <= 0.5 + 1e-12
 
 
 @given(st.lists(st.floats(-1, 1), min_size=12, max_size=12))
@@ -341,5 +305,5 @@ def test_linear_entropy_bounds_any_state(vals):
     state = StateVector(basis, amp / np.linalg.norm(amp))
     rho = DensityMatrix.from_state(state)
     assert linear_entropy(rho) == pytest.approx(0.0, abs=1e-12)
-    red = partial_trace(rho, {"qubit"})
+    red = partial_trace(rho)
     assert -1e-12 <= linear_entropy(red) <= 0.5 + 1e-12

@@ -7,14 +7,13 @@ first place and shares no code with the series implementation.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from anyonjc.berry import STEP_AREA, STEP_PHASE, DriveSchedule, magnus_step_count
-from anyonjc.errors import CycleMismatch, NonAdiabatic, TruncationWarning
+from anyonjc.errors import NonAdiabatic, TruncationWarning
 from anyonjc.fock import SPIN_DOWN, SPIN_UP
 from anyonjc.iontrap import (
     TrapParams,
@@ -89,14 +88,6 @@ class TestCouplingSeries:
             assert abs(f1 / f0 - 1.0) == pytest.approx(
                 trap.eta**2 / (m + 1), rel=1e-10
             )
-
-    def test_truncated_series_warns(self):
-        trap = TrapParams(g=1.0, eta=0.3, m=1)
-        with pytest.warns(TruncationWarning):
-            coupling_strength(trap, 6, l_max=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            coupling_strength(trap, 6)  # full series is exact, no warning
 
     def test_marginal_basis_warns(self):
         trap = TrapParams(g=1.0, eta=0.35, m=2)
@@ -180,12 +171,6 @@ class TestCycles:
         assert snapped == pytest.approx(45 * 2.0 * math.pi / math.sqrt(2.0), rel=1e-12)
         assert residual == pytest.approx(abs(200.0 - snapped))
 
-    def test_off_cycle_without_snap_raises(self):
-        trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
-        run = make_ramsey_run(trap, math.pi, 200.0)
-        with pytest.raises(CycleMismatch):
-            ramsey_protocol(run, snap=False)
-
 
 class TestProtocol:
     def test_zero_area_instantaneous_pulses_cancel(self):
@@ -225,9 +210,10 @@ class TestProtocol:
         assert diag["propagator"] == "magnus4-comoving"
         assert diag["dt"] * diag["n_steps"] == pytest.approx(diag["total_time"])
         energy = np.abs(np.linalg.eigvalsh(sideband_hamiltonian(trap, ramsey_basis(2)).matrix)).max()
-        rate = sum(DriveSchedule(fast.path, diag["total_time"]).peak_rates())
+        path = fast.schedule.path
+        rate = sum(DriveSchedule(path, diag["total_time"]).peak_rates())
         assert diag["n_steps"] == magnus_step_count(
-            diag["total_time"], energy, rate, fast.path.segments
+            diag["total_time"], energy, rate, path.segments
         )
         assert (energy * diag["dt"]) * (rate * diag["dt"]) <= STEP_AREA * (1.0 + 1e-12)
         assert energy * diag["dt"] <= STEP_PHASE * (1.0 + 1e-12)

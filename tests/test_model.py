@@ -34,7 +34,6 @@ from anyonjc.model import (
     TwoAnyonParams,
     analytic_berry_phase,
     analytic_eigensystem,
-    build_full_hamiltonian,
     build_interaction_hamiltonian,
     build_two_anyon_hamiltonian,
     default_basis,
@@ -51,7 +50,7 @@ from anyonjc.paths import schwinger_frame
 
 
 def doublet_block(params):
-    """The 2x2 matrix of the full Hamiltonian restricted to the doublet,
+    """The 2x2 matrix of the Hamiltonian restricted to the doublet,
     assembled by hand from first principles."""
     kappa = math.sqrt(falling_product(params.n, params.m))
     g = params.lambda_m * kappa
@@ -66,19 +65,11 @@ class TestParams:
             ModelParams(m=2, lambda_m=-1.0)
         with pytest.raises(ValueError):
             ModelParams(m=1, n=-1)
-        with pytest.raises(ValueError):
-            ModelParams(m=1, free_mode=True)  # coupling still on
 
     def test_rejects_negative_trap_frequency(self):
         with pytest.raises(ValueError, match="nu must be non-negative"):
             ModelParams(m=2, nu=-1.0)
         assert ModelParams(m=2, nu=0.0).nu == 0.0
-
-    def test_frame_consistency(self):
-        # omega must equal delta + m nu when all three are given
-        ModelParams(m=2, nu=1.0, delta_m=0.5, omega=2.5)
-        with pytest.raises(ValueError):
-            ModelParams(m=2, nu=1.0, delta_m=0.5, omega=3.0)
 
     def test_kappa_and_splitting(self):
         p = ModelParams(m=3, n=2)
@@ -109,7 +100,7 @@ class TestHamiltonian:
         for m, n, delta in [(1, 0, 0.0), (2, 1, 1.3), (3, 0, -2.0)]:
             params = ModelParams(m=m, n=n, delta_m=delta)
             basis = BasisSpec(2, (n, n + m))
-            h = build_full_hamiltonian(params, basis)
+            h = build_interaction_hamiltonian(params, basis)
             want = sorted(np.linalg.eigvalsh(doublet_block(params)))
             got = sorted(np.linalg.eigvalsh(h.matrix))
             # the doublet eigenvalues are the extreme ones at zero detuning
@@ -117,16 +108,13 @@ class TestHamiltonian:
             assert got[-1] == pytest.approx(want[-1], abs=1e-12)
 
     def test_decoupled_limit_spectrum(self):
-        params = ModelParams(m=1, lambda_m=0.0, nu=2.0, delta_m=0.6, free_mode=True)
+        # with the coupling off every bare state is an eigenvector at
+        # +-delta/2 by its spin
+        params = ModelParams(m=1, lambda_m=0.0, delta_m=0.6)
         basis = BasisSpec(2, (0, 1))
-        h = build_full_hamiltonian(params, basis)
-        got = sorted(np.linalg.eigvalsh(h.matrix).round(12))
-        omega = params.omega_effective  # lab-frame splitting delta + m nu
-        want = sorted(
-            2.0 * (na + nb) + (omega / 2.0) * (1 if s == SPIN_UP else -1)
-            for s, na, nb in basis.states
-        )
-        assert np.allclose(got, sorted(want), atol=1e-12)
+        h = build_interaction_hamiltonian(params, basis)
+        want = [0.3 if s == SPIN_UP else -0.3 for s, _, _ in basis.states]
+        assert np.array_equal(h.matrix, np.diag(want))
 
 
 class TestEigensystem:
@@ -145,7 +133,7 @@ class TestEigensystem:
     def test_residual_against_diagonalization(self, m, delta):
         for n, n_prime in [(0, 0), (1, 2)]:
             params = ModelParams(m=m, n=n, n_prime=n_prime, delta_m=delta)
-            h = build_full_hamiltonian(params)
+            h = build_interaction_hamiltonian(params)
             for ds in analytic_eigensystem(params):
                 v = dressed_state_vector(ds).amplitudes
                 resid = h.matrix @ v - ds.energy * v
@@ -168,12 +156,6 @@ class TestEigensystem:
     def test_degenerate_coupling_raises(self):
         with pytest.raises(DegenerateCoupling):
             analytic_eigensystem(ModelParams(m=1, lambda_m=0.0, delta_m=0.0))
-
-    def test_free_mode_doublet(self):
-        params = ModelParams(m=1, lambda_m=0.0, delta_m=1.0, free_mode=True)
-        plus, minus = analytic_eigensystem(params)
-        assert (plus.c_up, plus.c_down) == (1.0, 0.0)
-        assert (minus.c_up, minus.c_down) == (0.0, 1.0)
 
 
 class TestPhaseFormulas:
@@ -257,7 +239,7 @@ class TestPhaseFormulas:
         for m, delta in [(1, 0.0), (1, 2.0), (2, 3.3), (3, -1.2)]:
             params = ModelParams(m=m, delta_m=delta)
             state = dressed_state_vector(analytic_eigensystem(params)[0])
-            rho = partial_trace(DensityMatrix.from_state(state), {"qubit"})
+            rho = partial_trace(DensityMatrix.from_state(state))
             assert entropy_vs_detuning(params) == pytest.approx(
                 linear_entropy(rho), abs=1e-12
             )
@@ -288,7 +270,7 @@ class TestTwoAnyon:
     def test_reduced_qubit_is_balanced(self):
         pair = TwoAnyonParams(m=2)
         state = two_anyon_eigenstate(pair)
-        red = partial_trace(DensityMatrix.from_state(state), {"qubit"})
+        red = partial_trace(DensityMatrix.from_state(state))
         assert np.abs(red.matrix - np.eye(2) / 2.0).max() < 1e-14
 
     def test_phase_is_twice_the_single_one(self):
