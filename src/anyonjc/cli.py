@@ -96,8 +96,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_rows(rows: list[dict], columns: list[str], args, diagnostics: dict) -> None:
-    """Write rows as CSV or JSON to --output (or stdout), deterministically."""
+def emit_rows(rows: list[dict], args, diagnostics: dict) -> None:
+    """Write rows as CSV or JSON to --output (or stdout), deterministically.
+    The CSV columns are the keys of the first row, in order."""
     if args.format == "json":
         config = {
             k: v
@@ -115,6 +116,7 @@ def emit_rows(rows: list[dict], columns: list[str], args, diagnostics: dict) -> 
         )
         text += "\n"
     else:
+        columns = list(rows[0])
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(_fmt(row.get(c)) for c in columns))
@@ -221,7 +223,7 @@ def cmd_phase(args) -> int:
         row["alpha"] = alpha
 
     if args.output:
-        emit_rows([row], list(row.keys()), args, diagnostics)
+        emit_rows([row], args, diagnostics)
 
     if args.strict:
         if dev_holonomy > TOL.holonomy_vs_analytic:
@@ -264,10 +266,7 @@ def cmd_fig1(args) -> int:
                 row["ratio_holonomy"] = hol
                 worst_cross = max(worst_cross, abs(hol - row["ratio"]))
             rows.append(row)
-    columns = ["delta_over_lambda", "m", "ratio", "linear_entropy"]
-    if args.with_holonomy:
-        columns.append("ratio_holonomy")
-    emit_rows(rows, columns, args, {"worst_holonomy_deviation": worst_cross or None})
+    emit_rows(rows, args, {"worst_holonomy_deviation": worst_cross or None})
     if args.strict and args.with_holonomy and worst_cross > 1e-6:
         print("strict: holonomy ratio deviates from closed form", file=sys.stderr)
         return 2
@@ -293,12 +292,7 @@ def cmd_transmute(args) -> int:
         "alpha_resonant": rows[0]["alpha"],
         "alpha_final": rows[-1]["alpha"],
     }
-    emit_rows(
-        rows,
-        ["delta_over_lambda", "m", "omega_solid", "alpha", "ratio"],
-        args,
-        diagnostics,
-    )
+    emit_rows(rows, args, diagnostics)
     if args.strict:
         alphas = [row["alpha"] for row in rows]
         if any(b >= a for a, b in zip(alphas, alphas[1:])):
@@ -353,7 +347,7 @@ def cmd_two_anyon(args) -> int:
         "pair_energy": energy,
     }
     if args.output:
-        emit_rows([row], list(row.keys()), args, {})
+        emit_rows([row], args, {})
     if args.strict and max(dev_analytic, dev_double) > TOL.holonomy_vs_analytic:
         print("strict: pair phase deviates", file=sys.stderr)
         return 2
@@ -386,19 +380,7 @@ def cmd_ramsey(args) -> int:
             trap, row["gamma_analytic"], args.pulse_mode
         )
         worst = max(worst, abs(row["p_down"] - predicted))
-    columns = [
-        "m",
-        "eta",
-        "g",
-        "delta_m",
-        "omega_solid",
-        "total_time",
-        "p_down",
-        "gamma_inferred",
-        "gamma_analytic",
-        "leak",
-    ]
-    emit_rows(rows, columns, args, {"worst_p_down_deviation": worst})
+    emit_rows(rows, args, {"worst_p_down_deviation": worst})
     if args.budget:
         run = iontrap.make_ramsey_run(trap, omega_max, args.total_time)
         for entry in berry.adiabaticity_budget(

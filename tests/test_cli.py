@@ -278,7 +278,7 @@ class TestRamseyCommand:
         assert code == 0
         assert lines[0] == (
             "m,eta,g,delta_m,omega_solid,total_time,p_down,"
-            "gamma_inferred,gamma_analytic,leak"
+            "gamma_inferred,gamma_analytic,leak,n_steps,norm_drift,branch_transfer"
         )
         assert len(lines) == 3
 
