@@ -280,6 +280,9 @@ def holonomy_phase(
 # --- adiabatic route ---
 
 TIME_PARAMETRIZATIONS = ("uniform", "smoothstep")
+# Largest peak |theta'| or |phi'| a schedule may ask for: the Magnus
+# generator squares the rates, and their squares must stay finite.
+MAX_RATE = 1e150
 
 
 @dataclass
@@ -287,7 +290,8 @@ class DriveSchedule:
     """How a loop is traversed in time.
 
     smoothstep ramps the path parameter with s(u) = 3u^2 - 2u^3 so the
-    drive starts and stops at rest; uniform sweeps at constant rate.
+    drive starts and stops at rest; uniform sweeps at constant rate. A
+    drive whose peak rates exceed MAX_RATE is rejected with ValueError.
     """
 
     path: LoopPath
@@ -300,6 +304,12 @@ class DriveSchedule:
         if self.time_parametrization not in TIME_PARAMETRIZATIONS:
             raise ValueError(
                 f"time_parametrization must be one of {TIME_PARAMETRIZATIONS}"
+            )
+        rate = max(self.peak_rates())
+        if not rate <= MAX_RATE:  # or NaN
+            raise ValueError(
+                f"total_time {self.total_time:g} drives the loop at a peak rate of"
+                f" {rate:.3g}, above MAX_RATE = {MAX_RATE:g}"
             )
 
     def path_parameter(self, t):

@@ -281,6 +281,9 @@ class TestSchedule:
             DriveSchedule(path, -1.0)
         with pytest.raises(ValueError):
             DriveSchedule(path, 1.0, time_parametrization="cubic")
+        # the Magnus generator squares the rates: 1e-300 would overflow it
+        with pytest.raises(ValueError, match="above MAX_RATE = 1e\\+150"):
+            DriveSchedule(path, 1e-300)
 
     @given(
         st.floats(1e-3, 1e4),

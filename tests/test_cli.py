@@ -341,6 +341,7 @@ class TestExitCodes:
             ["ramsey", "--m", "-1"],
             ["ramsey", "--g", "1e-200"],
             ["ramsey", "--eta", "1e-200"],
+            ["phase", "--adiabatic", "--total-time", "1e-300"],
         ],
     )
     def test_unrepresentable_input_exits_4(self, argv, capsys):
