@@ -178,11 +178,8 @@ class TestPauli:
         assert out[basis.index((SPIN_UP, 1, 0))] == 1.0
 
     def test_requires_qubit(self):
-        no_qubit = truncated_basis(1, qubit=False)
         with pytest.raises(NoQubit):
-            build_pauli(no_qubit, "z")
-        with pytest.raises(NoQubit):
-            partial_trace(DensityMatrix(no_qubit, np.eye(no_qubit.dim) / no_qubit.dim))
+            build_pauli(truncated_basis(1, qubit=False), "z")
         with pytest.raises(ValueError):
             build_pauli(truncated_basis(1), "w")
 
@@ -284,6 +281,11 @@ class TestPartialTrace:
         red = partial_trace(rho)
         assert np.abs(red.matrix - qubit_by_hand(rho)).max() < 1e-13
         assert abs(np.trace(red.matrix) - 1.0) < 1e-12
+
+    def test_requires_qubit(self):
+        basis = truncated_basis(1, qubit=False)
+        with pytest.raises(NoQubit):
+            partial_trace(DensityMatrix(basis, np.eye(basis.dim) / basis.dim))
 
     def test_random_outputs_are_states(self, rng):
         basis = BasisSpec(2, (0, 2))
