@@ -30,8 +30,9 @@ Ramsey wait. Its error is set by the drive's rates, not by the norm of H0
 rule magnus_step_count. The dressed states are eigenvectors of K, so
 guards and phases are overlaps with xi up to the known phase e^{-i phi k}.
 H_xi links no two blocks of Q = N + m [spin up] (H0, J_x and J_y conserve
-it, J_z and sigma_z are diagonal), so only the block of the start state is
-stepped, and the restriction is exact rather than an approximation.
+it, J_z and sigma_z are diagonal), so only the blocks the start state
+reaches are stepped, each on its own, and the restriction is exact rather
+than an approximation.
 The dynamical phase is subtracted; the family is isospectral, so the
 instantaneous eigenvalue is a constant and its subtraction is exact. What
 remains is the geometric phase plus a secular level-repulsion shift of
@@ -370,6 +371,7 @@ STEP_PHASE = 0.55
 # Most steps a run may take (about half a minute); more raise StepLimit.
 MAX_STEPS = 1_000_000
 BATCH = 64  # steps built together; larger batches add memory, not speed
+POINTS = 64  # points stepped together, so one eigh sees at most 4,096 matrices
 
 
 def magnus_step_count(
@@ -409,74 +411,107 @@ def comoving_lift(frame: SchwingerFrame, charge, theta, phi) -> np.ndarray:
     return lift(frame, theta, phi) * np.exp(-1j * phi * charge)
 
 
-def comoving_evolve(h0: np.ndarray, frame: SchwingerFrame, schedule: DriveSchedule, xi):
-    """Propagate the co-moving state xi under H_xi(t) over total_time.
+def comoving_evolve(h0: np.ndarray, frame: SchwingerFrame, schedules, xi):
+    """Propagate the co-moving states xi (P, d) of P points, each under the
+    H_xi(t) of its own drive schedule, over their common total_time.
 
     Each step is one 4th-order Magnus step [Blanes, Casas, Oteo & Ros,
     Phys. Rep. 470, 151 (2009)]: Omega = -i dt/2 (H1 + H2) - (sqrt(3)/12)
     dt^2 [H2, H1] from H_xi at the two Gauss-Legendre nodes, applied through
     the eigensystem of the Hermitian i Omega, so the step is unitary to
-    rounding. Steps follow comoving_step_count and schedule.step_times.
-    Only the states reachable from the support of xi through the nonzero
-    entries of H0, J_x and J_y are stepped; H_xi has no element leading
-    out of them, so the others hold exact zeros at every step.
-    Yields the step ends (k,) and the states after them (k, d) per batch.
+    rounding. Steps follow comoving_step_count and step_times, which the
+    schedules must share (ValueError otherwise). The states reachable from
+    the support of xi through the nonzero entries of H0, J_x and J_y fall
+    into connected blocks of that pattern, the Q blocks; H_xi has no
+    element between two blocks, so each is stepped on its own and the
+    other states hold exact zeros at every step. A block of one state
+    needs no eigh: its steps are phases. One eigh call sees at most BATCH
+    steps of POINTS points, however many points the run has.
+    Yields the step ends (k,) and the states after them (k, P, d) per batch.
     Raises SimulationError unless [K, H0] = 0.
     """
     charge = drive_charge(frame)
     commutator = np.subtract.outer(charge, charge) * h0
     if np.abs(commutator).max() > 1e-12 * max(1.0, np.abs(h0).max()):
         raise SimulationError("H0 does not commute with the drive charge K")
-    times = schedule.step_times(comoving_step_count(h0, schedule))
-    jx, jy = schwinger_jx(frame).matrix, frame.j_y.matrix
-    link = (h0 != 0) | (jx != 0) | (jy != 0)
-    keep, grown = np.zeros(len(xi), dtype=bool), xi != 0
-    while (grown != keep).any():
-        keep, grown = grown, grown | link[:, grown].any(axis=1)
-    block = np.ix_(keep, keep)
-    h0, jx, jy = h0[block], jx[block], jy[block]
-    jz = np.diag(frame.jz_diagonal[keep])
-    spin_term = np.diag((charge - frame.jz_diagonal)[keep])
-    xi = xi[keep]
+    grids = (s.step_times(comoving_step_count(h0, s)) for s in schedules)
+    times = next(grids)
+    if not all(np.array_equal(grid, times) for grid in grids):
+        raise ValueError("the schedules of one run must share their step times")
+    # H_xi = sum_a c_a M_a: c = (1, -phi' cos theta, phi' sin theta, -phi',
+    # -theta') on M = (H0, J_z, J_x, K - J_z, J_y), so [H1, H2] is the sum
+    # over a < b of (c1_a c2_b - c1_b c2_a) [M_a, M_b]
+    jz, spin_term = np.diag(frame.jz_diagonal), np.diag(charge - frame.jz_diagonal)
+    mats = np.stack([h0, jz, schwinger_jx(frame).matrix, spin_term, frame.j_y.matrix])
+    a, b = np.triu_indices(len(mats), 1)
+    link = (mats != 0).any(axis=0)
+    blocks, todo = [], (xi != 0).any(axis=0)
+    while todo.any():
+        keep, grown = np.zeros_like(todo), np.arange(len(todo)) == np.argmax(todo)
+        while (grown != keep).any():
+            keep, grown = grown, grown | link[:, grown].any(axis=1)
+        todo &= ~keep
+        m = mats[:, keep][:, :, keep]
+        terms = np.concatenate([m, m[a] @ m[b] - m[b] @ m[a]])
+        blocks.append((keep, len(m[0]), terms.reshape(len(terms), -1)))
     for lo in range(0, len(times), BATCH):
         t = times[lo : lo + BATCH]
-        dt = np.diff(t, prepend=times[lo - 1] if lo else 0.0)[:, None, None]
+        dt = np.diff(t, prepend=times[lo - 1] if lo else 0.0)
         node = math.sqrt(3.0) / 6.0 * dt  # Gauss-Legendre nodes at mid -+ node
-        mid = t[:, None, None] - 0.5 * dt
-        nodes = np.concatenate([mid - node, mid + node])
-        theta, _, dtheta, dphi = schedule.drive_point(nodes)
-        b = np.cos(theta) * jz - np.sin(theta) * jx + spin_term
-        h1, h2 = np.split(h0 - dphi * b - dtheta * jy, 2)
-        gen = (0.5 * dt) * (h1 + h2) + (0.5j * node * dt) * (h1 @ h2 - h2 @ h1)
-        vals, vecs = np.linalg.eigh(gen)
-        props = (vecs * np.exp(-1j * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-        states = np.empty((len(t), len(xi)), dtype=complex)
-        for k, prop in enumerate(props):
-            xi = states[k] = prop @ xi
-        out = np.zeros((len(t), len(keep)), dtype=complex)
-        out[:, keep] = states
-        yield t, out
+        nodes = np.concatenate([t - 0.5 * dt - node, t - 0.5 * dt + node])
+        dt, node = dt[:, None, None], node[:, None, None]
+        states = np.zeros((len(t), *xi.shape), dtype=complex)
+        for p in range(0, len(xi), POINTS):
+            drive = np.array([s.drive_point(nodes) for s in schedules[p : p + POINTS]])
+            theta, _, dtheta, dphi = drive.transpose(1, 2, 0)
+            c = [np.ones_like(theta), -dphi * np.cos(theta), dphi * np.sin(theta)]
+            c1, c2 = np.split(np.stack([*c, -dphi, -dtheta], axis=-1), 2)
+            cross = c1[..., a] * c2[..., b] - c1[..., b] * c2[..., a]
+            coeffs = 0.5 * dt * np.concatenate([c1 + c2, 1j * node * cross], axis=-1)
+            for keep, n, terms in blocks:
+                gen = coeffs.reshape(-1, len(terms)) @ terms  # one product, not k
+                gen = gen.reshape(*coeffs.shape[:2], n, n)
+                chunk = xi[p : p + POINTS, keep]
+                states[:, p : p + POINTS, keep] = _step_products(gen, chunk)
+        xi = states[-1]
+        yield t, states
 
 
-def guarded_evolve(h0, frame, schedule, xi, followed):
+def _step_products(gen: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """States (k, p, n) after each of the steps exp(-i gen[j]), applied in
+    turn to the states x (p, n), for Hermitian generators gen (k, p, n, n)."""
+    if gen.shape[-1] == 1:  # the steps are phases, multiplied in the same order
+        phases = np.exp(-1j * gen[..., 0].real)
+        return np.cumprod(np.concatenate([x[None], phases]), axis=0)[1:]
+    vals, vecs = np.linalg.eigh(gen)
+    props = (vecs * np.exp(-1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    states = np.empty((*gen.shape[:-1], 1), dtype=complex)
+    x = x[..., None]
+    for prop, out in zip(props, states):
+        x = np.matmul(prop, x, out=out)
+    return states[..., 0]
+
+
+def guarded_evolve(h0, frame, schedules, xi, followed):
     """comoving_evolve with the leak guard of both time routes.
 
     The rows of followed are orthonormal eigenvectors of K, so their span
     holds the same population in both frames. After every step the rest
-    must stay within TOL.leak_threshold, or NonAdiabatic is raised. Yields
-    (t, states, overlaps with the rows, leak) per batch of steps.
+    must stay within TOL.leak_threshold at every point, or NonAdiabatic is
+    raised. Yields, per batch of k steps, the step ends (k,), the states
+    (k, P, d), their overlaps with the rows (k, P, rows) and the leak (k, P).
     """
     threshold = TOL.leak_threshold
-    for t, block in comoving_evolve(h0, frame, schedule, xi):
-        ov = block @ followed.conj().T
-        norm_sq = np.einsum("ki,ki->k", block.conj(), block).real
-        leak = 1.0 - (np.abs(ov) ** 2).sum(axis=1) / norm_sq
+    for t, states in comoving_evolve(h0, frame, schedules, xi):
+        ov = states @ followed.conj().T
+        norm_sq = np.einsum("kpi,kpi->kp", states.conj(), states).real
+        leak = 1.0 - (np.abs(ov) ** 2).sum(axis=2) / norm_sq
         if leak.max() > threshold:
-            k = np.argmax(leak > threshold)
+            k, p = np.unravel_index(np.argmax(leak > threshold), leak.shape)
             raise NonAdiabatic(
-                f"leak {leak[k]:.3e} exceeded {threshold:.1e} at t = {t[k]:.3f}"
+                f"leak {leak[k, p]:.3e} exceeded {threshold:.1e} at t = {t[k]:.3f}"
             )
-        yield t, block, ov, leak
+        yield t, states, ov, leak
 
 
 def adiabatic_evolution(
@@ -527,11 +562,12 @@ def adiabatic_evolution(
     ov_prev = np.vdot(base, xi)
     arg_total = max_leak = 0.0
     n_steps = 0
-    for t, block, ov, leak in guarded_evolve(h0, frame, schedule, xi, base[None]):
-        ov = ov[:, 0] * np.exp(1j * energy_branch * t)
+    runs = guarded_evolve(h0, frame, [schedule], xi[None], base[None])
+    for t, states, ov, leak in runs:
+        ov = ov[:, 0, 0] * np.exp(1j * energy_branch * t)
         arg_total += float(np.angle(ov / np.append(ov_prev, ov[:-1])).sum())
         max_leak = max(max_leak, float(leak.max()))
-        ov_prev, xi = ov[-1], block[-1]
+        ov_prev, xi = ov[-1], states[-1, 0]
         n_steps += len(t)
     arg_total -= energy_branch * t_total + k_branch * (phi - phi0)
 

@@ -29,7 +29,7 @@ import scipy
 
 from . import __version__, berry, iontrap, selftest
 from .config import TOL
-from .errors import NonAdiabatic, NormDrift, SimulationError, StepLimit
+from .errors import NonAdiabatic, NormDrift, SimulationError
 from .fock import DensityMatrix, linear_entropy, partial_trace
 from .model import (
     ModelParams,
@@ -359,12 +359,6 @@ def cmd_ramsey(args) -> int:
     trap = iontrap.TrapParams(
         g=g, eta=args.eta, nu=args.nu, m=args.m, delta_m=args.delta
     )
-    per_point = iontrap.wait_step_count(trap, args.total_time, args.loop_steps)
-    if args.omega_points * per_point > berry.MAX_STEPS:
-        raise StepLimit(
-            f"{args.omega_points} points of {per_point} steps each are above"
-            f" MAX_STEPS = {berry.MAX_STEPS}"
-        )
     omega_max = args.omega_max if args.omega_max is not None else 4.0 * math.pi
     omegas = np.linspace(0.0, omega_max, args.omega_points)
     rows = iontrap.ramsey_sweep(

@@ -33,25 +33,30 @@ berry module, K = J_z + (m/4) sigma_z, which commutes with the sideband
 Hamiltonian too: i dxi/dt = (H0 - phi' B(theta) - theta' J_y) xi, the
 moving-frame Hamiltonian of transitionless driving [M. V. Berry, J. Phys.
 A 42, 365303 (2009)]. The dressed states and the spectator are
-eigenvectors of K, so the guards are overlaps with xi. The stepper only
-steps the five states the pulsed vacuum can reach (the spectator and the
-doublet's block of 4 for m = 2): H_xi conserves Q = N + m [spin up], so
-the rest stay exactly empty. Steps follow the
-drive's rates, (E dt)(r dt) <= berry.STEP_AREA and E dt <=
-berry.STEP_PHASE up to berry.MAX_STEPS, as the Magnus error there depends
-on the drive's derivatives [Hochbruck & Lubich, SIAM J. Numer. Anal. 41,
-945 (2003)].
+eigenvectors of K, so the guards are overlaps with xi. H_xi conserves
+Q = N + m [spin up], so the pulsed vacuum reaches two blocks only: the
+spectator (Q = 0, one state) and the doublet's block (Q = m, 4 states for
+m = 2). The stepper steps each on its own, the doublet's through one 4x4
+eigh per step and the spectator's as a phase, and the rest stay exactly
+empty. Steps follow the drive's rates, (E dt)(r dt) <= berry.STEP_AREA and
+E dt <= berry.STEP_PHASE up to berry.MAX_STEPS, as the Magnus error there
+depends on the drive's derivatives [Hochbruck & Lubich, SIAM J. Numer.
+Anal. 41, 945 (2003)]. The points of a sweep share H0, the snapped wait
+and the drive's rates, so one step grid: ramsey_sweep steps them as one
+batch, and ramsey_protocol is its one-point case.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .berry import (
+    MAX_STEPS,
     DriveSchedule,
     comoving_lift,
     comoving_step_count,
@@ -59,7 +64,7 @@ from .berry import (
     guarded_evolve,
 )
 from .config import TOL
-from .errors import NonAdiabatic, NormDrift, TruncationWarning
+from .errors import NonAdiabatic, NormDrift, StepLimit, TruncationWarning
 from .fock import (
     SPIN_DOWN,
     SPIN_UP,
@@ -169,11 +174,15 @@ def _warn_if_marginal(trap: TrapParams, basis: BasisSpec):
     offset = 1 if basis.qubit_included else 0
     n_max = max(label[offset] for label in basis.states)
     if trap.eta**2 * (n_max + 1) > 0.1:
+        # point at the first caller outside the package, however deep the call
+        level, caller, package = 2, sys._getframe(1), __package__ + "."
+        while caller.f_back and caller.f_globals["__name__"].startswith(package):
+            level, caller = level + 1, caller.f_back
         warnings.warn(
             f"eta^2 (n_max + 1) = {trap.eta ** 2 * (n_max + 1):.3f} > 0.1; "
             "the Lamb-Dicke series is only marginally converged on this basis",
             TruncationWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
@@ -268,7 +277,8 @@ def snap_to_cycles(trap: TrapParams, total_time: float) -> tuple[float, int, flo
 class RamseyRun:
     """One Ramsey measurement: configuration in, populations out.
 
-    result is None until ramsey_protocol fills it with p_down and
+    schedule is the drive of the wait and runs as given; make_ramsey_run
+    builds it on a wait snapped to whole doublet cycles. result is None until ramsey_protocol fills it with p_down and
     gamma_inferred. gamma_inferred = arccos(1 - 2 p_down / sin beta ...)
     is reported in [0, pi]; the cosine read-out cannot see the phase sign,
     which the diagnostics flag.
@@ -295,99 +305,100 @@ def make_ramsey_run(
     pulse_mode: str = "timed",
 ) -> RamseyRun:
     """Convenience constructor: latitude loop enclosing omega_solid, driven
-    with the smoothstep ramp."""
+    with the smoothstep ramp over the wait total_time snapped to whole
+    doublet cycles (snap_to_cycles), so the schedule is the drive that runs."""
     path = constant_latitude_loop(theta_for_solid_angle(omega_solid), n_steps)
-    return RamseyRun(trap, DriveSchedule(path, total_time), pulse_mode=pulse_mode)
+    schedule = DriveSchedule(path, snap_to_cycles(trap, total_time)[0])
+    return RamseyRun(trap, schedule, pulse_mode=pulse_mode)
 
 
-def wait_step_count(trap: TrapParams, total_time: float, n_steps: int = 256) -> int:
-    """Co-moving steps of one ramsey_protocol wait requested at total_time
-    on an n_steps loop: the same at every solid angle, as the rates of a
-    latitude loop do not depend on it. Raises StepLimit above MAX_STEPS."""
-    run = make_ramsey_run(trap, 0.0, snap_to_cycles(trap, total_time)[0], n_steps=n_steps)
-    with warnings.catch_warnings():  # the protocol itself warns
-        warnings.simplefilter("ignore", TruncationWarning)
-        h0 = sideband_hamiltonian(trap, ramsey_basis(trap.m)).matrix
-    return len(run.schedule.step_times(comoving_step_count(h0, run.schedule)))
-
-
-def ramsey_protocol(run: RamseyRun) -> RamseyRun:
-    """Simulate the full pulse-loop-pulse sequence and fill run.result.
-
-    The wait time is snapped to the nearest integer number of doublet
-    cycles, and the loop is driven over the whole snapped wait, so it
-    closes at its end. The wait runs in the co-moving frame of
-    the drive on berry.comoving_evolve (steps by berry.magnus_step_count);
-    the state is lifted into the lab frame only before the second pulse.
-    Leakage out of the doublet-plus-spectator subspace is tested after
-    every step.
-    """
-    trap = run.trap
+def _run_waits(runs: list[RamseyRun], h0: np.ndarray) -> None:
+    """Simulate the pulse-loop-pulse sequence of runs that share their trap,
+    pulse mode and step grid, with sideband Hamiltonian h0, as one batch of
+    berry.guarded_evolve, and fill each run's result and diagnostics."""
+    trap, pulse_mode = runs[0].trap, runs[0].pulse_mode
     model = effective_model(trap)
     basis = ramsey_basis(trap.m)
     frame = schwinger_frame(basis)
-    h0 = sideband_hamiltonian(trap, basis).matrix
-
-    t_total, j, residual = snap_to_cycles(trap, run.schedule.total_time)
+    charge = drive_charge(frame)
 
     # followed subspace: the two dressed states and the |down, 0, 0>
     # spectator arm, which the first pulse starts from; all three are
     # eigenvectors of K, so no lift is needed to follow them
     spectator = StateVector.basis_state(basis, (SPIN_DOWN, 0, 0)).amplitudes
-    pulse = carrier_pulse_operator(trap, basis, run.pulse_mode)
+    pulse = carrier_pulse_operator(trap, basis, pulse_mode).matrix
     dressed = (dressed_state_vector(d, basis) for d in analytic_eigensystem(model))
     followed = np.stack([*(d.amplitudes for d in dressed), spectator])
 
-    schedule = replace(run.schedule, total_time=t_total)
-    charge = drive_charge(frame)
-    theta, phi, *_ = schedule.drive_point(0.0)
-    xi = comoving_lift(frame, charge, theta, phi).conj().T @ (pulse.matrix @ spectator)
-    p_plus_start = abs(np.vdot(followed[0], xi)) ** 2
-    max_leak, n_steps = 0.0, 0
-    for t, block, _, leak in guarded_evolve(h0, frame, schedule, xi, followed):
-        max_leak = max(max_leak, float(leak.max()))
-        xi = block[-1]
+    def lift(schedule: DriveSchedule, t: float) -> np.ndarray:
+        theta, phi, *_ = schedule.drive_point(t)
+        return comoving_lift(frame, charge, theta, phi)
+
+    schedules = [run.schedule for run in runs]
+    xi = np.stack([lift(s, 0.0).conj().T @ (pulse @ spectator) for s in schedules])
+    p_plus_start = np.abs(xi @ followed[0].conj()) ** 2
+    max_leak, n_steps = np.zeros(len(runs)), 0
+    for t, states, _, leak in guarded_evolve(h0, frame, schedules, xi, followed):
+        max_leak = np.maximum(max_leak, leak.max(axis=0))
+        xi = states[-1]
         n_steps += len(t)
 
-    norm_sq = float(np.real(np.vdot(xi, xi)))
-    drift = abs(math.sqrt(norm_sq) - 1.0)
-    if drift > TOL.norm_drift:
-        raise NormDrift(f"norm drifted by {drift:.2e} during the wait evolution")
+    norm_sq = np.einsum("pi,pi->p", xi.conj(), xi).real
+    drift = np.abs(np.sqrt(norm_sq) - 1.0)
+    if drift.max() > TOL.norm_drift:
+        raise NormDrift(f"norm drifted by {drift.max():.2e} during the wait evolution")
 
     # The sector leak above cannot see diabatic mixing between the two
     # dressed branches (both lie inside the followed subspace), so check
     # the net branch transfer over the whole wait separately.
-    p_plus_end = abs(np.vdot(followed[0], xi)) ** 2 / norm_sq
-    branch_transfer = abs(p_plus_end - p_plus_start)
-    if branch_transfer > TOL.leak_threshold:
+    p_plus_end = np.abs(xi @ followed[0].conj()) ** 2 / norm_sq
+    branch_transfer = np.abs(p_plus_end - p_plus_start)
+    if branch_transfer.max() > TOL.leak_threshold:
         raise NonAdiabatic(
-            f"branch population moved by {branch_transfer:.3e} over the wait"
+            f"branch population moved by {branch_transfer.max():.3e} over the wait"
             f" (threshold {TOL.leak_threshold:.1e}); drive too fast"
         )
 
-    theta, phi, *_ = schedule.drive_point(t_total)
-    psi = pulse.matrix @ comoving_lift(frame, charge, theta, phi) @ xi
-    spins = np.array([label[0] for label in basis.states])
-    p_down = float(np.sum(np.abs(psi[spins == SPIN_DOWN]) ** 2))
-    beta = pulse_beta(trap, run.pulse_mode)
-    cos_gamma = (1.0 - 2.0 * p_down) / math.sin(beta)
-    gamma_inferred = math.acos(min(1.0, max(-1.0, cos_gamma)))
+    down = np.array([label[0] == SPIN_DOWN for label in basis.states])
+    beta = pulse_beta(trap, pulse_mode)
+    for p, run in enumerate(runs):
+        t_total = run.schedule.total_time
+        psi = pulse @ lift(run.schedule, t_total) @ xi[p]
+        p_down = float(np.sum(np.abs(psi[down]) ** 2))
+        cos_gamma = (1.0 - 2.0 * p_down) / math.sin(beta)
+        _, run.j_cycles, residual = snap_to_cycles(trap, t_total)
+        run.result = {
+            "p_down": p_down,
+            "gamma_inferred": math.acos(min(1.0, max(-1.0, cos_gamma))),
+        }
+        run.diagnostics = {
+            "max_nonadiabatic_leak": float(max_leak[p]),
+            "branch_transfer": float(branch_transfer[p]),
+            "norm_drift": float(drift[p]),
+            "total_time": t_total,
+            "cycle_residual": residual,
+            "n_steps": n_steps,
+            "dt": t_total / n_steps,
+            "propagator": "magnus4-comoving",
+            "pulse_beta": beta,
+            "sign_ambiguous": True,
+            "contrast": math.sin(beta),
+        }
 
-    run.j_cycles = j
-    run.result = {"p_down": p_down, "gamma_inferred": gamma_inferred}
-    run.diagnostics = {
-        "max_nonadiabatic_leak": max_leak,
-        "branch_transfer": branch_transfer,
-        "norm_drift": drift,
-        "total_time": t_total,
-        "cycle_residual": residual,
-        "n_steps": n_steps,
-        "dt": t_total / n_steps,
-        "propagator": "magnus4-comoving",
-        "pulse_beta": beta,
-        "sign_ambiguous": True,
-        "contrast": math.sin(beta),
-    }
+
+def ramsey_protocol(run: RamseyRun) -> RamseyRun:
+    """Simulate the full pulse-loop-pulse sequence and fill run.result.
+
+    The loop is driven over run.schedule, which closes it at the end of the
+    wait; make_ramsey_run snaps that wait to whole doublet cycles, and
+    diagnostics["cycle_residual"] is its distance from the nearest whole
+    cycles. The wait runs in the co-moving frame of the drive on
+    berry.comoving_evolve (steps by berry.magnus_step_count), as the
+    one-point case of ramsey_sweep; the state is lifted into the lab frame
+    only before the second pulse. Leakage out of the doublet-plus-spectator
+    subspace is tested after every step.
+    """
+    _run_waits([run], sideband_hamiltonian(run.trap, ramsey_basis(run.trap.m)).matrix)
     return run
 
 
@@ -400,15 +411,33 @@ def ramsey_sweep(
     n_steps: int = 256,
 ) -> list[dict]:
     """Run the protocol over a solid-angle grid; one row each, in grid
-    order, with the run's n_steps, norm_drift and branch_transfer."""
+    order, with the run's n_steps, norm_drift and branch_transfer.
 
-    def one(omega: float) -> dict:
-        run = make_ramsey_run(
-            trap, omega, total_time, n_steps=n_steps, pulse_mode=pulse_mode
+    The points share H0, the snapped wait and the drive's rates, which on a
+    latitude loop do not depend on the solid angle, hence one step grid:
+    their waits run as one co-moving batch (ramsey_protocol is its
+    one-point case). Raises StepLimit, before any loop but the first is
+    built, when the points times the steps of one wait exceed MAX_STEPS.
+    """
+    omegas = list(omega_values)
+    if not omegas:
+        return []
+    h0 = sideband_hamiltonian(trap, ramsey_basis(trap.m)).matrix
+    first = make_ramsey_run(trap, omegas[0], total_time, n_steps=n_steps)
+    steps = len(first.schedule.step_times(comoving_step_count(h0, first.schedule)))
+    if len(omegas) * steps > MAX_STEPS:
+        raise StepLimit(
+            f"{len(omegas)} points of {steps} steps each are above"
+            f" MAX_STEPS = {MAX_STEPS}"
         )
-        ramsey_protocol(run)
-        gamma_analytic = analytic_berry_phase(effective_model(trap), omega)
-        return {
+    runs = [
+        make_ramsey_run(trap, omega, total_time, n_steps=n_steps, pulse_mode=pulse_mode)
+        for omega in omegas
+    ]
+    _run_waits(runs, h0)
+    model = effective_model(trap)
+    return [
+        {
             "m": trap.m,
             "eta": trap.eta,
             "g": trap.g,
@@ -417,11 +446,11 @@ def ramsey_sweep(
             "total_time": run.diagnostics["total_time"],
             "p_down": run.result["p_down"],
             "gamma_inferred": run.result["gamma_inferred"],
-            "gamma_analytic": gamma_analytic,
+            "gamma_analytic": analytic_berry_phase(model, omega),
             "leak": run.diagnostics["max_nonadiabatic_leak"],
             "n_steps": run.diagnostics["n_steps"],
             "norm_drift": run.diagnostics["norm_drift"],
             "branch_transfer": run.diagnostics["branch_transfer"],
         }
-
-    return [one(omega) for omega in omega_values]
+        for omega, run in zip(omegas, runs)
+    ]

@@ -53,23 +53,30 @@ def rk4_evolve(h0, frame, schedule, psi, n_steps):
 ORACLE_STEP_PHASE = 0.17 / 16.0
 
 
-def rk4_comoving(h0, frame, schedule, xi):
-    """rk4_evolve behind the seam of berry.comoving_evolve: takes and
-    yields co-moving states xi = e^{i phi K} W^dag psi, in batches of 256
-    steps, on its own step count (|E| dt <= ORACLE_STEP_PHASE, at least one
-    step per path segment), whatever the co-moving step rule says."""
+def rk4_comoving(h0, frame, schedules, xi):
+    """rk4_evolve behind the seam of berry.comoving_evolve: takes the
+    co-moving states xi (P, d) = e^{i phi K} W^dag psi of P points, runs
+    one oracle per point in lockstep and yields their states (k, P, d), in
+    batches of 256 steps, on its own step count (|E| dt <= ORACLE_STEP_PHASE,
+    at least one step per path segment), whatever the co-moving step rule
+    says."""
     charge = berry.drive_charge(frame)
     scale = float(np.abs(np.linalg.eigvalsh(h0)).max())
-    n_steps = max(
-        math.ceil(schedule.total_time * scale / ORACLE_STEP_PHASE),
-        schedule.path.segments,
-    )
-    theta, phi = schedule.drive_point(0.0)[:2]
-    psi = berry.comoving_lift(frame, charge, theta, phi) @ xi
+    runs = []
+    for schedule, x in zip(schedules, xi):
+        n_steps = max(
+            math.ceil(schedule.total_time * scale / ORACLE_STEP_PHASE),
+            schedule.path.segments,
+        )
+        theta, phi = schedule.drive_point(0.0)[:2]
+        psi = berry.comoving_lift(frame, charge, theta, phi) @ x
+        runs.append(rk4_evolve(h0, frame, schedule, psi, n_steps))
     times, states = [], []
-    for t, phi, w, psi in rk4_evolve(h0, frame, schedule, psi, n_steps):
-        times.append(t)
-        states.append(np.exp(1j * phi * charge) * (w.conj().T @ psi))
+    for steps in zip(*runs):
+        times.append(steps[0][0])
+        states.append(
+            [np.exp(1j * phi * charge) * (w.conj().T @ psi) for _, phi, w, psi in steps]
+        )
         if len(times) == 256:
             yield np.array(times), np.array(states)
             times, states = [], []

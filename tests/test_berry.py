@@ -47,6 +47,7 @@ from anyonjc.iontrap import (
     make_ramsey_run,
     ramsey_basis,
     ramsey_protocol,
+    ramsey_sweep,
     sideband_hamiltonian,
 )
 from anyonjc.model import (
@@ -472,7 +473,7 @@ class TestComovingFrame:
         h0 = build_interaction_hamiltonian(params).matrix + 0.1 * frame.j_y.matrix
         sched = DriveSchedule(constant_latitude_loop(0.7, 16), 30.0)
         with pytest.raises(SimulationError, match="commute"):
-            next(comoving_evolve(h0, frame, sched, state.amplitudes))
+            next(comoving_evolve(h0, frame, [sched], state.amplitudes[None]))
 
     @pytest.mark.parametrize(
         "m,revolutions,start",
@@ -501,22 +502,23 @@ class TestComovingFrame:
         b = r_y.conj().T @ frame.j_z.matrix @ r_y + 0.25 * m * sigma_z
         h_xi = h0 - (TWO_PI * revolutions / total) * b
         want = scipy.linalg.expm(-1j * total * h_xi) @ state.amplitudes
-        blocks = list(comoving_evolve(h0, frame, sched, state.amplitudes))
+        blocks = list(comoving_evolve(h0, frame, [sched], state.amplitudes[None]))
         times = np.concatenate([t for t, _ in blocks])
         assert len(times) >= path.segments and times[-1] == pytest.approx(total)
-        assert np.abs(blocks[-1][1][-1] - want).max() < 1e-11
+        assert np.abs(blocks[-1][1][-1, 0] - want).max() < 1e-11
 
     @pytest.mark.parametrize("case,kept", [("m1", 3), ("m2", 4), ("m3", 5), ("ramsey", 5)])
     def test_only_the_reachable_block_is_stepped(self, monkeypatch, case, kept):
         # H_xi conserves Q = N + m [spin up]: outside the Q blocks of the
         # start state every yielded amplitude is exactly 0, and eigh only
-        # sees the states inside them
+        # sees the blocks inside them: the Ramsey wait's doublet block of 4,
+        # while its spectator, a block of 1, needs no eigh
         starts, blocks, shapes = [], [], []
         evolve, eigh = berry.comoving_evolve, np.linalg.eigh
 
-        def recording_evolve(h0, frame, schedule, xi):
+        def recording_evolve(h0, frame, schedules, xi):
             starts.append((frame.basis, xi))
-            for t, states in evolve(h0, frame, schedule, xi):
+            for t, states in evolve(h0, frame, schedules, xi):
                 blocks.append(states)
                 yield t, states
 
@@ -537,10 +539,37 @@ class TestComovingFrame:
         [(basis, xi)] = starts
         m = basis.sector_totals[-1] - basis.sector_totals[0]
         q = np.array([sum(s[1:]) + m * (s[0] == SPIN_UP) for s in basis.states])
-        inside = np.isin(q, q[xi != 0])
+        inside = np.isin(q, q[(xi != 0).any(axis=0)])
         assert inside.sum() == kept < basis.dim
-        assert blocks and all(np.all(states[:, ~inside] == 0) for states in blocks)
-        assert {s[1:] for s in shapes if len(s) == 3} == {(kept, kept)}
+        assert blocks and all(np.all(states[..., ~inside] == 0) for states in blocks)
+        stepped = 4 if case == "ramsey" else kept
+        assert {s[-2:] for s in shapes if len(s) > 2} == {(stepped, stepped)}
+
+    def test_eigh_sees_a_bounded_batch_at_1000_points(self, monkeypatch):
+        # a sweep of cli.MAX_OMEGA_POINTS points steps them in chunks, so
+        # one eigh call never stacks 1,000 x BATCH generators
+        shapes, eigh = [], np.linalg.eigh
+
+        def recording_eigh(a):
+            shapes.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
+        rows = ramsey_sweep(trap, np.linspace(0.0, 0.5, 1000), 20.0, n_steps=16)
+        assert len(rows) == 1000
+        stacks = [s for s in shapes if len(s) > 2]
+        assert sum(s[0] * s[1] for s in stacks) == 1000 * rows[0]["n_steps"]
+        assert max(s[0] * s[1] for s in stacks) <= berry.BATCH * berry.POINTS == 4096
+
+    def test_schedules_must_share_the_step_grid(self):
+        params, frame, state = doublet_setup(m=2)
+        h0 = build_interaction_hamiltonian(params).matrix
+        path = constant_latitude_loop(0.7, 16)
+        scheds = [DriveSchedule(path, 30.0), DriveSchedule(path, 40.0)]
+        xi = np.stack([state.amplitudes] * 2)
+        with pytest.raises(ValueError, match="step times"):
+            next(comoving_evolve(h0, frame, scheds, xi))
 
     def test_step_ceiling_raises_before_stepping(self, monkeypatch):
         params, frame, state = doublet_setup(m=2)

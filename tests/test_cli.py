@@ -294,6 +294,14 @@ class TestRamseyCommand:
             assert 0.0 <= row["norm_drift"] < 1e-9
             assert 0.0 <= row["branch_transfer"] < TOL.leak_threshold
 
+    def test_budget_rates_are_those_of_the_snapped_drive(self, capsys):
+        # --total-time 12 snaps to three doublet cycles, 13.33 at unit
+        # coupling: the smoothstep's peak phi' is 1.5 * 2 pi / 13.33 = 0.7071
+        argv = ["ramsey", "--omega-points", "1", "--total-time", "12", "--budget"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "budget phi_rate_over_coupling: 0.7071 [fail]" in err.splitlines()
+
     def test_fast_drive_exits_3(self, capsys):
         code = main(["ramsey", "--omega-points", "2", "--total-time", "3"])
         assert code == 3

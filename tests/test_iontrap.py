@@ -7,13 +7,20 @@ first place and shares no code with the series implementation.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from anyonjc.berry import STEP_AREA, STEP_PHASE, DriveSchedule, magnus_step_count
-from anyonjc.errors import NonAdiabatic, TruncationWarning
+from anyonjc.berry import (
+    MAX_STEPS,
+    STEP_AREA,
+    STEP_PHASE,
+    DriveSchedule,
+    magnus_step_count,
+)
+from anyonjc.errors import NonAdiabatic, StepLimit, TruncationWarning
 from anyonjc.fock import SPIN_DOWN, SPIN_UP
 from anyonjc.iontrap import (
     TrapParams,
@@ -31,7 +38,6 @@ from anyonjc.iontrap import (
     sideband_hamiltonian,
     snap_to_cycles,
     vacuum_splitting,
-    wait_step_count,
 )
 from anyonjc.model import analytic_berry_phase
 
@@ -253,15 +259,63 @@ class TestProtocol:
         "omega,total_time,n_steps",
         [(0.0, 200.0, 256), (3.0, 202.0, 256), (4.0 * math.pi, 20.0, 1500)],
     )
-    def test_wait_step_count_predicts_the_run(self, omega, total_time, n_steps):
+    def test_sweep_rows_carry_the_wait_step_count(self, omega, total_time, n_steps):
         # the step rule (517 steps at T = 200, snapped from 202 too) or
         # the loop samples (1,500 at T = 20), whichever is more
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
-        run = make_ramsey_run(trap, omega, total_time, n_steps=n_steps)
-        ramsey_protocol(run)
-        predicted = wait_step_count(trap, total_time, n_steps)
-        assert predicted == run.diagnostics["n_steps"]
-        assert predicted == (1500 if n_steps == 1500 else 517)
+        [row] = ramsey_sweep(trap, [omega], total_time, n_steps=n_steps)
+        assert row["n_steps"] == (1500 if n_steps == 1500 else 517)
+
+    @pytest.mark.parametrize(
+        "delta,total_time,pulse_mode,omegas",
+        [
+            pytest.param(0.0, t, mode, list(np.linspace(0.0, 4.0 * math.pi, 9)),
+                         id=f"grid-{t:g}-{mode}")
+            for t in (100.0, 200.0)
+            for mode in ("timed", "instantaneous")
+        ]
+        + [
+            pytest.param(24.0, 24.0, "instantaneous", [2.0], id="detuned"),
+            pytest.param(0.0, 202.0, "timed", [0.0, 2.0 * math.pi, 4.0 * math.pi],
+                         id="off-cycle"),
+        ],
+    )
+    def test_sweep_rows_match_per_point_protocol(
+        self, delta, total_time, pulse_mode, omegas
+    ):
+        # the sweep steps its points as one batch; each point on its own
+        # must give the same numbers
+        trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2, delta_m=delta)
+        rows = ramsey_sweep(trap, omegas, total_time, pulse_mode=pulse_mode)
+        for omega, row in zip(omegas, rows):
+            run = make_ramsey_run(trap, omega, total_time, pulse_mode=pulse_mode)
+            ramsey_protocol(run)
+            assert row["p_down"] == pytest.approx(run.result["p_down"], abs=1e-12)
+            diag = run.diagnostics
+            assert row["leak"] == pytest.approx(diag["max_nonadiabatic_leak"], abs=1e-12)
+            assert row["norm_drift"] == pytest.approx(diag["norm_drift"], abs=1e-12)
+            assert row["branch_transfer"] == pytest.approx(diag["branch_transfer"], abs=1e-12)
+            assert row["n_steps"] == diag["n_steps"]
+            assert row["total_time"] == diag["total_time"] == run.schedule.total_time
+
+    def test_sweep_warns_once_at_the_caller(self):
+        trap = TrapParams(g=g_for_unit_coupling(0.5, 2), eta=0.5, m=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ramsey_sweep(trap, [0.0, 1.0, 2.0], 200.0)
+        [warning] = [w for w in caught if issubclass(w.category, TruncationWarning)]
+        assert warning.filename == __file__
+
+    def test_sweep_step_limit_raises_before_any_eigh(self, monkeypatch):
+        # 1,000 points of 1,001 steps each: just above MAX_STEPS, found
+        # before the loops of all points are built or any step is taken
+        trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(a))
+        omegas = np.linspace(0.0, 4.0 * math.pi, 1000)
+        with pytest.raises(StepLimit, match=f"MAX_STEPS = {MAX_STEPS}"):
+            ramsey_sweep(trap, omegas, 200.0, n_steps=1001)
+        assert calls == []
 
     def test_sweep_rows_are_csv_ready(self):
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
