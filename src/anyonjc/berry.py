@@ -370,8 +370,10 @@ STEP_AREA = 0.01
 STEP_PHASE = 0.55
 # Most steps a run may take (about half a minute); more raise StepLimit.
 MAX_STEPS = 1_000_000
-BATCH = 64  # steps built together; larger batches add memory, not speed
-POINTS = 64  # points stepped together, so one eigh sees at most 4,096 matrices
+# Magnus generators (steps x points) built together, so the most one eigh
+# call stacks: a one-point run of up to this many steps is one batch, and
+# its stepping costs about 2 sqrt(steps) numpy calls (_step_products)
+GENERATORS = 4096
 
 
 def magnus_step_count(
@@ -425,8 +427,10 @@ def comoving_evolve(h0: np.ndarray, frame: SchwingerFrame, schedules, xi):
     into connected blocks of that pattern, the Q blocks; H_xi has no
     element between two blocks, so each is stepped on its own and the
     other states hold exact zeros at every step. A block of one state
-    needs no eigh: its steps are phases. One eigh call sees at most BATCH
-    steps of POINTS points, however many points the run has.
+    needs no eigh: its steps are phases. A batch holds up to 64 points and
+    GENERATORS // points steps, so one eigh call per block covers a whole
+    batch and never stacks more than GENERATORS generators, however many
+    points the run has.
     Yields the step ends (k,) and the states after them (k, P, d) per batch.
     Raises SimulationError unless [K, H0] = 0.
     """
@@ -454,15 +458,19 @@ def comoving_evolve(h0: np.ndarray, frame: SchwingerFrame, schedules, xi):
         m = mats[:, keep][:, :, keep]
         terms = np.concatenate([m, m[a] @ m[b] - m[b] @ m[a]])
         blocks.append((keep, len(m[0]), terms.reshape(len(terms), -1)))
-    for lo in range(0, len(times), BATCH):
-        t = times[lo : lo + BATCH]
+    # each point costs a drive_point call per batch, so at most 64 points
+    # share one: more would make the batches of a large sweep shorter
+    points = min(len(xi), math.isqrt(GENERATORS))
+    steps = GENERATORS // points
+    for lo in range(0, len(times), steps):
+        t = times[lo : lo + steps]
         dt = np.diff(t, prepend=times[lo - 1] if lo else 0.0)
         node = math.sqrt(3.0) / 6.0 * dt  # Gauss-Legendre nodes at mid -+ node
         nodes = np.concatenate([t - 0.5 * dt - node, t - 0.5 * dt + node])
         dt, node = dt[:, None, None], node[:, None, None]
         states = np.zeros((len(t), *xi.shape), dtype=complex)
-        for p in range(0, len(xi), POINTS):
-            drive = np.array([s.drive_point(nodes) for s in schedules[p : p + POINTS]])
+        for p in range(0, len(xi), points):
+            drive = np.array([s.drive_point(nodes) for s in schedules[p : p + points]])
             theta, _, dtheta, dphi = drive.transpose(1, 2, 0)
             c = [np.ones_like(theta), -dphi * np.cos(theta), dphi * np.sin(theta)]
             c1, c2 = np.split(np.stack([*c, -dphi, -dtheta], axis=-1), 2)
@@ -471,25 +479,44 @@ def comoving_evolve(h0: np.ndarray, frame: SchwingerFrame, schedules, xi):
             for keep, n, terms in blocks:
                 gen = coeffs.reshape(-1, len(terms)) @ terms  # one product, not k
                 gen = gen.reshape(*coeffs.shape[:2], n, n)
-                chunk = xi[p : p + POINTS, keep]
-                states[:, p : p + POINTS, keep] = _step_products(gen, chunk)
+                chunk = xi[p : p + points, keep]
+                states[:, p : p + points, keep] = _step_products(gen, chunk)
         xi = states[-1]
         yield t, states
 
 
 def _step_products(gen: np.ndarray, x: np.ndarray) -> np.ndarray:
     """States (k, p, n) after each of the steps exp(-i gen[j]), applied in
-    turn to the states x (p, n), for Hermitian generators gen (k, p, n, n)."""
+    turn to the states x (p, n), for Hermitian generators gen (k, p, n, n).
+
+    The propagators are chained in blocks of about sqrt(k) steps, the last
+    padded with identities: the products inside every block are batched
+    matmuls across the blocks, the state is carried from one block start
+    to the next, and every state is then one product. That is about
+    2 sqrt(k) numpy calls instead of k.
+    """
     if gen.shape[-1] == 1:  # the steps are phases, multiplied in the same order
         phases = np.exp(-1j * gen[..., 0].real)
         return np.cumprod(np.concatenate([x[None], phases]), axis=0)[1:]
+    k, shape = len(gen), gen.shape[1:]
+    size = math.isqrt(k - 1) + 1  # ceil(sqrt(k)) steps per block
+    blocks = -(-k // size)
     vals, vecs = np.linalg.eigh(gen)
-    props = (vecs * np.exp(-1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    states = np.empty((*gen.shape[:-1], 1), dtype=complex)
-    x = x[..., None]
-    for prop, out in zip(props, states):
-        x = np.matmul(prop, x, out=out)
-    return states[..., 0]
+    props = np.empty((blocks * size, *shape), dtype=complex)
+    props[k:] = np.eye(shape[-1])
+    rotated = vecs * np.exp(-1j * vals)[..., None, :]
+    np.matmul(rotated, vecs.conj().swapaxes(-1, -2), out=props[:k])
+    props = props.reshape(blocks, size, *shape)
+    within = np.empty_like(props)  # within[i, j]: steps j, ..., 0 of block i
+    within[:, 0] = props[:, 0]
+    for j in range(1, size):
+        np.matmul(props[:, j], within[:, j - 1], out=within[:, j])
+    starts = np.empty((blocks, *shape[:-1], 1), dtype=complex)
+    starts[0] = x[..., None]
+    for i in range(1, blocks):
+        np.matmul(within[i - 1, -1], starts[i - 1], out=starts[i])
+    states = within @ starts[:, None]
+    return states.reshape(blocks * size, *shape[:-1])[:k]
 
 
 def guarded_evolve(h0, frame, schedules, xi, followed):

@@ -545,9 +545,45 @@ class TestComovingFrame:
         stepped = 4 if case == "ramsey" else kept
         assert {s[-2:] for s in shapes if len(s) > 2} == {(stepped, stepped)}
 
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("points", [1, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 63, 64, 65, 489])
+    def test_step_products_match_a_sequential_chain(self, k, points, n, rng):
+        # the block chain against one step at a time, through the padding of
+        # the last block and, for n = 1, the one-state phase path
+        a = rng.normal(size=(k, points, n, n, 2)) @ np.array([1.0, 1j])
+        gen = 0.5 * (a + a.conj().swapaxes(-1, -2))
+        x = rng.normal(size=(points, n)) + 1j * rng.normal(size=(points, n))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        want, state = [], x
+        for step in gen:
+            state = np.array([scipy.linalg.expm(-1j * g) @ v for g, v in zip(step, state)])
+            want.append(state)
+        got = berry._step_products(gen, x)
+        assert got.shape == (k, points, n)
+        assert np.abs(got - np.array(want)).max() < 1e-13
+
+    @pytest.mark.parametrize("m,kept", [(1, 3), (2, 4), (3, 5)])
+    def test_one_point_run_is_one_eigh_call(self, monkeypatch, m, kept):
+        # a one-point run of at most GENERATORS steps builds every generator
+        # at once: one eigh call for its one Q block
+        shapes, eigh = [], np.linalg.eigh
+
+        def recording_eigh(a):
+            shapes.append(a.shape)
+            return eigh(a)
+
+        params, frame, state = doublet_setup(m=m, delta=0.3)
+        h0 = build_interaction_hamiltonian(params)
+        sched = DriveSchedule(default_latitude_loop(m, 0.8, 96), 125.0)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        _, report = adiabatic_evolution(h0, frame, sched, state)
+        assert report.n_steps <= berry.GENERATORS
+        assert [s for s in shapes if len(s) > 2] == [(report.n_steps, 1, kept, kept)]
+
     def test_eigh_sees_a_bounded_batch_at_1000_points(self, monkeypatch):
-        # a sweep of cli.MAX_OMEGA_POINTS points steps them in chunks, so
-        # one eigh call never stacks 1,000 x BATCH generators
+        # a sweep of cli.MAX_OMEGA_POINTS points steps them in batches of at
+        # most GENERATORS generators, so one eigh call never stacks them all
         shapes, eigh = [], np.linalg.eigh
 
         def recording_eigh(a):
@@ -560,7 +596,11 @@ class TestComovingFrame:
         assert len(rows) == 1000
         stacks = [s for s in shapes if len(s) > 2]
         assert sum(s[0] * s[1] for s in stacks) == 1000 * rows[0]["n_steps"]
-        assert max(s[0] * s[1] for s in stacks) <= berry.BATCH * berry.POINTS == 4096
+        assert max(s[0] * s[1] for s in stacks) <= berry.GENERATORS == 4096
+        # 16 chunks of at most 64 points, stepped 64 steps at a time: a large
+        # sweep is not cut into batches of 4,096 // 1,000 = 4 steps
+        assert max(s[1] for s in stacks) == 64
+        assert len(stacks) == 16 * -(-rows[0]["n_steps"] // 64)
 
     def test_schedules_must_share_the_step_grid(self):
         params, frame, state = doublet_setup(m=2)
