@@ -355,8 +355,15 @@ class DriveSchedule:
         # rounded first, so that rounding in the product adds no step
         pieces = np.diff(edges) * (n_steps / self.total_time)
         pieces = np.ceil(np.round(pieces, 9)).astype(int)
-        steps = zip(edges, edges[1:], pieces)
-        return np.concatenate([np.linspace(lo, hi, k + 1)[1:] for lo, hi, k in steps])
+        # np.linspace(lo, hi, k + 1)[1:] of every piece, rounded as it
+        # rounds: i (hi - lo) / k + lo for i = 1..k, the last one set to hi.
+        # Each piece covers at least one path segment, so k >= 1.
+        ends = np.cumsum(pieces)
+        i = np.arange(1, ends[-1] + 1) - np.repeat(ends - pieces, pieces)
+        step = np.repeat(np.diff(edges) / pieces, pieces)
+        times = i * step + np.repeat(edges[:-1], pieces)
+        times[ends - 1] = edges[1:]
+        return times
 
 
 # The error of a co-moving run grows as (E dt)^2 (r dt)^2, E the largest

@@ -135,6 +135,13 @@ def polygon_loop(vertices) -> LoopPath:
     return LoopPath(verts, closed=True, kind="polygon", omega_solid=omega)
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of 3-vectors, each rounded as a @ b of one row
+    pair (a stacked matmul runs the same kernel; a matrix-vector one does not)."""
+    a, b = np.broadcast_arrays(a, b)
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def polygon_solid_angle(path) -> float:
     """Oriented solid angle of a closed spherical polygon, in [0, 4 pi).
 
@@ -148,7 +155,7 @@ def polygon_solid_angle(path) -> float:
     reports 4 pi minus the forward area (the complementary cap).
     """
     samples = path.samples if isinstance(path, LoopPath) else np.asarray(path, float)
-    pts = np.array([sphere_point(t, p) for t, p in samples])
+    pts = np.array([sphere_point(t, p) for t, p in samples.tolist()])
     if len(pts) > 1 and np.linalg.norm(pts[0] - pts[-1]) <= TOL.loop_closure:
         pts = pts[:-1]
     if len(pts) < 3:
@@ -156,16 +163,14 @@ def polygon_solid_angle(path) -> float:
     chords = np.linalg.norm(np.diff(np.vstack([pts, pts[:1]]), axis=0), axis=1)
     if chords.min() <= TOL.degenerate_edge:
         raise DegeneratePath("repeated consecutive points on the sphere")
-    total = 0.0
-    v0 = pts[0]
-    for i in range(1, len(pts) - 1):
-        v1, v2 = pts[i], pts[i + 1]
-        d01, d12, d20 = v0 @ v1, v1 @ v2, v2 @ v0
-        denom = 1.0 + d01 + d12 + d20
-        numer = v0 @ np.cross(v1, v2)
-        if abs(denom) < 1e-14 and abs(numer) < 1e-14:
-            raise DegeneratePath("triangle with antipodal points is ambiguous")
-        total += 2.0 * math.atan2(numer, denom)
+    v0, v1, v2 = pts[0], pts[1:-1], pts[2:]
+    denom = 1.0 + _dots(v0, v1) + _dots(v1, v2) + _dots(v2, v0)
+    numer = _dots(v0, np.cross(v1, v2))
+    if ((np.abs(denom) < 1e-14) & (np.abs(numer) < 1e-14)).any():
+        raise DegeneratePath("triangle with antipodal points is ambiguous")
+    total = 0.0  # summed in fan order, as a float, triangle by triangle
+    for y, x in zip(numer.tolist(), denom.tolist()):
+        total += 2.0 * math.atan2(y, x)
     return total % FOUR_PI
 
 

@@ -335,6 +335,33 @@ class TestSchedule:
         latitude = DriveSchedule(constant_latitude_loop(1.0, 32), 6.0)
         assert latitude.step_times(10) == pytest.approx(np.linspace(0.6, 6.0, 10))
 
+    @pytest.mark.parametrize("mode", ["smoothstep", "uniform"])
+    @pytest.mark.parametrize("n_steps", [1, 7, 100, 517, 4000])
+    def test_step_times_match_per_piece_linspace(self, mode, n_steps, rng):
+        # the loop version: one np.linspace per bend-to-bend piece
+        def per_piece(sched):
+            chords = np.diff(sched.path.samples, axis=0)
+            bent = np.abs(np.diff(chords, axis=0)).max(axis=1) > 1e-12
+            y = (np.flatnonzero(bent) + 1) / sched.path.segments
+            if mode == "smoothstep":
+                y = 0.5 - np.sin(np.arcsin(1.0 - 2.0 * y) / 3.0)
+            edges = sched.total_time * np.concatenate([[0.0], y, [1.0]])
+            pieces = np.diff(edges) * (n_steps / sched.total_time)
+            pieces = np.ceil(np.round(pieces, 9)).astype(int)
+            steps = zip(edges, edges[1:], pieces)
+            return np.concatenate([np.linspace(a, b, k + 1)[1:] for a, b, k in steps])
+
+        loops = [constant_latitude_loop(1.0, 96, revolutions=2)]
+        for _ in range(16):
+            n = rng.integers(4, 40)
+            theta = 0.9 + rng.uniform(0.1, 0.2) * np.sin(rng.integers(1, 3) * np.arange(n + 1))
+            loops.append(polygon_loop(np.column_stack([theta, TWO_PI * np.arange(n + 1) / n])))
+        # bends at its first and its last inner sample
+        loops.append(polygon_loop([[0.5, 0.0], [0.6, 0.1], [0.6, 3.1], [0.6, 6.1], [0.5, TWO_PI]]))
+        for path in loops:
+            sched = DriveSchedule(path, rng.uniform(1.0, 500.0), mode)
+            assert np.array_equal(sched.step_times(n_steps), per_piece(sched))
+
 
 class TestAdiabatic:
     def test_static_point_gives_zero_phase(self):

@@ -105,6 +105,21 @@ class TestPolygonArea:
         bias = polygon_solid_angle(ring) - latitude_solid_angle(theta)
         assert 0 < abs(bias) < 2e-4
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_a_per_triangle_loop(self, seed):
+        # the fan in array form sums the same excesses in the same order,
+        # so it must agree with one triangle at a time to the last bit
+        rng = np.random.default_rng(seed)
+        n = rng.integers(3, 40)
+        verts = np.column_stack([rng.uniform(0, math.pi, n), rng.uniform(0, TWO_PI, n)])
+        pts = [sphere_point(t, p) for t, p in verts]
+        total = 0.0
+        for v1, v2 in zip(pts[1:-1], pts[2:]):
+            v0 = pts[0]
+            denom = 1.0 + v0 @ v1 + v1 @ v2 + v2 @ v0
+            total += 2.0 * math.atan2(v0 @ np.cross(v1, v2), denom)
+        assert polygon_solid_angle(verts) == total % (4 * math.pi)
+
     def test_degenerate_inputs(self):
         with pytest.raises(DegeneratePath):
             polygon_solid_angle(polygon_loop([(1.0, 0.0), (1.0, 1.0)]))
