@@ -46,7 +46,6 @@ parameters and applied uniformly to every report.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -61,6 +60,7 @@ from .errors import (
     SimulationError,
     StepLimit,
     VanishingOverlap,
+    warn_at_caller,
 )
 from .fock import SPIN_UP, FockOperator, StateVector
 from .model import (
@@ -548,6 +548,13 @@ def guarded_evolve(h0, frame, schedules, xi, followed):
         yield t, states, ov, leak
 
 
+def _warn_if_short(hamiltonian: FockOperator, total_time: float):
+    energies = np.linalg.eigvalsh(hamiltonian.matrix)
+    scale = float(np.abs(energies).max()) if len(energies) else 0.0
+    if scale > 0.0 and total_time * scale < 10.0:
+        warn_at_caller("drive time is under ten coupling periods; expect large leak")
+
+
 def adiabatic_evolution(
     hamiltonian: FockOperator,
     frame: SchwingerFrame,
@@ -562,25 +569,24 @@ def adiabatic_evolution(
     the geometric phase after the dynamic phase energy * total_time is
     subtracted (exact, as the family is isospectral), with the same
     calibrated sign convention as the holonomy route, plus leak, drift and
-    step diagnostics.
+    step diagnostics. Warns, at the caller's line, when the drive time is
+    under ten coupling periods.
 
     Raises NonAdiabatic as soon as the leak out of the followed eigenstate
     exceeds TOL.leak_threshold, and NormDrift if the state norm moved by more
     than the budget over the run.
     """
+    _warn_if_short(hamiltonian, schedule.total_time)
+    return _adiabatic_run(hamiltonian, frame, schedule, initial)
+
+
+def _adiabatic_run(hamiltonian, frame, schedule, initial):
+    """adiabatic_evolution without the short-drive warning."""
     if hamiltonian.basis != frame.basis or initial.basis != frame.basis:
         raise BasisMismatch("hamiltonian, frame and state must share a basis")
     h0 = hamiltonian.matrix
     base = initial.amplitudes.copy()
     t_total = schedule.total_time
-
-    energies = np.linalg.eigvalsh(h0)
-    scale = float(np.abs(energies).max()) if len(energies) else 0.0
-    if scale > 0.0 and t_total * scale < 10.0:
-        warnings.warn(
-            "drive time is under ten coupling periods; expect large leak",
-            stacklevel=2,
-        )
 
     charge = drive_charge(frame)
     norm_sq = np.vdot(base, base).real
@@ -650,11 +656,13 @@ def extrapolated_adiabatic_phase(
     The single-run extraction carries a level-repulsion shift proportional
     to 1/T even deep in the adiabatic regime; combining the two run
     lengths as 2 gamma_T - gamma_{T/2} removes it. The leak guard applies
-    to the shorter (leakier) run as well.
+    to the shorter (leakier) run as well, and the short-drive warning of
+    adiabatic_evolution comes at most once, for the shorter run.
     """
-    _, full = adiabatic_evolution(hamiltonian, frame, schedule, initial)
     short_schedule = replace(schedule, total_time=schedule.total_time / 2)
-    _, short = adiabatic_evolution(hamiltonian, frame, short_schedule, initial)
+    _warn_if_short(hamiltonian, short_schedule.total_time)
+    _, full = _adiabatic_run(hamiltonian, frame, schedule, initial)
+    _, short = _adiabatic_run(hamiltonian, frame, short_schedule, initial)
     gamma_total = 2 * full.gamma_total - short.gamma_total
     gamma = principal_value(gamma_total)
     diagnostics = dict(full.diagnostics)

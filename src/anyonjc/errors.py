@@ -1,8 +1,12 @@
-"""Exception types raised across the package.
+"""Exception and warning types raised across the package.
 
 Everything derives from :class:`SimulationError` so callers can catch the
-whole family at once; the CLI maps subfamilies onto exit codes.
+whole family at once; the CLI maps subfamilies onto exit codes. Warnings
+go out through warn_at_caller, so they name the caller's line.
 """
+
+import sys
+import warnings
 
 
 class SimulationError(Exception):
@@ -67,3 +71,12 @@ class CalibrationAmbiguous(SimulationError):
 
 class TruncationWarning(UserWarning):
     """A truncated series or basis dropped terms above the noise floor."""
+
+
+def warn_at_caller(message: str, category: type[Warning] = UserWarning) -> None:
+    """warnings.warn at the first frame outside the package, however deep
+    the call that warns."""
+    level, caller, package = 2, sys._getframe(1), __package__ + "."
+    while caller.f_back and caller.f_globals["__name__"].startswith(package):
+        level, caller = level + 1, caller.f_back
+    warnings.warn(message, category, stacklevel=level)

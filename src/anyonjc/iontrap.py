@@ -49,8 +49,6 @@ batch, and ramsey_protocol is its one-point case.
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +62,13 @@ from .berry import (
     guarded_evolve,
 )
 from .config import TOL
-from .errors import NonAdiabatic, NormDrift, StepLimit, TruncationWarning
+from .errors import (
+    NonAdiabatic,
+    NormDrift,
+    StepLimit,
+    TruncationWarning,
+    warn_at_caller,
+)
 from .fock import (
     SPIN_DOWN,
     SPIN_UP,
@@ -174,15 +178,10 @@ def _warn_if_marginal(trap: TrapParams, basis: BasisSpec):
     offset = 1 if basis.qubit_included else 0
     n_max = max(label[offset] for label in basis.states)
     if trap.eta**2 * (n_max + 1) > 0.1:
-        # point at the first caller outside the package, however deep the call
-        level, caller, package = 2, sys._getframe(1), __package__ + "."
-        while caller.f_back and caller.f_globals["__name__"].startswith(package):
-            level, caller = level + 1, caller.f_back
-        warnings.warn(
+        warn_at_caller(
             f"eta^2 (n_max + 1) = {trap.eta ** 2 * (n_max + 1):.3f} > 0.1; "
             "the Lamb-Dicke series is only marginally converged on this basis",
             TruncationWarning,
-            stacklevel=level,
         )
 
 

@@ -9,6 +9,7 @@ error cannot hide.
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -418,6 +419,20 @@ class TestAdiabatic:
         with pytest.warns(UserWarning, match="ten coupling periods"):
             with pytest.raises(NonAdiabatic):
                 adiabatic_evolution(h0, frame, DriveSchedule(path, 5.0), state)
+
+    @pytest.mark.parametrize("run", [adiabatic_evolution, extrapolated_adiabatic_phase])
+    def test_short_drive_warns_once_at_the_caller(self, run):
+        # T = 6 and T/2 = 3 are both under ten periods of the largest
+        # |energy| (sqrt 2); a loop this small still passes the leak guard
+        params, frame, state = doublet_setup(m=2)
+        h0 = build_interaction_hamiltonian(params)
+        sched = DriveSchedule(constant_latitude_loop(0.02, 32), 6.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(h0, frame, sched, state)
+        [warning] = caught
+        assert "ten coupling periods" in str(warning.message)
+        assert warning.filename == __file__
 
     def test_unnormalized_start_raises_norm_drift(self):
         # the Magnus step is unitary, so a norm error in the initial state
