@@ -58,6 +58,7 @@ from .errors import (
     NonAdiabatic,
     NormDrift,
     SimulationError,
+    SizeLimit,
     StepLimit,
     VanishingOverlap,
     warn_at_caller,
@@ -71,6 +72,7 @@ from .model import (
     dressed_state_vector,
 )
 from .paths import (
+    MAX_LIFTED,
     LoopPath,
     SchwingerFrame,
     constant_latitude_loop,
@@ -125,10 +127,17 @@ def transport_states(
     come by repeated multiplication, and the negative ones are their
     conjugates. Each product adds one rounding, so the table is exact to
     rounding, with an error that grows linearly with the level span.
-    Raises ValueError if a level of J_z is not a half-integer.
+    Raises ValueError if a level of J_z is not a half-integer, and
+    SizeLimit, before it allocates, above MAX_LIFTED samples x states.
     """
     if state.basis != frame.basis:
         raise BasisMismatch("state and frame use different bases")
+    lifted = len(path.samples) * frame.basis.dim
+    if lifted > MAX_LIFTED:
+        raise SizeLimit(
+            f"{len(path.samples)} samples of {frame.basis.dim} states are {lifted}"
+            f" amplitudes, above MAX_LIFTED = {MAX_LIFTED}"
+        )
     levels = np.rint(2.0 * frame.jz_diagonal).astype(np.intp)
     if np.abs(levels - 2.0 * frame.jz_diagonal).max() > 1e-12:
         raise ValueError("J_z has a level that is not a half-integer")

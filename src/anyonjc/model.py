@@ -27,9 +27,10 @@ exchange term lambda (sigma_+ a^m c^m + h.c.), which binds the sectors
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import BadSolidAngle, DegenerateCoupling, WrongExcitation
+from .errors import BadSolidAngle, DegenerateCoupling, SizeLimit, WrongExcitation
 from .fock import (
     SPIN_DOWN,
     SPIN_UP,
@@ -43,8 +44,12 @@ FOUR_PI = 4.0 * math.pi
 
 
 def falling_product(n: int, m: int) -> int:
-    """(n + m)! / n! as an exact integer."""
-    return math.prod(range(n + 1, n + m + 1))
+    """(n + m)! / n! as an exact integer. Raises SizeLimit when it is
+    beyond the float range, at once for m > 170, where m! alone is."""
+    value = math.inf if m > 170 else math.prod(range(n + 1, n + m + 1))
+    if value > sys.float_info.max:
+        raise SizeLimit(f"(n + m)! / n! at n = {n}, m = {m} is beyond the float range")
+    return value
 
 
 @dataclass(frozen=True)

@@ -28,13 +28,17 @@ from functools import cached_property
 import numpy as np
 
 from .config import TOL
-from .errors import BadSolidAngle, BadTheta, DegeneratePath
+from .errors import BadSolidAngle, BadTheta, DegeneratePath, SizeLimit
 from .fock import BasisSpec, FockOperator, hopping_operator
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
 MIN_STEPS = 8
+# Most loop samples times basis states one run may lift. The holonomy route
+# holds every lifted row at once: 1.2 million amplitudes (phase --m 1
+# --steps 100000) peak near 124 MB.
+MAX_LIFTED = 2_000_000
 
 
 def sphere_point(theta: float, phi: float) -> np.ndarray:
@@ -96,7 +100,11 @@ class LoopPath:
 def constant_latitude_loop(
     theta: float, n_steps: int = 1024, revolutions: int = 1
 ) -> LoopPath:
-    """Circle at fixed polar angle, n_steps samples per revolution."""
+    """Circle at fixed polar angle, n_steps samples per revolution.
+
+    Raises SizeLimit, before it allocates, above MAX_LIFTED samples: no
+    lift of such a loop fits, and no time route could step it.
+    """
     if not 0.0 <= theta <= math.pi:
         raise BadTheta(f"theta {theta} outside [0, pi]")
     if n_steps < MIN_STEPS:
@@ -104,6 +112,8 @@ def constant_latitude_loop(
     if revolutions < 1:
         raise ValueError("revolutions must be at least 1")
     total = n_steps * revolutions
+    if total + 1 > MAX_LIFTED:
+        raise SizeLimit(f"a loop of {total + 1} samples is above MAX_LIFTED = {MAX_LIFTED}")
     phi = TWO_PI * np.arange(total + 1) / n_steps
     samples = np.column_stack([np.full(total + 1, theta), phi])
     return LoopPath(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from anyonjc import berry, paths
+from anyonjc import berry, fock, paths
 
 settings.register_profile(
     "ci",
@@ -16,6 +16,22 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True)
+def every_basis_counts_its_states(monkeypatch):
+    """BasisSpec.dim counts states from the sectors without enumerating
+    them; every basis a test builds must enumerate exactly that many."""
+    built, post_init = set(), fock.BasisSpec.__post_init__
+
+    def recording_post_init(basis):
+        post_init(basis)
+        built.add(basis)
+
+    monkeypatch.setattr(fock.BasisSpec, "__post_init__", recording_post_init)
+    yield
+    wrong = {b: (len(b.states), b.dim) for b in built if len(b.states) != b.dim}
+    assert not wrong, f"len(states) != dim: {wrong}"
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ error cannot hide.
 
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -98,6 +99,20 @@ def test_sign_calibration_fixed_and_idempotent():
 
 
 class TestHolonomy:
+    def test_lift_above_max_lifted_raises_before_allocating(self):
+        # 250,001 samples of 8 states: 2,000,008 amplitudes, just above the cap
+        _, frame, state = doublet_setup()
+        path = constant_latitude_loop(0.5, 250_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"2000008 amplitudes, above MAX_LIFTED"):
+                transport_states(frame, state, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # the lift alone would take 32 MB
+        assert len(transport_states(frame, state, constant_latitude_loop(0.5, 249_999)))
+
     def test_zero_area_loop(self):
         params, frame, state = doublet_setup()
         path = constant_latitude_loop(0.0, 64)

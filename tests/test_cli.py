@@ -350,6 +350,11 @@ class TestExitCodes:
             ["ramsey", "--g", "1e-200"],
             ["ramsey", "--eta", "1e-200"],
             ["phase", "--adiabatic", "--total-time", "1e-300"],
+            ["ramsey", "--g", "1", "--m", "200"],
+            ["ramsey", "--g", "1", "--m", "100"],
+            ["transmute", "--m", "200"],
+            ["two-anyon", "--m", "171"],
+            ["fig1", "--with-holonomy", "--points", "3", "--m-list", "1,200"],
         ],
     )
     def test_unrepresentable_input_exits_4(self, argv, capsys):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from anyonjc.config import TOL
 from anyonjc.errors import NormTooLarge, NoQubit
 from anyonjc.fock import (
+    MAX_BASIS_DIM,
     SPIN_DOWN,
     SPIN_UP,
     BasisSpec,
@@ -75,6 +76,17 @@ class TestBasis:
             BasisSpec(4, (1, 2))
         with pytest.raises(ValueError):
             BasisSpec(0, (), qubit_included=False)
+
+    def test_dim_above_the_cap_raises_before_enumerating(self):
+        # sectors (0, 498) hold 2 (1 + 499) = 1000 states, (0, 499) two more;
+        # a sector of 10^12 quanta is counted, never enumerated
+        assert BasisSpec(2, (0, 498)).dim == MAX_BASIS_DIM == 1000
+        for totals in ((0, 499), (10**12,)):
+            with pytest.raises(ValueError, match="above MAX_BASIS_DIM = 1000"):
+                BasisSpec(2, totals)
+        with pytest.raises(ValueError, match="a basis of 1060 states"):
+            BasisSpec(4, ((0, 0), (22, 22)))
+        assert BasisSpec(2, (499,), qubit_included=False).dim == 500
 
     def test_index_of_missing_label(self):
         basis = truncated_basis(1)

@@ -100,6 +100,23 @@ class TestCouplingSeries:
         with pytest.warns(TruncationWarning):
             sideband_hamiltonian(trap, ramsey_basis(2))
 
+    def test_factorials_beyond_the_float_range_raise(self):
+        big = TrapParams(g=1.0, eta=0.1, m=200)
+        for call in (
+            lambda: g_for_unit_coupling(0.1, 200),
+            lambda: lamb_dicke_lambda(big),
+            lambda: coupling_strength(big, 0),
+        ):
+            with pytest.raises(ValueError, match="beyond the float range"):
+                call()
+        # m = 100 has a finite m!, but f_100(100) takes 200!; the basis it
+        # cannot build raises before the marginal-basis warning
+        trap = TrapParams(g=1.0, eta=0.1, m=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"f_100\(100\) takes factorials"):
+                sideband_hamiltonian(trap, ramsey_basis(100))
+
 
 class TestTrapParams:
     def test_validation(self):

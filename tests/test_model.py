@@ -84,6 +84,31 @@ class TestParams:
         assert falling_product(3, 0) == 1
         assert falling_product(2, 3) == 60
         assert falling_product(0, 4) == math.factorial(4)
+        assert falling_product(0, 170) == math.factorial(170)
+
+    @pytest.mark.parametrize("n,m", [(0, 171), (0, 10**12), (10**6, 60), (1000, 110)])
+    def test_falling_product_beyond_the_float_range_raises(self, n, m):
+        # m = 10^12 answers at once, without a product of 10^12 factors
+        with pytest.raises(ValueError, match="beyond the float range"):
+            falling_product(n, m)
+
+    def test_large_m_raises_where_the_factorial_is_taken(self):
+        params = ModelParams(m=200)
+        with pytest.raises(ValueError, match="beyond the float range"):
+            params.kappa
+        with pytest.raises(ValueError, match="beyond the float range"):
+            statistical_factor(params, math.pi)
+
+    @pytest.mark.parametrize(
+        "build,states",
+        [
+            (lambda: default_basis(ModelParams(m=2, n=400)), 1608),
+            (lambda: two_anyon_basis(TwoAnyonParams(m=30)), 1924),
+        ],
+    )
+    def test_oversized_basis_raises(self, build, states):
+        with pytest.raises(ValueError, match=f"{states} states is above MAX_BASIS_DIM"):
+            build()
 
 
 class TestHamiltonian:

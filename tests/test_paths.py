@@ -14,6 +14,7 @@ from anyonjc.errors import BadTheta, DegeneratePath
 from anyonjc.fock import BasisSpec, StateVector, build_ladder, truncated_basis
 from anyonjc.model import ModelParams, build_interaction_hamiltonian, default_basis
 from anyonjc.paths import (
+    MAX_LIFTED,
     constant_latitude_loop,
     default_latitude_loop,
     latitude_solid_angle,
@@ -75,6 +76,20 @@ class TestLoops:
             constant_latitude_loop(math.pi + 0.1, 64)
         with pytest.raises(BadTheta):
             constant_latitude_loop(1.0, 4)  # too few steps to mean anything
+
+    @pytest.mark.parametrize("n_steps,revolutions", [(10**8, 1), (1024, 10**6)])
+    def test_more_samples_than_max_lifted_raise_before_allocating(
+        self, monkeypatch, n_steps, revolutions
+    ):
+        def no_samples(*args, **kwargs):
+            raise AssertionError("the samples were allocated")
+
+        monkeypatch.setattr(np, "arange", no_samples)
+        with pytest.raises(ValueError, match=f"above MAX_LIFTED = {MAX_LIFTED}"):
+            constant_latitude_loop(1.0, n_steps, revolutions)
+
+    def test_max_lifted_samples_build(self):
+        assert len(constant_latitude_loop(1.0, MAX_LIFTED - 1).samples) == MAX_LIFTED
 
 
 class TestPolygonArea:
