@@ -375,10 +375,8 @@ def cmd_ramsey(args) -> int:
         worst = max(worst, abs(row["p_down"] - predicted))
     emit_rows(rows, args, {"worst_p_down_deviation": worst})
     if args.budget:
-        run = iontrap.make_ramsey_run(trap, omega_max, args.total_time)
-        for entry in berry.adiabaticity_budget(
-            iontrap.effective_model(trap), run.schedule
-        ):
+        schedule = iontrap.ramsey_schedule(trap, omega_max, args.total_time)
+        for entry in berry.adiabaticity_budget(iontrap.effective_model(trap), schedule):
             print(
                 f"budget {entry.name}: {entry.ratio:.4g} [{entry.verdict}]",
                 file=sys.stderr,

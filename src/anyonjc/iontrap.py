@@ -43,13 +43,13 @@ E dt <= berry.STEP_PHASE up to berry.MAX_STEPS, as the Magnus error there
 depends on the drive's derivatives [Hochbruck & Lubich, SIAM J. Numer.
 Anal. 41, 945 (2003)]. The points of a sweep share H0, the snapped wait
 and the drive's rates, so one step grid: ramsey_sweep steps them as one
-batch, and ramsey_protocol is its one-point case.
+batch, and a single measurement is its one-point case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -279,50 +279,23 @@ def snap_to_cycles(trap: TrapParams, total_time: float) -> tuple[float, int, flo
     return snapped, j, abs(snapped - total_time)
 
 
-@dataclass
-class RamseyRun:
-    """One Ramsey measurement: configuration in, populations out.
-
-    schedule is the drive of the wait and runs as given; make_ramsey_run
-    builds it on a wait snapped to whole doublet cycles. result is None until ramsey_protocol fills it with p_down and
-    gamma_inferred. gamma_inferred = arccos(1 - 2 p_down / sin beta ...)
-    is reported in [0, pi]; the cosine read-out cannot see the phase sign,
-    which the diagnostics flag.
-    """
-
-    trap: TrapParams
-    schedule: DriveSchedule
-    j_cycles: int | None = None
-    pulse_mode: str = "timed"
-    result: dict | None = None
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.pulse_mode not in PULSE_MODES:
-            raise ValueError(f"pulse_mode must be one of {PULSE_MODES}")
-
-
-def make_ramsey_run(
-    trap: TrapParams,
-    omega_solid: float,
-    total_time: float,
-    *,
-    n_steps: int = 256,
-    pulse_mode: str = "timed",
-) -> RamseyRun:
-    """Convenience constructor: latitude loop enclosing omega_solid, driven
-    with the smoothstep ramp over the wait total_time snapped to whole
-    doublet cycles (snap_to_cycles), so the schedule is the drive that runs."""
+def ramsey_schedule(
+    trap: TrapParams, omega_solid: float, total_time: float, n_steps: int = 256
+) -> DriveSchedule:
+    """Drive of one Ramsey wait: a latitude loop enclosing omega_solid,
+    n_steps samples per revolution, with the smoothstep ramp over the wait
+    total_time snapped to whole doublet cycles (snap_to_cycles), so the
+    schedule is the drive that runs."""
     path = constant_latitude_loop(theta_for_solid_angle(omega_solid), n_steps)
-    schedule = DriveSchedule(path, snap_to_cycles(trap, total_time)[0])
-    return RamseyRun(trap, schedule, pulse_mode=pulse_mode)
+    return DriveSchedule(path, snap_to_cycles(trap, total_time)[0])
 
 
-def _run_waits(runs: list[RamseyRun], h0: np.ndarray) -> None:
-    """Simulate the pulse-loop-pulse sequence of runs that share their trap,
-    pulse mode and step grid, with sideband Hamiltonian h0, as one batch of
-    berry.guarded_evolve, and fill each run's result and diagnostics."""
-    trap, pulse_mode = runs[0].trap, runs[0].pulse_mode
+def _run_waits(
+    trap: TrapParams, pulse_mode: str, omegas: list, schedules: list, h0: np.ndarray
+) -> list[dict]:
+    """Simulate the pulse-loop-pulse sequence at each solid angle, driven by
+    its schedule (all on one step grid), with sideband Hamiltonian h0, as
+    one batch of berry.guarded_evolve; one ramsey_sweep row per point."""
     model = effective_model(trap)
     basis = ramsey_basis(trap.m)
     frame = schwinger_frame(basis)
@@ -340,10 +313,9 @@ def _run_waits(runs: list[RamseyRun], h0: np.ndarray) -> None:
         theta, phi, *_ = schedule.drive_point(t)
         return comoving_lift(frame, charge, theta, phi)
 
-    schedules = [run.schedule for run in runs]
     xi = np.stack([lift(s, 0.0).conj().T @ (pulse @ spectator) for s in schedules])
     p_plus_start = np.abs(xi @ followed[0].conj()) ** 2
-    max_leak, n_steps = np.zeros(len(runs)), 0
+    max_leak, n_steps = np.zeros(len(schedules)), 0
     for t, states, _, leak in guarded_evolve(h0, frame, schedules, xi, followed):
         max_leak = np.maximum(max_leak, leak.max(axis=0))
         xi = states[-1]
@@ -366,46 +338,30 @@ def _run_waits(runs: list[RamseyRun], h0: np.ndarray) -> None:
         )
 
     down = np.array([label[0] == SPIN_DOWN for label in basis.states])
-    beta = pulse_beta(trap, pulse_mode)
-    for p, run in enumerate(runs):
-        t_total = run.schedule.total_time
-        psi = pulse @ lift(run.schedule, t_total) @ xi[p]
+    contrast = math.sin(pulse_beta(trap, pulse_mode))
+    rows = []
+    for p, (omega, schedule) in enumerate(zip(omegas, schedules)):
+        psi = pulse @ lift(schedule, schedule.total_time) @ xi[p]
         p_down = float(np.sum(np.abs(psi[down]) ** 2))
-        cos_gamma = (1.0 - 2.0 * p_down) / math.sin(beta)
-        _, run.j_cycles, residual = snap_to_cycles(trap, t_total)
-        run.result = {
-            "p_down": p_down,
-            "gamma_inferred": math.acos(min(1.0, max(-1.0, cos_gamma))),
-        }
-        run.diagnostics = {
-            "max_nonadiabatic_leak": float(max_leak[p]),
-            "branch_transfer": float(branch_transfer[p]),
-            "norm_drift": float(drift[p]),
-            "total_time": t_total,
-            "cycle_residual": residual,
-            "n_steps": n_steps,
-            "dt": t_total / n_steps,
-            "propagator": "magnus4-comoving",
-            "pulse_beta": beta,
-            "sign_ambiguous": True,
-            "contrast": math.sin(beta),
-        }
-
-
-def ramsey_protocol(run: RamseyRun) -> RamseyRun:
-    """Simulate the full pulse-loop-pulse sequence and fill run.result.
-
-    The loop is driven over run.schedule, which closes it at the end of the
-    wait; make_ramsey_run snaps that wait to whole doublet cycles, and
-    diagnostics["cycle_residual"] is its distance from the nearest whole
-    cycles. The wait runs in the co-moving frame of the drive on
-    berry.comoving_evolve (steps by berry.magnus_step_count), as the
-    one-point case of ramsey_sweep; the state is lifted into the lab frame
-    only before the second pulse. Leakage out of the doublet-plus-spectator
-    subspace is tested after every step.
-    """
-    _run_waits([run], sideband_hamiltonian(run.trap, ramsey_basis(run.trap.m)).matrix)
-    return run
+        cos_gamma = (1.0 - 2.0 * p_down) / contrast
+        rows.append(
+            {
+                "m": trap.m,
+                "eta": trap.eta,
+                "g": trap.g,
+                "delta_m": trap.delta_m,
+                "omega_solid": omega,
+                "total_time": schedule.total_time,
+                "p_down": p_down,
+                "gamma_inferred": math.acos(min(1.0, max(-1.0, cos_gamma))),
+                "gamma_analytic": analytic_berry_phase(model, omega),
+                "leak": float(max_leak[p]),
+                "n_steps": n_steps,
+                "norm_drift": float(drift[p]),
+                "branch_transfer": float(branch_transfer[p]),
+            }
+        )
+    return rows
 
 
 def ramsey_sweep(
@@ -416,47 +372,37 @@ def ramsey_sweep(
     pulse_mode: str = "timed",
     n_steps: int = 256,
 ) -> list[dict]:
-    """Run the protocol over a solid-angle grid; one row each, in grid
-    order, with the run's n_steps, norm_drift and branch_transfer.
+    """Run the Ramsey sequence over a solid-angle grid; one row each, in
+    grid order.
 
-    The points share H0, the snapped wait and the drive's rates, which on a
-    latitude loop do not depend on the solid angle, hence one step grid:
-    their waits run as one co-moving batch (ramsey_protocol is its
-    one-point case). Raises StepLimit, before any loop but the first is
-    built, when the points times the steps of one wait exceed MAX_STEPS.
+    Each wait is driven by ramsey_schedule(trap, omega, total_time,
+    n_steps), which closes the loop at the end of the wait snapped to whole
+    doublet cycles. It runs in the co-moving frame of the drive, with
+    leakage out of the doublet-plus-spectator subspace tested after every
+    step, and the state is lifted into the lab frame only before the
+    second pulse. The points share H0, the snapped wait and the drive's
+    rates, which on a latitude loop do not depend on the solid angle,
+    hence one step grid: their waits run as one co-moving batch. Raises
+    StepLimit, before any loop but the first is built, when the points
+    times the steps of one wait exceed MAX_STEPS.
+
+    A row holds the trap, omega_solid, the snapped total_time, p_down,
+    gamma_inferred = arccos((1 - 2 p_down) / sin beta) in [0, pi] (the
+    cosine read-out cannot see the phase sign), gamma_analytic, the
+    largest leak, the run's n_steps, norm_drift and branch_transfer.
     """
     omegas = list(omega_values)
     if not omegas:
         return []
     h0 = sideband_hamiltonian(trap, ramsey_basis(trap.m)).matrix
-    first = make_ramsey_run(trap, omegas[0], total_time, n_steps=n_steps)
-    steps = len(first.schedule.step_times(comoving_step_count(h0, first.schedule)))
+    first = ramsey_schedule(trap, omegas[0], total_time, n_steps)
+    steps = len(first.step_times(comoving_step_count(h0, first)))
     if len(omegas) * steps > MAX_STEPS:
         raise StepLimit(
             f"{len(omegas)} points of {steps} steps each are above"
             f" MAX_STEPS = {MAX_STEPS}"
         )
-    runs = [
-        make_ramsey_run(trap, omega, total_time, n_steps=n_steps, pulse_mode=pulse_mode)
-        for omega in omegas
+    schedules = [first] + [
+        ramsey_schedule(trap, omega, total_time, n_steps) for omega in omegas[1:]
     ]
-    _run_waits(runs, h0)
-    model = effective_model(trap)
-    return [
-        {
-            "m": trap.m,
-            "eta": trap.eta,
-            "g": trap.g,
-            "delta_m": trap.delta_m,
-            "omega_solid": omega,
-            "total_time": run.diagnostics["total_time"],
-            "p_down": run.result["p_down"],
-            "gamma_inferred": run.result["gamma_inferred"],
-            "gamma_analytic": analytic_berry_phase(model, omega),
-            "leak": run.diagnostics["max_nonadiabatic_leak"],
-            "n_steps": run.diagnostics["n_steps"],
-            "norm_drift": run.diagnostics["norm_drift"],
-            "branch_transfer": run.diagnostics["branch_transfer"],
-        }
-        for omega, run in zip(omegas, runs)
-    ]
+    return _run_waits(trap, pulse_mode, omegas, schedules, h0)

@@ -46,9 +46,7 @@ from anyonjc.errors import (
 from anyonjc.iontrap import (
     TrapParams,
     g_for_unit_coupling,
-    make_ramsey_run,
     ramsey_basis,
-    ramsey_protocol,
     ramsey_sweep,
     sideband_hamiltonian,
 )
@@ -587,7 +585,7 @@ class TestComovingFrame:
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         if case == "ramsey":
             trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
-            ramsey_protocol(make_ramsey_run(trap, math.pi, 60.0))
+            ramsey_sweep(trap, [math.pi], 60.0)
         else:
             params, frame, state = doublet_setup(m=int(case[1:]))
             h0 = build_interaction_hamiltonian(params)

@@ -29,11 +29,10 @@ from anyonjc.iontrap import (
     effective_model,
     g_for_unit_coupling,
     lamb_dicke_lambda,
-    make_ramsey_run,
     predicted_p_down,
     pulse_beta,
     ramsey_basis,
-    ramsey_protocol,
+    ramsey_schedule,
     ramsey_sweep,
     sideband_hamiltonian,
     snap_to_cycles,
@@ -198,62 +197,55 @@ class TestCycles:
 class TestProtocol:
     def test_zero_area_instantaneous_pulses_cancel(self):
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
-        run = make_ramsey_run(trap, 0.0, 200.0, pulse_mode="instantaneous")
-        ramsey_protocol(run)
-        assert run.result["p_down"] < 1e-6
-        assert run.diagnostics["max_nonadiabatic_leak"] < 1e-12
+        [row] = ramsey_sweep(trap, [0.0], 200.0, pulse_mode="instantaneous")
+        assert row["p_down"] < 1e-6
+        assert row["leak"] < 1e-12
 
     def test_zero_area_timed_pulse_floor(self):
         # timed pulses leave a small, time-independent excitation floor
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
-        run = make_ramsey_run(trap, 0.0, 200.0)
-        ramsey_protocol(run)
-        assert run.result["p_down"] < 1e-3
+        [row] = ramsey_sweep(trap, [0.0], 200.0)
+        assert row["p_down"] < 1e-3
 
     def test_single_point_matches_prediction(self):
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
-        run = make_ramsey_run(trap, math.pi, 200.0)
-        ramsey_protocol(run)
+        [row] = ramsey_sweep(trap, [math.pi], 200.0)
         gamma = analytic_berry_phase(effective_model(trap), math.pi)
         assert gamma == pytest.approx(math.pi / 2.0)
         want = predicted_p_down(trap, gamma, "timed")
-        assert run.result["p_down"] == pytest.approx(want, abs=1e-2)
-        assert run.result["gamma_inferred"] == pytest.approx(gamma, abs=1e-2)
-        assert run.j_cycles == 45
-        assert run.diagnostics["branch_transfer"] < 1e-2
+        assert row["p_down"] == pytest.approx(want, abs=1e-2)
+        assert row["gamma_inferred"] == pytest.approx(gamma, abs=1e-2)
+        assert snap_to_cycles(trap, row["total_time"])[1] == 45
+        assert row["branch_transfer"] < 1e-2
 
     def test_p_down_agrees_with_rk4_oracle(self, rk4_reference):
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
-        fast = ramsey_protocol(make_ramsey_run(trap, 2.0 * math.pi, 100.0))
+        [fast] = ramsey_sweep(trap, [2.0 * math.pi], 100.0)
         with rk4_reference():
-            ref = ramsey_protocol(make_ramsey_run(trap, 2.0 * math.pi, 100.0))
-        assert ref.diagnostics["n_steps"] > 10 * fast.diagnostics["n_steps"]
-        assert fast.result["p_down"] == pytest.approx(ref.result["p_down"], abs=1e-6)
-        diag = fast.diagnostics
-        assert diag["propagator"] == "magnus4-comoving"
-        assert diag["dt"] * diag["n_steps"] == pytest.approx(diag["total_time"])
+            [ref] = ramsey_sweep(trap, [2.0 * math.pi], 100.0)
+        assert ref["n_steps"] > 10 * fast["n_steps"]
+        assert fast["p_down"] == pytest.approx(ref["p_down"], abs=1e-6)
+        total_time, n_steps = fast["total_time"], fast["n_steps"]
+        dt = total_time / n_steps
         energy = np.abs(np.linalg.eigvalsh(sideband_hamiltonian(trap, ramsey_basis(2)).matrix)).max()
-        path = fast.schedule.path
-        rate = sum(DriveSchedule(path, diag["total_time"]).peak_rates())
-        assert diag["n_steps"] == magnus_step_count(
-            diag["total_time"], energy, rate, path.segments
-        )
-        assert (energy * diag["dt"]) * (rate * diag["dt"]) <= STEP_AREA * (1.0 + 1e-12)
-        assert energy * diag["dt"] <= STEP_PHASE * (1.0 + 1e-12)
-        assert diag["norm_drift"] < 1e-12
+        path = ramsey_schedule(trap, 2.0 * math.pi, 100.0).path
+        rate = sum(DriveSchedule(path, total_time).peak_rates())
+        assert n_steps == magnus_step_count(total_time, energy, rate, path.segments)
+        assert (energy * dt) * (rate * dt) <= STEP_AREA * (1.0 + 1e-12)
+        assert energy * dt <= STEP_PHASE * (1.0 + 1e-12)
+        assert fast["norm_drift"] < 1e-12
 
     def test_detuned_point_agrees_with_rk4_oracle(self, rk4_reference):
         # far off resonance |E| is about delta / 2, yet the co-moving steps
         # follow the drive: a few times fewer than the lab rule E T / 0.17
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2, delta_m=24.0)
-        run = make_ramsey_run(trap, 2.0, 24.0, pulse_mode="instantaneous")
-        fast = ramsey_protocol(run)
+        [fast] = ramsey_sweep(trap, [2.0], 24.0, pulse_mode="instantaneous")
         with rk4_reference():
-            ref = ramsey_protocol(make_ramsey_run(trap, 2.0, 24.0, pulse_mode="instantaneous"))
-        assert fast.result["p_down"] == pytest.approx(ref.result["p_down"], abs=1e-6)
+            [ref] = ramsey_sweep(trap, [2.0], 24.0, pulse_mode="instantaneous")
+        assert fast["p_down"] == pytest.approx(ref["p_down"], abs=1e-6)
         h0 = sideband_hamiltonian(trap, ramsey_basis(2)).matrix
-        lab_steps = np.abs(np.linalg.eigvalsh(h0)).max() * fast.diagnostics["total_time"] / 0.17
-        assert fast.diagnostics["n_steps"] < lab_steps / 3.0
+        lab_steps = np.abs(np.linalg.eigvalsh(h0)).max() * fast["total_time"] / 0.17
+        assert fast["n_steps"] < lab_steps / 3.0
 
     def test_snapped_wait_closes_the_loop(self):
         # a request off the cycle grid must run exactly as a request at the
@@ -261,16 +253,15 @@ class TestProtocol:
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
         snapped, _, residual = snap_to_cycles(trap, 202.0)
         assert residual > 2.0
-        off = ramsey_protocol(make_ramsey_run(trap, 2.0 * math.pi, 202.0))
-        on = ramsey_protocol(make_ramsey_run(trap, 2.0 * math.pi, snapped))
-        assert off.diagnostics["total_time"] == on.diagnostics["total_time"]
-        assert off.result["p_down"] == pytest.approx(on.result["p_down"], abs=1e-12)
+        [off] = ramsey_sweep(trap, [2.0 * math.pi], 202.0)
+        [on] = ramsey_sweep(trap, [2.0 * math.pi], snapped)
+        assert off["total_time"] == on["total_time"]
+        assert off["p_down"] == pytest.approx(on["p_down"], abs=1e-12)
 
     def test_fast_drive_raises(self):
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
-        run = make_ramsey_run(trap, 4.0 * math.pi, 3.0)
         with pytest.raises(NonAdiabatic):
-            ramsey_protocol(run)
+            ramsey_sweep(trap, [4.0 * math.pi], 3.0)
 
     @pytest.mark.parametrize(
         "omega,total_time,n_steps",
@@ -300,20 +291,17 @@ class TestProtocol:
     def test_sweep_rows_match_per_point_protocol(
         self, delta, total_time, pulse_mode, omegas
     ):
-        # the sweep steps its points as one batch; each point on its own
-        # must give the same numbers
+        # the sweep steps its points as one batch; a batch must equal its
+        # one-point sweeps
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2, delta_m=delta)
         rows = ramsey_sweep(trap, omegas, total_time, pulse_mode=pulse_mode)
         for omega, row in zip(omegas, rows):
-            run = make_ramsey_run(trap, omega, total_time, pulse_mode=pulse_mode)
-            ramsey_protocol(run)
-            assert row["p_down"] == pytest.approx(run.result["p_down"], abs=1e-12)
-            diag = run.diagnostics
-            assert row["leak"] == pytest.approx(diag["max_nonadiabatic_leak"], abs=1e-12)
-            assert row["norm_drift"] == pytest.approx(diag["norm_drift"], abs=1e-12)
-            assert row["branch_transfer"] == pytest.approx(diag["branch_transfer"], abs=1e-12)
-            assert row["n_steps"] == diag["n_steps"]
-            assert row["total_time"] == diag["total_time"] == run.schedule.total_time
+            [one] = ramsey_sweep(trap, [omega], total_time, pulse_mode=pulse_mode)
+            for key in ("p_down", "leak", "norm_drift", "branch_transfer"):
+                assert row[key] == pytest.approx(one[key], abs=1e-12)
+            assert row["n_steps"] == one["n_steps"]
+            schedule = ramsey_schedule(trap, omega, total_time)
+            assert row["total_time"] == one["total_time"] == schedule.total_time
 
     def test_sweep_warns_once_at_the_caller(self):
         trap = TrapParams(g=g_for_unit_coupling(0.5, 2), eta=0.5, m=2)
