@@ -488,15 +488,15 @@ def load_config_file(path: str) -> dict:
     return out
 
 
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
 def _apply_config(parser: _Parser, args, argv: list[str]):
+    """Set the chosen subcommand's options from the --config file; any
+    other key, command and config included, is unknown."""
     config = load_config_file(args.config)
-    actions = {}
-    for action in parser._actions:
-        actions[action.dest] = action
-    for group in parser._subparsers._group_actions:
-        for sub_parser in group.choices.values():
-            for action in sub_parser._actions:
-                actions.setdefault(action.dest, action)
+    [subcommands] = parser._subparsers._group_actions
+    actions = {a.dest: a for a in subcommands.choices[args.command]._actions}
     for key, raw in config.items():
         if key not in actions or not hasattr(args, key):
             raise ValueError(f"unknown config key {key!r}")
@@ -504,8 +504,12 @@ def _apply_config(parser: _Parser, args, argv: list[str]):
         if any(tok == flag or tok.startswith(flag + "=") for tok in argv):
             continue  # explicit flag wins
         action = actions[key]
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            value = raw.lower() in ("1", "true", "yes", "on")
+        if action.nargs == 0:  # a flag such as --strict
+            if raw.lower() not in _TRUE + _FALSE:
+                raise ValueError(
+                    f"config flag {key!r} takes 1/0, true/false, yes/no or on/off"
+                )
+            value = raw.lower() in _TRUE
         elif callable(action.type):
             value = action.type(raw)
         else:

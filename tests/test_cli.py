@@ -159,9 +159,32 @@ class TestConfigFile:
         assert "256 steps" in out  # explicit flag beat the file value
 
     def test_unknown_key_exits_4(self, tmp_path, capsys):
+        # keys come from the chosen subcommand alone: command= and config=
+        # are unknown (command=ramsey ended phase and transmute in a
+        # traceback), and a flag takes only an explicit truth value
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("frobnicate = 1\n")
-        assert main(["--config", str(cfg), "phase"]) == 4
+        for text, command in [
+            ("frobnicate = 1", "phase"),
+            ("command = ramsey", "phase"),
+            ("command = ramsey", "transmute"),
+            ("config = other.cfg", "phase"),
+            ("loop_steps = 64", "phase"),
+            ("strict = maybe", "phase"),
+        ]:
+            cfg.write_text(text + "\n")
+            assert main(["--config", str(cfg), command]) == 4, text
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("value,strict", [("yes", True), ("On", True), ("0", False)])
+    def test_flag_keys_take_a_truth_value(self, tmp_path, capsys, value, strict):
+        # a strict transmute run passes its check, so the JSON config shows
+        # what the file set
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out.json"
+        cfg.write_text(f"strict = {value}\npoints = 2\n")
+        argv = ["--config", str(cfg), "transmute", "--format", "json", "--output", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["config"]["strict"] is strict
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
