@@ -13,12 +13,14 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from anyonjc.berry import holonomy_phase
 from anyonjc.cli import main as cli_main
+from anyonjc.errors import TruncationWarning
 from anyonjc.fock import (
     SPIN_DOWN,
     SPIN_UP,
@@ -273,7 +275,13 @@ def test_criterion_7_lamb_dicke_consistency():
             trap = TrapParams(g=1.0, eta=eta, m=m)
             closed = abs(lamb_dicke_lambda(trap))
             basis = ramsey_basis(m)
-            h = sideband_hamiltonian(trap, basis)
+            # the basis reaches n = m: one marginal-basis warning where
+            # eta^2 (m + 1) > 0.1 (eta = 0.2, m = 2 only), none elsewhere
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                h = sideband_hamiltonian(trap, basis)
+            marginal = eta * eta * (m + 1) > 0.1
+            assert [w.category for w in caught] == [TruncationWarning] * marginal
             element = abs(
                 h.matrix[basis.index((SPIN_DOWN, m, 0)), basis.index((SPIN_UP, 0, 0))]
             )
