@@ -103,7 +103,7 @@ class TestHolonomy:
         path = constant_latitude_loop(0.5, 250_000)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"2000008 amplitudes, above MAX_LIFTED"):
+            with pytest.raises(ValueError, match="2000008 amplitudes, above MAX_LIFTED"):
                 transport_states(frame, state, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

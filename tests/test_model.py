@@ -98,6 +98,10 @@ class TestParams:
             params.kappa
         with pytest.raises(ValueError, match="beyond the float range"):
             statistical_factor(params, math.pi)
+        # m! is finite at m = 150, but the Hamiltonian takes 300!/150!,
+        # which ended `phase --m 150 --adiabatic` in an OverflowError
+        with pytest.raises(ValueError, match="at n = 150, m = 150 is beyond"):
+            build_interaction_hamiltonian(ModelParams(m=150))
 
     @pytest.mark.parametrize(
         "build,states",
