@@ -383,8 +383,10 @@ def ramsey_sweep(
     second pulse. The points share H0, the snapped wait and the drive's
     rates, which on a latitude loop do not depend on the solid angle,
     hence one step grid: their waits run as one co-moving batch. Raises
-    StepLimit, before any loop but the first is built, when the points
-    times the steps of one wait exceed MAX_STEPS.
+    StepLimit when the points times the steps of one wait exceed
+    MAX_STEPS: before any loop is built if the points times n_steps, the
+    fewest steps a wait takes, already do, and otherwise before any loop
+    but the first.
 
     A row holds the trap, omega_solid, the snapped total_time, p_down,
     gamma_inferred = arccos((1 - 2 p_down) / sin beta) in [0, pi] (the
@@ -394,9 +396,14 @@ def ramsey_sweep(
     omegas = list(omega_values)
     if not omegas:
         return []
+    if len(omegas) * n_steps > MAX_STEPS:  # a wait takes a step per segment at least
+        raise StepLimit(
+            f"{len(omegas)} points of at least {n_steps} steps each are above"
+            f" MAX_STEPS = {MAX_STEPS}"
+        )
     h0 = sideband_hamiltonian(trap, ramsey_basis(trap.m)).matrix
     first = ramsey_schedule(trap, omegas[0], total_time, n_steps)
-    steps = len(first.step_times(comoving_step_count(h0, first)))
+    steps = comoving_step_count(h0, first)
     if len(omegas) * steps > MAX_STEPS:
         raise StepLimit(
             f"{len(omegas)} points of {steps} steps each are above"

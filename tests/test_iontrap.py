@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from anyonjc import iontrap
 from anyonjc.berry import (
     MAX_STEPS,
     STEP_AREA,
@@ -321,6 +322,17 @@ class TestProtocol:
         with pytest.raises(StepLimit, match=f"MAX_STEPS = {MAX_STEPS}"):
             ramsey_sweep(trap, omegas, 200.0, n_steps=1001)
         assert calls == []
+
+    def test_sweep_step_limit_raises_before_any_loop(self, monkeypatch):
+        # every wait takes at least one step per loop segment, so 9 points
+        # of 1,000,000 segments are over MAX_STEPS before a loop is built
+        trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
+        built = []
+        monkeypatch.setattr(iontrap, "constant_latitude_loop", lambda *a: built.append(a))
+        omegas = np.linspace(0.0, 4.0 * math.pi, 9)
+        with pytest.raises(StepLimit, match="9 points of at least 1000000 steps"):
+            ramsey_sweep(trap, omegas, 200.0, n_steps=1_000_000)
+        assert built == []
 
     def test_sweep_rows_are_csv_ready(self):
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
