@@ -80,10 +80,10 @@ def parse_angle(text: str) -> float:
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; the contract here
-    reserves 2 for cross-check failures, so usage errors exit 4."""
+    reserves 2 for cross-check failures, so usage errors exit 4. Like every
+    other error, a usage error writes one stderr line (--help shows usage)."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(4, f"{self.prog}: error: {message}\n")
 
 
