@@ -352,12 +352,15 @@ class DriveSchedule:
         rates = chord * (steepest * self.path.segments / self.total_time)
         return float(rates[0]), float(rates[1])
 
+    def bends(self) -> np.ndarray:
+        """Indices of the samples where the path bends, so the rates jump."""
+        chords = np.diff(self.path.samples, axis=0)
+        return np.flatnonzero(np.abs(np.diff(chords, axis=0)).max(axis=1) > 1e-12) + 1
+
     def step_times(self, n_steps: int) -> np.ndarray:
         """Ends of about n_steps equal steps, with a step end wherever the
         path bends, so that no step straddles a jump of the rates."""
-        chords = np.diff(self.path.samples, axis=0)
-        bends = np.flatnonzero(np.abs(np.diff(chords, axis=0)).max(axis=1) > 1e-12) + 1
-        y = bends / self.path.segments
+        y = self.bends() / self.path.segments
         if self.time_parametrization == "smoothstep":
             y = 0.5 - np.sin(np.arcsin(1.0 - 2.0 * y) / 3.0)  # inverse of s(u)
         edges = self.total_time * np.concatenate([[0.0], y, [1.0]])
@@ -437,9 +440,11 @@ def comoving_evolve(h0: np.ndarray, frame: SchwingerFrame, schedules, xi):
     Phys. Rep. 470, 151 (2009)]: Omega = -i dt/2 (H1 + H2) - (sqrt(3)/12)
     dt^2 [H2, H1] from H_xi at the two Gauss-Legendre nodes, applied through
     the eigensystem of the Hermitian i Omega, so the step is unitary to
-    rounding. Steps follow comoving_step_count and step_times, which the
-    schedules must share (ValueError otherwise). The states reachable from
-    the support of xi through the nonzero entries of H0, J_x and J_y fall
+    rounding. Steps follow comoving_step_count and step_times of the first
+    schedule, taken once; every other schedule must agree with it in total
+    time, parametrization, segments, peak rates and bends, which fix the
+    step grid (ValueError otherwise). The states reachable from the
+    support of xi through the nonzero entries of H0, J_x and J_y fall
     into connected blocks of that pattern, the Q blocks; H_xi has no
     element between two blocks, so each is stepped on its own and the
     other states hold exact zeros at every step. A block of one state
@@ -454,10 +459,15 @@ def comoving_evolve(h0: np.ndarray, frame: SchwingerFrame, schedules, xi):
     commutator = np.subtract.outer(charge, charge) * h0
     if np.abs(commutator).max() > 1e-12 * max(1.0, np.abs(h0).max()):
         raise SimulationError("H0 does not commute with the drive charge K")
-    grids = (s.step_times(comoving_step_count(h0, s)) for s in schedules)
-    times = next(grids)
-    if not all(np.array_equal(grid, times) for grid in grids):
+
+    def grid(s):
+        rates, bends = s.peak_rates(), s.bends().tolist()
+        return s.total_time, s.time_parametrization, s.path.segments, rates, bends
+
+    first = grid(schedules[0])
+    if any(grid(s) != first for s in schedules[1:]):
         raise ValueError("the schedules of one run must share their step times")
+    times = schedules[0].step_times(comoving_step_count(h0, schedules[0]))
     # H_xi = sum_a c_a M_a: c = (1, -phi' cos theta, phi' sin theta, -phi',
     # -theta') on M = (H0, J_z, J_x, K - J_z, J_y), so [H1, H2] is the sum
     # over a < b of (c1_a c2_b - c1_b c2_a) [M_a, M_b]

@@ -63,6 +63,7 @@ from anyonjc.model import (
 )
 from anyonjc.fock import SPIN_UP, FockOperator, StateVector, build_pauli
 from anyonjc.paths import (
+    LoopPath,
     SchwingerFrame,
     constant_latitude_loop,
     default_latitude_loop,
@@ -665,6 +666,27 @@ class TestComovingFrame:
         xi = np.stack([state.amplitudes] * 2)
         with pytest.raises(ValueError, match="step times"):
             next(comoving_evolve(h0, frame, scheds, xi))
+
+    def test_step_grid_is_built_once_per_run(self, monkeypatch):
+        # five points on one grid: one eigvalsh for the step count and one
+        # grid; a schedule with a bend the others lack does not share it
+        params, frame, state = doublet_setup(m=2)
+        h0 = build_interaction_hamiltonian(params).matrix
+        scheds = [DriveSchedule(constant_latitude_loop(t, 16), 30.0) for t in (0.3, 0.6, 0.9, 1.2, 1.5)]
+        xi = np.stack([state.amplitudes] * 5)
+        calls = []
+        for module, name in ((np.linalg, "eigvalsh"), (DriveSchedule, "step_times")):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
+            )
+        assert len(list(comoving_evolve(h0, frame, scheds, xi))) == 1
+        assert calls == ["eigvalsh", "step_times"]
+        bent = constant_latitude_loop(0.7, 16).samples.copy()
+        bent[8:, 0] += 0.1 * np.arange(9)
+        polygon = LoopPath(bent, closed=False, kind="polygon", omega_solid=0.0)
+        with pytest.raises(ValueError, match="step times"):
+            next(comoving_evolve(h0, frame, [scheds[0], DriveSchedule(polygon, 30.0)], xi[:2]))
 
     def test_step_ceiling_raises_before_stepping(self, monkeypatch):
         params, frame, state = doublet_setup(m=2)
