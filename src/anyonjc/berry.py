@@ -7,11 +7,15 @@ from the model module; neither reuses the other's arithmetic, which is
 the point of having both.
 
 Holonomy route: the loop is sampled, the state is lifted at every sample,
-and the phase is read off the Bargmann product of consecutive overlaps.
+and the phase is read off the Bargmann product of consecutive overlaps
+[N. Mukunda & R. Simon, Ann. Phys. 228, 205 (1993)].
 The lift takes one exponential per sample: the levels of 2 J_z are
 integers, so every azimuth phase is a power of w = e^{-i phi/2}, and
 powers built by repeated multiplication are exact to rounding, one
-rounding per product (transport_states).
+rounding per product (transport_states). Transport is linear in the
+state, so states that share a frame and a loop are lifted as one batch
+with one power table, and the batch is exact: each state's phase equals
+its one-state run bit for bit (holonomy_phases).
 The per-step arguments of the smooth lift also resolve the winding number,
 which the principal value of the closed product cannot see. The plain
 product estimator is second-order accurate in the step count; by default
@@ -114,28 +118,32 @@ class PhaseReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def transport_states(
-    frame: SchwingerFrame, state: StateVector, path: LoopPath
-) -> np.ndarray:
-    """Lift the state to every path sample: row k is W(theta_k, phi_k) psi.
+def transport_states(frame: SchwingerFrame, states, path: LoopPath) -> np.ndarray:
+    """Lift states to every path sample: row k holds W(theta_k, phi_k) psi.
 
-    The rows are built in runs of equal theta, one rotation matrix R per
-    run (a single one for a latitude loop). Every level h of 2 J_z is an
-    integer, so with w_k = e^{-i phi_k / 2} row k is sum_e w_k^e c_e, where
-    (c_e)_i sums R_ij psi_j over the j with h_i - h_j = e. One exponential
-    per sample gives w_k; its powers up to the widest level difference
-    come by repeated multiplication, and the negative ones are their
-    conjugates. Each product adds one rounding, so the table is exact to
-    rounding, with an error that grows linearly with the level span.
+    states is one StateVector, for rows (K, d), or a sequence of P states,
+    for rows (K, P, d). The rows are built in runs of equal theta, one
+    rotation matrix R per run (a single one for a latitude loop). Every
+    level h of 2 J_z is an integer, so with w_k = e^{-i phi_k / 2} row k
+    is sum_e w_k^e c_e, where (c_e)_i sums R_ij psi_j over the j with
+    h_i - h_j = e. One exponential per sample gives w_k; its powers up to
+    the widest level difference come by repeated multiplication, and the
+    negative ones are their conjugates. Each product adds one rounding, so
+    the table is exact to rounding, with an error that grows linearly with
+    the level span. The batch shares the table, and each state's rows are
+    one product with it, rounded as for that state alone.
     Raises ValueError if a level of J_z is not a half-integer, and
-    SizeLimit, before it allocates, above MAX_LIFTED samples x states.
+    SizeLimit, before it allocates, above MAX_LIFTED lifted amplitudes
+    (samples x states x basis states).
     """
-    if state.basis != frame.basis:
+    batch = [states] if isinstance(states, StateVector) else list(states)
+    if any(state.basis != frame.basis for state in batch):
         raise BasisMismatch("state and frame use different bases")
-    lifted = len(path.samples) * frame.basis.dim
+    width = len(batch) * frame.basis.dim
+    lifted = len(path.samples) * width
     if lifted > MAX_LIFTED:
         raise SizeLimit(
-            f"{len(path.samples)} samples of {frame.basis.dim} states are {lifted}"
+            f"{len(path.samples)} samples of {width} states are {lifted}"
             f" amplitudes, above MAX_LIFTED = {MAX_LIFTED}"
         )
     levels = np.rint(2.0 * frame.jz_diagonal).astype(np.intp)
@@ -150,36 +158,32 @@ def transport_states(
         np.multiply(powers[e - 1], w, out=powers[e])
     np.conjugate(powers[:span:-1], out=powers[:span])
     # sum the columns of R psi by level, then move row i to e = h_i - level
+    amplitudes = np.array([state.amplitudes for state in batch])[:, None, :]
     values = np.unique(levels)
     by_level = levels[:, None] == values
     shift = levels[:, None] - values + span
     changes = np.flatnonzero(thetas[1:] != thetas[:-1]) + 1
     bounds = [0, *changes.tolist(), len(thetas)]
-    runs = []
+    rows = np.empty((len(thetas), len(batch), len(levels)), dtype=complex)
     for lo, hi in zip(bounds, bounds[1:]):
-        coeffs = np.zeros((len(levels), 2 * span + 1), dtype=complex)
-        rotated = frame.rotation_about_y(float(thetas[lo])) * state.amplitudes
-        np.put_along_axis(coeffs, shift, rotated @ by_level, axis=1)
-        runs.append(powers[:, lo:hi].T @ coeffs.T)
-    # a single run needs no concatenated copy, which measurably slows
-    # the holonomy cycle that follows
-    return runs[0] if len(runs) == 1 else np.concatenate(runs)
+        coeffs = np.zeros((len(batch), len(levels), 2 * span + 1), dtype=complex)
+        rotated = frame.rotation_about_y(float(thetas[lo])) * amplitudes
+        np.put_along_axis(coeffs, shift[None], rotated @ by_level, axis=2)
+        # one (K, 2 span + 1) by (2 span + 1, d) product per state
+        out = rows[lo:hi].transpose(1, 0, 2)
+        np.matmul(powers[:, lo:hi].T, coeffs.transpose(0, 2, 1), out=out)
+    return rows[:, 0] if isinstance(states, StateVector) else rows
 
 
-def _raw_loop_argsum(cycle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Magnitudes and arguments of consecutive overlaps around a closed
-    cycle, taken on views: each row against the next, the last against
-    the first. Raises VanishingOverlap if one is too small to trust."""
-    ov = np.empty(len(cycle), dtype=complex)
-    ov[:-1] = np.einsum("kd,kd->k", cycle[:-1].conj(), cycle[1:])
-    ov[-1] = np.vdot(cycle[-1], cycle[0])
-    mags = np.abs(ov)
-    if mags.min() < TOL.vanishing_overlap:
-        raise VanishingOverlap(
-            f"consecutive overlap {mags.min():.2e} below "
-            f"{TOL.vanishing_overlap}; sample the path more finely"
-        )
-    return mags, np.angle(ov)
+def _loop_overlaps(cycle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitudes and arguments (P, K) of the consecutive overlaps around
+    the closed cycles (K, P, d) of P states, taken on views: each row
+    against the next, the last against the first. Each state's overlaps
+    are rounded as for that state alone."""
+    ov = np.empty(cycle.shape[1::-1], dtype=complex)
+    np.einsum("kpd,kpd->pk", cycle[:-1].conj(), cycle[1:], out=ov[:, :-1])
+    ov[:, -1] = [np.vdot(last, first) for last, first in zip(cycle[-1], cycle[0])]
+    return np.abs(ov), np.angle(ov)
 
 
 @lru_cache(maxsize=1)
@@ -197,13 +201,19 @@ def calibrate_sign_convention() -> int:
     plus, _ = analytic_eigensystem(params)
     state = dressed_state_vector(plus)
     path = constant_latitude_loop(0.5, n_steps=512)
-    cycle = transport_states(frame, state, path)[:-1]
-    _, args = _raw_loop_argsum(cycle)
-    raw = -float(args.sum())  # raw convention: minus the product argument
+    cycle = transport_states(frame, [state], path)[:-1]
+    _, args = _loop_overlaps(cycle)
+    raw = -float(args[0].sum())  # raw convention: minus the product argument
     target = analytic_berry_phase(params, path.omega_solid)
     if min(abs(raw), abs(target)) < TOL.calibration_floor:
         raise CalibrationAmbiguous("calibration loop produced a near-zero phase")
     return 1 if raw * target > 0 else -1
+
+
+# Lifted amplitudes (samples x states x basis states) that one batch of
+# holonomy_phases holds: about 1 MB per complex array, so a sweep's peak
+# memory does not grow with its point count.
+BATCH_AMPLITUDES = 65_536
 
 
 def holonomy_phase(
@@ -225,66 +235,108 @@ def holonomy_phase(
 
     The state should be normalized; it is transported as given. Comparing
     against closed-form phases is only meaningful for eigenstates, but any
-    state transports fine.
+    state transports fine. This is holonomy_phases of the one state.
     """
-    samples = transport_states(frame, state, path)
+    [report] = holonomy_phases([state], frame, path, refine=refine, gauge_seed=gauge_seed)
+    return report
+
+
+def holonomy_phases(
+    states,
+    frame: SchwingerFrame,
+    path: LoopPath,
+    *,
+    refine: bool = True,
+    gauge_seed: int | None = None,
+) -> list[PhaseReport]:
+    """holonomy_phase of each of the states, which share frame and loop;
+    one report per state, in order, equal to its one-state call bit for
+    bit. The states are lifted together, in batches of at most
+    BATCH_AMPLITUDES lifted amplitudes (one state at least), and every
+    overlap, sum and guard is taken per state. gauge_seed regauges every
+    state by the same phases as its one-state call. Raises
+    VanishingOverlap, naming the first such state's smallest overlap, if
+    any state's one-state call would.
+    """
+    states = list(states)
+    size = max(1, BATCH_AMPLITUDES // (len(path.samples) * frame.basis.dim))
+    reports = []
+    for lo in range(0, len(states), size):
+        samples = transport_states(frame, states[lo : lo + size], path)
+        reports += _batch_reports(samples, path, refine, gauge_seed)
+    return reports
+
+
+def _batch_reports(samples, path, refine, gauge_seed) -> list[PhaseReport]:
+    """The holonomy_phases reports of the lifted rows (K, P, d) of P states."""
     cycle = samples[:-1] if path.closed else samples
     if gauge_seed is not None:
         rng = np.random.default_rng(gauge_seed)
-        cycle = cycle * np.exp(1j * TWO_PI * rng.random(len(cycle)))[:, None]
-    mags, args = _raw_loop_argsum(cycle)
-    argsum = float(args.sum())
-    max_step = float(np.abs(args).max())
+        cycle = cycle * np.exp(1j * TWO_PI * rng.random(len(cycle)))[:, None, None]
+    mags, args = _loop_overlaps(cycle)
+    lowest, max_steps = mags.min(axis=1), np.abs(args).max(axis=1)
+    if lowest.min() < TOL.vanishing_overlap:
+        first = lowest[lowest < TOL.vanishing_overlap][0]
+        raise VanishingOverlap(
+            f"consecutive overlap {first:.2e} below "
+            f"{TOL.vanishing_overlap}; sample the path more finely"
+        )
+    resolvable = (max_steps < TOL.winding_step_cap) & (gauge_seed is None)
     sign = calibrate_sign_convention()
-
-    resolvable = gauge_seed is None and max_step < TOL.winding_step_cap
-    diagnostics = {
-        "min_overlap": float(mags.min()),
-        "max_step_arg": max_step,
-        "gamma_raw_principal": principal_value(-argsum),
-        "sign_convention": sign,
-        "refined": False,
-        "discretization_estimate": None,
-    }
 
     # One Richardson sweep against the even-index subsequence, whose
     # cyclic product is gauge invariant too. A resolvable run compares the
     # smooth argument sums and reports the estimate even unrefined; an
     # unresolvable one can only compare principal values.
-    argsum_used = argsum
-    if len(cycle) % 2 == 0 and (refine or resolvable):
-        try:
-            _, args_h = _raw_loop_argsum(cycle[::2])
-        except VanishingOverlap:
-            args_h = None
-        smooth = args_h is not None and np.abs(args_h).max() < TOL.winding_step_cap
-        if args_h is not None and (smooth or not resolvable):
-            delta = float(args_h.sum()) - argsum
-            if not resolvable:
+    sweep = len(cycle) % 2 == 0 and (refine or resolvable.any())
+    if sweep:
+        mags_h, args_h = _loop_overlaps(cycle[::2])
+        usable = ~(mags_h.min(axis=1) < TOL.vanishing_overlap)
+        smooth = np.abs(args_h).max(axis=1) < TOL.winding_step_cap
+
+    reports = []
+    per_state = zip(resolvable.tolist(), lowest.tolist(), max_steps.tolist())
+    for p, (ok, min_overlap, max_step) in enumerate(per_state):
+        argsum = float(args[p].sum())  # a row at a time: rounded as for one state
+        diagnostics = {
+            "min_overlap": min_overlap,
+            "max_step_arg": max_step,
+            "gamma_raw_principal": principal_value(-argsum),
+            "sign_convention": sign,
+            "refined": False,
+            "discretization_estimate": None,
+        }
+        argsum_used = argsum
+        if sweep and (refine or ok) and usable[p] and (smooth[p] or not ok):
+            delta = float(args_h[p].sum()) - argsum
+            if not ok:
                 delta = principal_value(delta)
             diagnostics["discretization_estimate"] = abs(delta) / 3.0
             if refine:
                 argsum_used = argsum - delta / 3.0
                 diagnostics["refined"] = True
 
-    if resolvable:
-        gamma_total = sign * -argsum_used
-        gamma = principal_value(gamma_total)
-        winding = round((gamma_total - gamma) / TWO_PI)
-        per_revolution = gamma_total / path.revolutions
-    else:
-        gamma = principal_value(sign * -principal_value(argsum_used))
-        winding = gamma_total = per_revolution = None
-    return PhaseReport(
-        gamma=gamma,
-        winding=winding,
-        gamma_total=gamma_total,
-        gamma_per_revolution=per_revolution,
-        method="holonomy",
-        n_steps=path.n_steps,
-        revolutions=path.revolutions,
-        diagnostics=diagnostics,
-    )
+        if ok:
+            gamma_total = sign * -argsum_used
+            gamma = principal_value(gamma_total)
+            winding = round((gamma_total - gamma) / TWO_PI)
+            per_revolution = gamma_total / path.revolutions
+        else:
+            gamma = principal_value(sign * -principal_value(argsum_used))
+            winding = gamma_total = per_revolution = None
+        reports.append(
+            PhaseReport(
+                gamma=gamma,
+                winding=winding,
+                gamma_total=gamma_total,
+                gamma_per_revolution=per_revolution,
+                method="holonomy",
+                n_steps=path.n_steps,
+                revolutions=path.revolutions,
+                diagnostics=diagnostics,
+            )
+        )
+    return reports
 
 
 # --- adiabatic route ---

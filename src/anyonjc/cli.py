@@ -234,37 +234,36 @@ def cmd_phase(args) -> int:
     return 0
 
 
-def _fig1_holonomy_ratio(m: int, delta: float, steps: int) -> float:
-    params = ModelParams(m=m, delta_m=delta)
-    frame = schwinger_frame(default_basis(params))
-    plus, _ = analytic_eigensystem(params)
-    path = default_latitude_loop(m, math.pi / 2.0, steps)
-    report = berry.holonomy_phase(dressed_state_vector(plus), frame, path)
-    scale = 0.25 * m * path.omega_solid
-    return _per_revolution(report) / scale
-
-
 def cmd_fig1(args) -> int:
     deltas = np.linspace(0.0, args.delta_max, args.points)
     rows = []
     worst_cross = 0.0
     for m in _m_values(args):
-        for delta in deltas:
-            params = ModelParams(m=m, delta_m=float(delta))
-            rho = DensityMatrix.from_state(
-                dressed_state_vector(analytic_eigensystem(params)[0])
-            )
-            row = {
+        # one basis, frame and loop per m; the dressed states serve both
+        # the entropy column and one holonomy_phases batch
+        basis = default_basis(ModelParams(m=m))
+        if args.with_holonomy:
+            frame = schwinger_frame(basis)
+            path = default_latitude_loop(m, math.pi / 2.0, args.steps)
+        points = [ModelParams(m=m, delta_m=float(delta)) for delta in deltas]
+        states = [dressed_state_vector(analytic_eigensystem(p)[0], basis) for p in points]
+        block = [
+            {
                 "delta_over_lambda": float(delta),
                 "m": m,
                 "ratio": detuning_ratio(params),
-                "linear_entropy": linear_entropy(partial_trace(rho)),
+                "linear_entropy": linear_entropy(
+                    partial_trace(DensityMatrix.from_state(state))
+                ),
             }
-            if args.with_holonomy:
-                hol = _fig1_holonomy_ratio(m, float(delta), args.steps)
-                row["ratio_holonomy"] = hol
-                worst_cross = max(worst_cross, abs(hol - row["ratio"]))
-            rows.append(row)
+            for delta, params, state in zip(deltas, points, states)
+        ]
+        if args.with_holonomy:
+            scale = 0.25 * m * path.omega_solid
+            for row, report in zip(block, berry.holonomy_phases(states, frame, path)):
+                row["ratio_holonomy"] = _per_revolution(report) / scale
+                worst_cross = max(worst_cross, abs(row["ratio_holonomy"] - row["ratio"]))
+        rows += block
     emit_rows(rows, args, {"worst_holonomy_deviation": worst_cross or None})
     if args.strict and args.with_holonomy and worst_cross > 1e-6:
         print("strict: holonomy ratio deviates from closed form", file=sys.stderr)

@@ -11,6 +11,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,17 +261,122 @@ class TestHolonomy:
 
     @pytest.mark.parametrize("length", [2, 3, 9, 513])
     def test_cycle_overlaps_match_the_rolled_copy(self, length):
-        # the overlaps are taken on views; the rolled copy is the old form
+        # the overlaps are taken on views; the rolled copy is the old form.
+        # Each of the three cycles of a batch gets the overlaps of its own.
         rng = np.random.default_rng(length)
         base = rng.normal(size=6) + 1j * rng.normal(size=6)
-        cycle = base + 0.3 * (rng.normal(size=(length, 6)) + 1j * rng.normal(size=(length, 6)))
-        cycle /= np.linalg.norm(cycle, axis=1, keepdims=True)
+        shape = (length, 3, 6)
+        cycle = base + 0.3 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        cycle /= np.linalg.norm(cycle, axis=2, keepdims=True)
         for view in (cycle, cycle[::2]):
-            ov = np.einsum("kd,kd->k", view.conj(), np.roll(view, -1, axis=0))
-            mags, args = berry._raw_loop_argsum(view)
-            assert len(args) == len(view)
+            ov = np.einsum("kpd,kpd->pk", view.conj(), np.roll(view, -1, axis=0))
+            mags, args = berry._loop_overlaps(view)
+            assert args.shape == (3, len(view))
             assert np.abs(mags - np.abs(ov)).max() < 1e-14
             assert np.abs(args - np.angle(ov)).max() < 1e-14
+
+
+def batch_setup(case, points):
+    """A frame, a loop and `points` states on the frame's basis: dressed
+    states of one doublet at spread detunings, or random states of the
+    exchange-coupled pair's four-mode basis."""
+    if case == "pair":
+        basis = two_anyon_basis(TwoAnyonParams(m=2))
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(points, basis.dim)) + 1j * rng.normal(size=(points, basis.dim))
+        z[0] = two_anyon_eigenstate(TwoAnyonParams(m=2), basis).amplitudes
+        states = [StateVector(basis, v / np.linalg.norm(v)) for v in z]
+        return schwinger_frame(basis), constant_latitude_loop(1.3, 64, revolutions=2), states
+    m, n, n_prime, branch = case
+    basis = default_basis(ModelParams(m=m, n=n, n_prime=n_prime))
+    states = []
+    for delta in np.linspace(-6.0, 6.0, points):
+        params = ModelParams(m=m, delta_m=float(delta), n=n, n_prime=n_prime)
+        dressed = analytic_eigensystem(params)[0 if branch == "+" else 1]
+        states.append(dressed_state_vector(dressed, basis))
+    return schwinger_frame(basis), default_latitude_loop(m, 1.1, 128), states
+
+
+BATCH_CASES = [
+    pytest.param((m, n, n_prime, branch), id=f"m{m}-n{n}{n_prime}{branch}")
+    for m in (1, 2, 3)
+    for n, n_prime in ((0, 0), (1, 2))
+    for branch in "+-"
+] + [pytest.param("pair", id="pair")]
+
+
+class TestHolonomyBatch:
+    """holonomy_phases: one lift and one set of overlaps for many states."""
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_batch_equals_one_state_calls_bitwise(self, case, monkeypatch):
+        frame, path, states = batch_setup(case, 11)
+        # four states of lifted rows per batch, less a little: 11 states
+        # fill batches of 3, 3, 3 and a ragged 2
+        per_state = len(path.samples) * frame.basis.dim
+        monkeypatch.setattr(berry, "BATCH_AMPLITUDES", 4 * per_state - 1)
+        batch = berry.holonomy_phases(states, frame, path)
+        assert batch == [holonomy_phase(state, frame, path) for state in states]
+        rows = transport_states(frame, states, path)
+        assert rows.shape == (len(path.samples), len(states), frame.basis.dim)
+        for p, state in enumerate(states):
+            assert np.array_equal(rows[:, p], transport_states(frame, state, path))
+
+    def test_batches_at_the_module_budget(self):
+        # 100 states of 257 x 6 lifted amplitudes: batches of 42, 42 and 16
+        frame, path, states = batch_setup((1, 0, 0, "+"), 100)
+        size = berry.BATCH_AMPLITUDES // (len(path.samples) * frame.basis.dim)
+        assert 2 * size < len(states) < 3 * size
+        batch = berry.holonomy_phases(states, frame, path)
+        assert batch == [holonomy_phase(state, frame, path) for state in states]
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_refine_and_gauge_seed_keep_their_meaning(self, seed):
+        frame, path, states = batch_setup((2, 0, 0, "+"), 5)
+        raw = berry.holonomy_phases(states, frame, path, refine=False, gauge_seed=seed)
+        refined = berry.holonomy_phases(states, frame, path, gauge_seed=seed)
+        for state, r, f in zip(states, raw, refined):
+            assert r == holonomy_phase(state, frame, path, refine=False, gauge_seed=seed)
+            assert not r.diagnostics["refined"] and f.diagnostics["refined"]
+            if seed is None:
+                assert r.winding is not None and f.winding is not None
+            else:
+                # regauged: principal value only, unchanged by the phases
+                reference = holonomy_phase(state, frame, path)
+                assert r.winding is None and f.gamma_total is None
+                assert f.gamma == pytest.approx(reference.gamma, abs=TOL.gauge_invariance)
+
+    def test_one_too_coarse_state_is_reported_as_alone(self, monkeypatch):
+        # fig1's loop at 8 steps: the resonant state steps its phase by
+        # 0.36 rad and its overlaps dip to 0.857, the others step 0.11 rad
+        # at most and keep 0.93: a cap of 0.2 (a floor of 0.9) trips on it alone
+        basis = default_basis(ModelParams(m=2))
+        frame, path = schwinger_frame(basis), default_latitude_loop(2, math.pi / 2, 8)
+        states = [
+            dressed_state_vector(analytic_eigensystem(ModelParams(m=2, delta_m=d))[0], basis)
+            for d in (0.0, 2.5, 5.0, 7.5, 10.0)
+        ]
+        monkeypatch.setattr(berry, "TOL", replace(TOL, winding_step_cap=0.2))
+        batch = berry.holonomy_phases(states[::-1], frame, path)
+        assert [r.winding is None for r in batch] == [False] * 4 + [True]
+        assert batch == [holonomy_phase(state, frame, path) for state in states[::-1]]
+        # a vanishing overlap raises for the batch as for the state alone
+        monkeypatch.setattr(berry, "TOL", replace(TOL, vanishing_overlap=0.9))
+        with pytest.raises(VanishingOverlap) as alone:
+            holonomy_phase(states[0], frame, path)
+        with pytest.raises(VanishingOverlap) as batched:
+            berry.holonomy_phases(states[::-1], frame, path)
+        assert str(batched.value) == str(alone.value)
+
+    def test_empty_batch(self):
+        frame, path, _ = batch_setup((1, 0, 0, "+"), 1)
+        assert berry.holonomy_phases([], frame, path) == []
+
+    def test_batch_basis_must_match_the_frame(self):
+        frame, path, states = batch_setup((1, 0, 0, "+"), 2)
+        _, _, other = doublet_setup(m=2)
+        with pytest.raises(ValueError, match="different bases"):
+            berry.holonomy_phases([states[0], other], frame, path)
 
 
 class TestSchedule:

@@ -10,6 +10,8 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anyonjc
+from anyonjc import berry
 from anyonjc.cli import load_config_file, main, parse_angle
 from anyonjc.config import TOL
 
@@ -331,6 +334,15 @@ class TestRamseyCommand:
         assert "too fast" in capsys.readouterr().err
 
 
+def traced_main(argv):
+    """main(argv) and the peak of the memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return main(argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestExitCodes:
     def test_usage_error_exits_4(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -395,6 +407,48 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "limit", [("winding_step_cap", 0.2), ("vanishing_overlap", 0.9)], ids=lambda x: x[0]
+    )
+    def test_fig1_with_one_too_coarse_point_exits_2(self, limit, monkeypatch, capsys):
+        # of the five points of m = 2 at 8 steps only the resonant one
+        # steps its phase by more than 0.2 rad or dips below 0.9 overlap
+        monkeypatch.setattr(berry, "TOL", replace(TOL, **dict([limit])))
+        argv = ["fig1", "--with-holonomy", "--m-list", "2", "--points", "5", "--steps", "8"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.strip().splitlines()
+        assert line.startswith("error: ")
+        assert ("winding unresolved" in line) == (limit[0] == "winding_step_cap")
+
+    @pytest.mark.parametrize(
+        "argv,limit",
+        [
+            # the m = 1 loop alone would take 32 MB
+            (["fig1", "--with-holonomy", "--steps", "1000000"], "MAX_LIFTED"),
+            # the first loop alone would take 48 MB
+            (["ramsey", "--loop-steps", "1000000"], "MAX_STEPS"),
+        ],
+    )
+    def test_size_limit_exits_4_before_allocating(self, argv, limit, capsys):
+        code, peak = traced_main(argv)
+        assert code == 4
+        assert limit in capsys.readouterr().err
+        assert peak < 1_000_000
+
+    def test_fig1_holonomy_peak_does_not_grow_with_points(self, tmp_path):
+        berry.calibrate_sign_convention()  # cached; not part of either run
+        peaks = []
+        for points in ("21", "201"):
+            argv = ["fig1", "--with-holonomy", "--m-list", "3", "--points", points,
+                    "--output", str(tmp_path / f"{points}.csv")]
+            code, peak = traced_main(argv)
+            assert code == 0
+            peaks.append(peak)
+        # unbatched, the 201 points would lift 33 MB at once
+        assert peaks[1] - peaks[0] < 1_000_000
 
     def test_unresolved_winding_exits_2(self, capsys):
         # 8 steps cannot resolve the winding of the n = 100 doublet
