@@ -275,8 +275,9 @@ def _batch_reports(samples, path, refine, gauge_seed) -> list[PhaseReport]:
         cycle = cycle * np.exp(1j * TWO_PI * rng.random(len(cycle)))[:, None, None]
     mags, args = _loop_overlaps(cycle)
     lowest, max_steps = mags.min(axis=1), np.abs(args).max(axis=1)
-    if lowest.min() < TOL.vanishing_overlap:
-        first = lowest[lowest < TOL.vanishing_overlap][0]
+    vanishing = lowest < TOL.vanishing_overlap  # a NaN state hides no other
+    if vanishing.any():
+        first = lowest[vanishing][0]
         raise VanishingOverlap(
             f"consecutive overlap {first:.2e} below "
             f"{TOL.vanishing_overlap}; sample the path more finely"

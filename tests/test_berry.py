@@ -367,6 +367,12 @@ class TestHolonomyBatch:
         with pytest.raises(VanishingOverlap) as batched:
             berry.holonomy_phases(states[::-1], frame, path)
         assert str(batched.value) == str(alone.value)
+        # a state of NaNs raises nothing alone, and hides no other state
+        broken = StateVector(basis, np.full(basis.dim, np.nan, dtype=complex))
+        assert holonomy_phase(broken, frame, path).winding is None
+        with pytest.raises(VanishingOverlap) as batched:
+            berry.holonomy_phases([broken, states[0]], frame, path)
+        assert str(batched.value) == str(alone.value)
 
     def test_empty_batch(self):
         frame, path, _ = batch_setup((1, 0, 0, "+"), 1)
