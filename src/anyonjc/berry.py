@@ -269,7 +269,7 @@ def holonomy_phases(
 
 def _batch_reports(samples, path, refine, gauge_seed) -> list[PhaseReport]:
     """The holonomy_phases reports of the lifted rows (K, P, d) of P states."""
-    cycle = samples[:-1] if path.closed else samples
+    cycle = samples[:-1]
     if gauge_seed is not None:
         rng = np.random.default_rng(gauge_seed)
         cycle = cycle * np.exp(1j * TWO_PI * rng.random(len(cycle)))[:, None, None]
@@ -473,7 +473,7 @@ def drive_charge(frame: SchwingerFrame) -> np.ndarray:
     """Diagonal of K = J_z + (m/4) sigma_z on a one-doublet basis, with m
     its sector gap (model.default_basis, iontrap.ramsey_basis)."""
     basis = frame.basis
-    if basis.mode_count != 2 or not basis.qubit_included:
+    if basis.mode_count != 2:
         raise BasisMismatch("the co-moving frame needs a qubit and two modes")
     spin = np.array([1.0 if label[0] == SPIN_UP else -1.0 for label in basis.states])
     m = basis.sector_totals[-1] - basis.sector_totals[0]

@@ -17,10 +17,6 @@ class UnknownMode(SimulationError, ValueError):
     """A mode id does not exist in the basis at hand."""
 
 
-class NoQubit(SimulationError, ValueError):
-    """A qubit operator was requested on a basis without the two-level system."""
-
-
 class NormTooLarge(SimulationError):
     """Matrix exponential argument is outside the supported norm range."""
 

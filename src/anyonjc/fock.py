@@ -29,10 +29,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .config import TOL
-from .errors import BasisMismatch, NoQubit, NormTooLarge, SizeLimit, UnknownMode
+from .errors import BasisMismatch, NormTooLarge, SizeLimit, UnknownMode
 
 SPIN_UP = 0
 SPIN_DOWN = 1
@@ -52,21 +51,19 @@ class BasisSpec:
 
     mode_count is 0 (bare qubit), 2 or 4. sector_totals holds ints for two
     modes and (N_ab, N_cd) pairs for four; it is normalized to a sorted
-    tuple without duplicates. A basis of more than MAX_BASIS_DIM states
-    raises SizeLimit before any state is enumerated.
+    tuple without duplicates. Every basis holds the qubit. A basis of more
+    than MAX_BASIS_DIM states raises SizeLimit before any state is
+    enumerated.
     """
 
     mode_count: int
     sector_totals: tuple
-    qubit_included: bool = True
 
     def __post_init__(self):
         if self.mode_count not in (0, 2, 4):
             raise ValueError(f"mode_count must be 0, 2 or 4, got {self.mode_count}")
         totals = tuple(sorted(set(self.sector_totals)))
         if self.mode_count == 0:
-            if not self.qubit_included:
-                raise ValueError("an empty basis (no modes, no qubit) is not usable")
             totals = ()
         elif self.mode_count == 2:
             if not totals or not all(isinstance(t, int) and t >= 0 for t in totals):
@@ -90,13 +87,12 @@ class BasisSpec:
         """All basis labels in canonical order.
 
         Two-mode labels are (spin, n_a, n_b), four-mode labels are
-        (spin, n_a, n_b, n_c, n_d); without the qubit the spin entry is
-        dropped. A bare qubit enumerates ((SPIN_UP,), (SPIN_DOWN,)).
+        (spin, n_a, n_b, n_c, n_d). A bare qubit enumerates
+        ((SPIN_UP,), (SPIN_DOWN,)).
         """
-        spins = (SPIN_UP, SPIN_DOWN) if self.qubit_included else (None,)
-        out = []
         if self.mode_count == 0:
-            return tuple((s,) for s in spins)
+            return ((SPIN_UP,), (SPIN_DOWN,))
+        out = []
         for sector in self.sector_totals:
             occ_lists: list[tuple[int, ...]] = []
             if self.mode_count == 2:
@@ -106,9 +102,9 @@ class BasisSpec:
                 for pa in _enumerate_pair(nab):
                     for pc in _enumerate_pair(ncd):
                         occ_lists.append(pa + pc)
-            for s in spins:
+            for s in (SPIN_UP, SPIN_DOWN):
                 for occ in occ_lists:
-                    out.append(occ if s is None else (s,) + occ)
+                    out.append((s,) + occ)
         return tuple(out)
 
     @cached_property
@@ -125,7 +121,7 @@ class BasisSpec:
             count = sum((nab + 1) * (ncd + 1) for nab, ncd in self.sector_totals)
         else:
             count = 1
-        return 2 * count if self.qubit_included else count
+        return 2 * count
 
     @property
     def mode_ids(self) -> tuple[str, ...]:
@@ -139,15 +135,15 @@ class BasisSpec:
 
     def sector_of(self, label: tuple):
         """Pair total (or totals pair) of a basis label."""
-        occ = label[1:] if self.qubit_included else label
+        occ = label[1:]
         if self.mode_count == 2:
             return occ[0] + occ[1]
         return (occ[0] + occ[1], occ[2] + occ[3])
 
 
-def truncated_basis(n_max: int, *, qubit: bool = True) -> BasisSpec:
+def truncated_basis(n_max: int) -> BasisSpec:
     """Conventional two-mode cutoff basis: all sectors 0..n_max."""
-    return BasisSpec(2, tuple(range(n_max + 1)), qubit_included=qubit)
+    return BasisSpec(2, tuple(range(n_max + 1)))
 
 
 def _require_same_basis(x, y):
@@ -256,7 +252,7 @@ def build_ladder(basis: BasisSpec, mode: str, *, create: bool = False) -> FockOp
     """
     if mode not in basis.mode_ids:
         raise UnknownMode(f"mode {mode!r} not in basis modes {basis.mode_ids}")
-    pos = basis.mode_ids.index(mode) + (1 if basis.qubit_included else 0)
+    pos = basis.mode_ids.index(mode) + 1
 
     def hop(label):
         n = label[pos]
@@ -279,8 +275,6 @@ _SPIN_FLIPS = {
 def build_pauli(basis: BasisSpec, which: str) -> FockOperator:
     """Qubit operator ('z', 'x', 'y', 'plus' or 'minus') acting as identity
     on the boson modes. 'plus' maps down to up."""
-    if not basis.qubit_included:
-        raise NoQubit("basis has no two-level system")
     if which == "z":
         return hopping_operator(
             basis, lambda label: [(label, 1.0 if label[0] == SPIN_UP else -1.0)]
@@ -298,29 +292,19 @@ def build_pauli(basis: BasisSpec, which: str) -> FockOperator:
 
 
 def matrix_exponential(op: FockOperator, scale: complex = 1.0) -> FockOperator:
-    """exp(scale * op) as a new operator on the same basis.
-
-    Hermitian and anti-Hermitian inputs go through an eigendecomposition,
-    anything else through Pade scaling and squaring. The spectral norm of
-    the scaled argument must stay below the supported cap.
+    """exp(scale * op) of a Hermitian op, as a new operator on the same
+    basis, through the eigendecomposition of op. The spectral norm of the
+    scaled argument must stay below the supported cap; a non-Hermitian op
+    raises ValueError.
     """
-    a = scale * op.matrix
-    if np.linalg.norm(a, 2) > TOL.expm_norm_cap:
+    if np.linalg.norm(scale * op.matrix, 2) > TOL.expm_norm_cap:
         raise NormTooLarge(
             f"||scale * op|| exceeds the supported cap {TOL.expm_norm_cap}"
         )
-    herm_defect = np.abs(op.matrix - op.matrix.conj().T).max()
-    anti_defect = np.abs(op.matrix + op.matrix.conj().T).max()
-    if min(herm_defect, anti_defect) < TOL.hermiticity and op.basis.dim > 1:
-        if herm_defect <= anti_defect:
-            w, v = np.linalg.eigh(op.matrix)
-        else:
-            w, v = np.linalg.eigh(-1j * op.matrix)
-            w = 1j * w
-        mat = (v * np.exp(scale * w)) @ v.conj().T
-    else:
-        mat = scipy.linalg.expm(a)
-    return FockOperator(op.basis, mat)
+    if np.abs(op.matrix - op.matrix.conj().T).max() >= TOL.hermiticity:
+        raise ValueError("matrix_exponential needs a Hermitian operator")
+    w, v = np.linalg.eigh(op.matrix)
+    return FockOperator(op.basis, (v * np.exp(scale * w)) @ v.conj().T)
 
 
 @dataclass
@@ -348,11 +332,9 @@ def partial_trace(rho: DensityMatrix) -> DensityMatrix:
 
     Every mode occupation appears once with the qubit up and once with it
     down, so the reduced state sums one 2x2 block per occupation (in basis
-    order). Raises NoQubit on a basis without the qubit.
+    order).
     """
     basis = rho.basis
-    if not basis.qubit_included:
-        raise NoQubit("basis has no two-level system")
     index = basis.index_map
     pairs = np.array(
         [

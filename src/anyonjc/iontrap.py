@@ -180,8 +180,7 @@ def coupling_strength(trap: TrapParams, n: int, order: int | None = None) -> flo
 
 
 def _warn_if_marginal(trap: TrapParams, basis: BasisSpec):
-    offset = 1 if basis.qubit_included else 0
-    n_max = max(label[offset] for label in basis.states)
+    n_max = max(label[1] for label in basis.states)
     if trap.eta**2 * (n_max + 1) > 0.1:
         warn_at_caller(
             f"eta^2 (n_max + 1) = {trap.eta ** 2 * (n_max + 1):.3f} > 0.1; "

@@ -30,7 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import BadSolidAngle, DegenerateCoupling, SizeLimit, WrongExcitation
+from .errors import DegenerateCoupling, SizeLimit, WrongExcitation
 from .fock import (
     SPIN_DOWN,
     SPIN_UP,
@@ -39,8 +39,7 @@ from .fock import (
     StateVector,
     hopping_operator,
 )
-
-FOUR_PI = 4.0 * math.pi
+from .paths import check_solid_angle
 
 
 def falling_product(n: int, m: int) -> int:
@@ -113,14 +112,12 @@ def exchange_hamiltonian(basis: BasisSpec, m: int, strength, diagonal) -> FockOp
     return hopping_operator(basis, hop)
 
 
-def build_interaction_hamiltonian(
-    params: ModelParams, basis: BasisSpec | None = None
-) -> FockOperator:
-    """(Delta/2) sigma_z + lambda (sigma_+ a^m + sigma_- a^dag^m) on a
-    two-mode basis. Real symmetric by construction."""
+def build_interaction_hamiltonian(params: ModelParams) -> FockOperator:
+    """(Delta/2) sigma_z + lambda (sigma_+ a^m + sigma_- a^dag^m) on the
+    default basis. Real symmetric by construction."""
     m, lam, half_delta = params.m, params.lambda_m, 0.5 * params.delta_m
     return exchange_hamiltonian(
-        default_basis(params) if basis is None else basis,
+        default_basis(params),
         m,
         lambda n: lam * math.sqrt(falling_product(n, m)),
         lambda label: half_delta if label[0] == SPIN_UP else -half_delta,
@@ -188,11 +185,6 @@ def dressed_state_vector(
     )
 
 
-def _check_solid_angle(omega_solid: float):
-    if not 0.0 <= omega_solid <= FOUR_PI + 1e-12:
-        raise BadSolidAngle(f"solid angle {omega_solid} outside [0, 4*pi]")
-
-
 def analytic_berry_phase(
     params: ModelParams, omega_solid: float, branch: str = "+"
 ) -> float:
@@ -203,7 +195,7 @@ def analytic_berry_phase(
     m-quanta-shifted component. For the plus branch this is the fractional
     phase (m / 4) Omega at resonance with n = n' = 0.
     """
-    _check_solid_angle(omega_solid)
+    check_solid_angle(omega_solid)
     plus, minus = analytic_eigensystem(params)
     state = plus if branch == "+" else minus
     w_down = state.c_down * state.c_down
@@ -227,7 +219,7 @@ def statistical_factor(params: ModelParams, omega_solid: float) -> float:
     """
     if params.n != 0 or params.n_prime != 0:
         raise WrongExcitation("statistics factor is defined for n = n' = 0 only")
-    _check_solid_angle(omega_solid)
+    check_solid_angle(omega_solid)
     return 0.25 * params.m * (omega_solid / (2.0 * math.pi)) * detuning_ratio(params)
 
 
@@ -258,12 +250,8 @@ def two_anyon_basis(params: TwoAnyonParams) -> BasisSpec:
     return BasisSpec(4, ((0, 0), (params.m, params.m)))
 
 
-def build_two_anyon_hamiltonian(
-    params: TwoAnyonParams, basis: BasisSpec | None = None
-) -> FockOperator:
-    """lambda (sigma_+ a^m c^m + h.c.) on a four-mode basis."""
-    if basis is None:
-        basis = two_anyon_basis(params)
+def build_two_anyon_hamiltonian(params: TwoAnyonParams) -> FockOperator:
+    """lambda (sigma_+ a^m c^m + h.c.) on the two-anyon basis."""
     m, lam = params.m, params.lambda_m
 
     def hop(label):
@@ -276,7 +264,7 @@ def build_two_anyon_hamiltonian(
         weight = falling_product(n_a - m, m) * falling_product(n_c - m, m)
         return [((SPIN_UP, n_a - m, n_b, n_c - m, n_d), lam * math.sqrt(weight))]
 
-    return hopping_operator(basis, hop)
+    return hopping_operator(two_anyon_basis(params), hop)
 
 
 def two_anyon_eigenstate(
@@ -300,5 +288,5 @@ def two_anyon_eigenstate(
 def two_anyon_analytic_phase(m: int, omega_solid: float) -> float:
     """Geometric phase of the exchange-coupled pair: (m / 2) Omega, twice
     the single-excitation fractional phase."""
-    _check_solid_angle(omega_solid)
+    check_solid_angle(omega_solid)
     return 0.5 * m * omega_solid

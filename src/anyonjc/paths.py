@@ -51,16 +51,21 @@ def latitude_solid_angle(theta: float) -> float:
     return TWO_PI * (1.0 - math.cos(theta))
 
 
-def theta_for_solid_angle(omega_solid: float) -> float:
-    """Latitude whose circle encloses the requested solid angle."""
+def check_solid_angle(omega_solid: float) -> None:
+    """Raise BadSolidAngle unless omega_solid lies in [0, 4 pi]."""
     if not 0.0 <= omega_solid <= FOUR_PI + 1e-12:
         raise BadSolidAngle(f"solid angle {omega_solid} outside [0, 4*pi]")
+
+
+def theta_for_solid_angle(omega_solid: float) -> float:
+    """Latitude whose circle encloses the requested solid angle."""
+    check_solid_angle(omega_solid)
     return math.acos(max(-1.0, 1.0 - omega_solid / TWO_PI))
 
 
 @dataclass
 class LoopPath:
-    """Sampled drive loop.
+    """Sampled closed drive loop.
 
     samples has shape (K, 2) with columns (theta, phi) and includes the
     duplicate closing point. omega_solid is the enclosed solid angle per
@@ -68,8 +73,6 @@ class LoopPath:
     """
 
     samples: np.ndarray
-    closed: bool
-    kind: str
     omega_solid: float
     revolutions: int = 1
     n_steps: int = 0  # samples per revolution (segments); 0 means len - 1
@@ -82,11 +85,10 @@ class LoopPath:
             raise ValueError("a path needs at least two samples")
         if self.n_steps == 0:
             self.n_steps = (len(self.samples) - 1) // max(self.revolutions, 1)
-        if self.closed:
-            first = sphere_point(*self.samples[0])
-            last = sphere_point(*self.samples[-1])
-            if np.linalg.norm(first - last) > TOL.loop_closure:
-                raise ValueError("closed path endpoints do not coincide on the sphere")
+        first = sphere_point(*self.samples[0])
+        last = sphere_point(*self.samples[-1])
+        if np.linalg.norm(first - last) > TOL.loop_closure:
+            raise ValueError("closed path endpoints do not coincide on the sphere")
 
     @property
     def segments(self) -> int:
@@ -118,8 +120,6 @@ def constant_latitude_loop(
     samples = np.column_stack([np.full(total + 1, theta), phi])
     return LoopPath(
         samples,
-        closed=True,
-        kind="latitude",
         omega_solid=latitude_solid_angle(theta),
         revolutions=revolutions,
         n_steps=n_steps,
@@ -142,7 +142,7 @@ def polygon_loop(vertices) -> LoopPath:
     if np.linalg.norm(first - last) > TOL.loop_closure:
         verts = np.vstack([verts, verts[0]])
     omega = polygon_solid_angle(verts)
-    return LoopPath(verts, closed=True, kind="polygon", omega_solid=omega)
+    return LoopPath(verts, omega_solid=omega)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -228,8 +228,7 @@ def schwinger_frame(basis: BasisSpec) -> SchwingerFrame:
     """
     if basis.mode_count not in (2, 4):
         raise ValueError("Schwinger frame needs a two- or four-mode basis")
-    offset = 1 if basis.qubit_included else 0
-    starts = range(offset, offset + basis.mode_count, 2)
+    starts = range(1, 1 + basis.mode_count, 2)
 
     def jy_hop(label):
         # i/2 (a b^dag - a^dag b) for each mode pair
@@ -246,7 +245,7 @@ def schwinger_frame(basis: BasisSpec) -> SchwingerFrame:
 
     jz = np.zeros(basis.dim, dtype=float)
     for k, label in enumerate(basis.states):
-        occ = label[offset:]
+        occ = label[1:]
         jz[k] = 0.5 * (occ[0] - occ[1])
         if basis.mode_count == 4:
             jz[k] += 0.5 * (occ[2] - occ[3])

@@ -110,12 +110,12 @@ def check_matrix_exponential() -> CheckResult:
     return _result("matrix exponential unitarity", worst, TOL.unitarity)
 
 
-def check_partial_trace(count: int = 1000) -> list[CheckResult]:
+def check_partial_trace() -> list[CheckResult]:
     rng = np.random.default_rng(7)
     basis = default_basis(ModelParams(m=2))
     dim = basis.dim
     worst_trace = worst_herm = worst_eig = worst_entropy = 0.0
-    for _ in range(count):
+    for _ in range(1000):
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho_full = a @ a.conj().T
         rho_full /= np.trace(rho_full).real
@@ -128,7 +128,7 @@ def check_partial_trace(count: int = 1000) -> list[CheckResult]:
         excess = max(-s, s - (1.0 - 1.0 / reduced.basis.dim))
         worst_entropy = max(worst_entropy, excess)
     return [
-        _result(f"partial trace preserves trace ({count} random)", worst_trace, 1e-12),
+        _result("partial trace preserves trace (1000 random)", worst_trace, 1e-12),
         _result("partial trace stays Hermitian", worst_herm, TOL.hermiticity),
         _result("partial trace stays PSD", worst_eig, -TOL.psd_floor),
         _result("linear entropy within [0, 1 - 1/d]", worst_entropy, 1e-12),
@@ -287,7 +287,8 @@ def check_solid_angles() -> CheckResult:
     )
 
 
-def run_all(verbose: bool = True) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
+    """Run every check and print one PASS/FAIL line each, then the tally."""
     results: list[CheckResult] = []
     results.extend(check_ladder_algebra())
     results.append(check_matrix_exponential())
@@ -301,14 +302,13 @@ def run_all(verbose: bool = True) -> list[CheckResult]:
     results.append(check_calibration())
     results.extend(check_adiabatic_run())
     results.append(check_solid_angles())
-    if verbose:
-        for r in results:
-            print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
-        failed = sum(1 for r in results if not r.passed)
-        print(f"{len(results) - failed}/{len(results)} checks passed")
+    for r in results:
+        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
+    failed = sum(1 for r in results if not r.passed)
+    print(f"{len(results) - failed}/{len(results)} checks passed")
     return results
 
 
 def main() -> int:
-    results = run_all(verbose=True)
+    results = run_all()
     return 0 if all(r.passed for r in results) else 2

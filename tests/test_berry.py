@@ -795,8 +795,8 @@ class TestComovingFrame:
         assert len(list(comoving_evolve(h0, frame, scheds, xi))) == 1
         assert calls == ["eigvalsh", "step_times"]
         bent = constant_latitude_loop(0.7, 16).samples.copy()
-        bent[8:, 0] += 0.1 * np.arange(9)
-        polygon = LoopPath(bent, closed=False, kind="polygon", omega_solid=0.0)
+        bent[4:13, 0] += 0.05 * np.minimum(np.arange(9), np.arange(8, -1, -1))
+        polygon = LoopPath(bent, omega_solid=0.0)
         with pytest.raises(ValueError, match="step times"):
             next(comoving_evolve(h0, frame, [scheds[0], DriveSchedule(polygon, 30.0)], xi[:2]))
 

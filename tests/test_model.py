@@ -128,8 +128,7 @@ class TestHamiltonian:
     def test_block_spectrum_matches_hand_built(self):
         for m, n, delta in [(1, 0, 0.0), (2, 1, 1.3), (3, 0, -2.0)]:
             params = ModelParams(m=m, n=n, delta_m=delta)
-            basis = BasisSpec(2, (n, n + m))
-            h = build_interaction_hamiltonian(params, basis)
+            h = build_interaction_hamiltonian(params)
             want = sorted(np.linalg.eigvalsh(doublet_block(params)))
             got = sorted(np.linalg.eigvalsh(h.matrix))
             # the doublet eigenvalues are the extreme ones at zero detuning
@@ -141,7 +140,7 @@ class TestHamiltonian:
         # +-delta/2 by its spin
         params = ModelParams(m=1, lambda_m=0.0, delta_m=0.6)
         basis = BasisSpec(2, (0, 1))
-        h = build_interaction_hamiltonian(params, basis)
+        h = build_interaction_hamiltonian(params)
         want = [0.3 if s == SPIN_UP else -0.3 for s, _, _ in basis.states]
         assert np.array_equal(h.matrix, np.diag(want))
 

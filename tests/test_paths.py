@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from anyonjc.errors import BadTheta, DegeneratePath
-from anyonjc.fock import BasisSpec, StateVector, build_ladder, truncated_basis
+from anyonjc.fock import (
+    SPIN_DOWN,
+    SPIN_UP,
+    BasisSpec,
+    StateVector,
+    build_ladder,
+    truncated_basis,
+)
 from anyonjc.model import ModelParams, build_interaction_hamiltonian, default_basis
 from anyonjc.paths import (
     MAX_LIFTED,
@@ -52,7 +59,6 @@ class TestSolidAngles:
 class TestLoops:
     def test_latitude_loop_shape(self):
         path = constant_latitude_loop(0.8, 16)
-        assert path.closed
         assert path.n_steps == 16
         assert path.samples.shape == (17, 2)
         assert path.omega_solid == pytest.approx(latitude_solid_angle(0.8))
@@ -150,10 +156,9 @@ class TestPolygonArea:
 
 
 def jz_oracle(basis):
-    offset = 1 if basis.qubit_included else 0
     diag = []
     for label in basis.states:
-        occ = label[offset:]
+        occ = label[1:]
         val = (occ[0] - occ[1]) / 2.0
         if len(occ) == 4:
             val += (occ[2] - occ[3]) / 2.0
@@ -180,12 +185,13 @@ class TestFrame:
         assert np.abs(jy @ jz - jz @ jy - 1j * jx).max() < 1e-12
 
     def test_pair_swap_at_pi(self):
-        basis = BasisSpec(2, (1,), qubit_included=False)
+        basis = BasisSpec(2, (1,))
         frame = schwinger_frame(basis)
         u = lift(frame, math.pi, 0.0)
-        src = StateVector.basis_state(basis, (1, 0))
-        out = u @ src.amplitudes
-        assert out[basis.index((0, 1))] == pytest.approx(1.0, abs=1e-14)
+        for spin in (SPIN_UP, SPIN_DOWN):
+            src = StateVector.basis_state(basis, (spin, 1, 0))
+            out = u @ src.amplitudes
+            assert out[basis.index((spin, 0, 1))] == pytest.approx(1.0, abs=1e-14)
 
     def test_identity_at_origin(self):
         frame = schwinger_frame(truncated_basis(1))
@@ -221,7 +227,7 @@ class TestRotations:
     )
     def test_lift_conjugates_ladder_operator(self, theta, phi):
         # the documented sign convention, against ladders built independently
-        basis = truncated_basis(3, qubit=False)
+        basis = truncated_basis(3)
         frame = schwinger_frame(basis)
         a = build_ladder(basis, "a").matrix
         b = build_ladder(basis, "b").matrix
@@ -243,7 +249,7 @@ class TestRotations:
         params = ModelParams(m=2, delta_m=0.8)
         basis = default_basis(params)
         frame = schwinger_frame(basis)
-        h0 = build_interaction_hamiltonian(params, basis)
+        h0 = build_interaction_hamiltonian(params)
         base = np.sort(np.linalg.eigvalsh(h0.matrix))
         for theta, phi in [(0.5, 1.0), (2.4, 4.4)]:
             w = lift(frame, theta, phi)
