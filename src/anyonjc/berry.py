@@ -121,12 +121,11 @@ class PhaseReport:
 def transport_states(frame: SchwingerFrame, states, path: LoopPath) -> np.ndarray:
     """Lift states to every path sample: row k holds W(theta_k, phi_k) psi.
 
-    states is one StateVector, for rows (K, d), or a sequence of P states,
-    for rows (K, P, d). The rows are built in runs of equal theta, one
-    rotation matrix R per run (a single one for a latitude loop). Every
-    level h of 2 J_z is an integer, so with w_k = e^{-i phi_k / 2} row k
-    is sum_e w_k^e c_e, where (c_e)_i sums R_ij psi_j over the j with
-    h_i - h_j = e. One exponential per sample gives w_k; its powers up to
+    states is a sequence of P states, for rows (K, P, d). The rows are
+    built in runs of equal theta, one rotation matrix R per run (a single
+    one for a latitude loop). Every level h of 2 J_z is an integer, so
+    with w_k = e^{-i phi_k / 2} row k is sum_e w_k^e c_e, where (c_e)_i
+    sums R_ij psi_j over the j with h_i - h_j = e. One exponential per sample gives w_k; its powers up to
     the widest level difference come by repeated multiplication, and the
     negative ones are their conjugates. Each product adds one rounding, so
     the table is exact to rounding, with an error that grows linearly with
@@ -136,7 +135,7 @@ def transport_states(frame: SchwingerFrame, states, path: LoopPath) -> np.ndarra
     SizeLimit, before it allocates, above MAX_LIFTED lifted amplitudes
     (samples x states x basis states).
     """
-    batch = [states] if isinstance(states, StateVector) else list(states)
+    batch = list(states)
     if any(state.basis != frame.basis for state in batch):
         raise BasisMismatch("state and frame use different bases")
     width = len(batch) * frame.basis.dim
@@ -172,7 +171,7 @@ def transport_states(frame: SchwingerFrame, states, path: LoopPath) -> np.ndarra
         # one (K, 2 span + 1) by (2 span + 1, d) product per state
         out = rows[lo:hi].transpose(1, 0, 2)
         np.matmul(powers[:, lo:hi].T, coeffs.transpose(0, 2, 1), out=out)
-    return rows[:, 0] if isinstance(states, StateVector) else rows
+    return rows
 
 
 def _loop_overlaps(cycle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, berry, iontrap, selftest
 from .config import TOL
@@ -104,11 +103,7 @@ def emit_rows(rows: list[dict], args, diagnostics: dict) -> None:
             for k, v in sorted(vars(args).items())
             if k not in ("func", "output", "format") and not k.startswith("_")
         }
-        provenance = {
-            "anyonjc": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        }
+        provenance = {"anyonjc": __version__, "numpy": np.__version__}
         diagnostics = {**diagnostics, "provenance": provenance}
         text = json.dumps(
             {"config": config, "rows": rows, "diagnostics": diagnostics}, indent=2
@@ -490,30 +485,33 @@ def load_config_file(path: str) -> dict:
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
-def _apply_config(parser: _Parser, args, argv: list[str]):
-    """Set the chosen subcommand's options from the --config file; any
-    other key, command and config included, is unknown."""
-    config = load_config_file(args.config)
-    [subcommands] = parser._subparsers._group_actions
-    actions = {a.dest: a for a in subcommands.choices[args.command]._actions}
-    for key, raw in config.items():
-        if key not in actions or not hasattr(args, key):
+def _config_tokens(args) -> list[str]:
+    """The --config file as option tokens of the chosen subcommand: --key
+    for a true flag such as strict (none for a false one), --key=value for
+    any other key. Any key that is not an option of the subcommand,
+    command and config included, is unknown."""
+    tokens = []
+    for key, raw in load_config_file(args.config).items():
+        if key in ("config", "command", "func") or not hasattr(args, key):
             raise ValueError(f"unknown config key {key!r}")
         flag = "--" + key.replace("_", "-")
-        if any(tok == flag or tok.startswith(flag + "=") for tok in argv):
-            continue  # explicit flag wins
-        action = actions[key]
-        if action.nargs == 0:  # a flag such as --strict
+        if isinstance(getattr(args, key), bool):  # only flags parse to a bool
             if raw.lower() not in _TRUE + _FALSE:
                 raise ValueError(
                     f"config flag {key!r} takes 1/0, true/false, yes/no or on/off"
                 )
-            value = raw.lower() in _TRUE
-        elif callable(action.type):
-            value = action.type(raw)
+            tokens += [flag] if raw.lower() in _TRUE else []
         else:
-            value = raw
-        setattr(args, key, value)
+            tokens.append(f"{flag}={raw}")
+    return tokens
+
+
+def _command_index(argv: list[str]) -> int:
+    """Index of the subcommand token; only --config options precede it."""
+    i = 0
+    while argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] else 2
+    return i
 
 
 # Largest magnitude of a float flag, so that its square stays finite.
@@ -546,7 +544,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            _apply_config(parser, args, argv)
+            # file options go right after the command token, so argparse
+            # checks them like flags and an explicit flag, in any spelling
+            # it accepts, comes later and wins
+            at = _command_index(argv) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
         _check_args(args)
         return args.func(args)
     except (NonAdiabatic, NormDrift) as exc:

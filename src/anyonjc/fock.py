@@ -205,10 +205,6 @@ class FockOperator:
             raise ValueError("matrix shape does not match basis dimension")
         self.matrix = mat
 
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        _require_same_basis(self, other)
-        return FockOperator(self.basis, self.matrix @ other.matrix)
-
     def __add__(self, other: "FockOperator") -> "FockOperator":
         _require_same_basis(self, other)
         return FockOperator(
@@ -293,17 +289,17 @@ def build_pauli(basis: BasisSpec, which: str) -> FockOperator:
 
 def matrix_exponential(op: FockOperator, scale: complex = 1.0) -> FockOperator:
     """exp(scale * op) of a Hermitian op, as a new operator on the same
-    basis, through the eigendecomposition of op. The spectral norm of the
-    scaled argument must stay below the supported cap; a non-Hermitian op
-    raises ValueError.
+    basis, through the eigendecomposition of op. A non-Hermitian op raises
+    ValueError. The spectral norm of the scaled argument, |scale| times
+    the largest |eigenvalue|, must stay below the supported cap.
     """
-    if np.linalg.norm(scale * op.matrix, 2) > TOL.expm_norm_cap:
-        raise NormTooLarge(
-            f"||scale * op|| exceeds the supported cap {TOL.expm_norm_cap}"
-        )
     if np.abs(op.matrix - op.matrix.conj().T).max() >= TOL.hermiticity:
         raise ValueError("matrix_exponential needs a Hermitian operator")
     w, v = np.linalg.eigh(op.matrix)
+    if abs(scale) * np.abs(w).max() > TOL.expm_norm_cap:
+        raise NormTooLarge(
+            f"||scale * op|| exceeds the supported cap {TOL.expm_norm_cap}"
+        )
     return FockOperator(op.basis, (v * np.exp(scale * w)) @ v.conj().T)
 
 

@@ -144,8 +144,9 @@ def g_for_unit_coupling(eta: float, m: int) -> float:
     return g
 
 
-def effective_model(trap: TrapParams, n: int = 0, n_prime: int = 0) -> ModelParams:
-    """Exchange-model parameters realized by the trap's sideband drive."""
+def effective_model(trap: TrapParams) -> ModelParams:
+    """Exchange-model parameters realized by the trap's sideband drive, on
+    the vacuum doublet."""
     if trap.m < 1:
         raise ValueError("the carrier (m = 0) has no exchange-model reading")
     return ModelParams(
@@ -153,8 +154,6 @@ def effective_model(trap: TrapParams, n: int = 0, n_prime: int = 0) -> ModelPara
         lambda_m=abs(lamb_dicke_lambda(trap)),
         delta_m=trap.delta_m,
         nu=trap.nu,
-        n=n,
-        n_prime=n_prime,
     )
 
 

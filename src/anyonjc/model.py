@@ -20,8 +20,8 @@ form; the numerical routes elsewhere in the package never reuse these
 formulas, so the two can be compared as genuinely independent checks.
 
 A pair of such anyon-like excitations is modeled with four modes and the
-exchange term lambda (sigma_+ a^m c^m + h.c.), which binds the sectors
-(0, 0) and (m, m).
+unit-strength exchange term sigma_+ a^m c^m + h.c., which binds the
+sectors (0, 0) and (m, m).
 """
 
 from __future__ import annotations
@@ -236,14 +236,13 @@ def entropy_vs_detuning(params: ModelParams) -> float:
 
 @dataclass(frozen=True)
 class TwoAnyonParams:
+    """A pair of m-quantum excitations, exchange coupled at unit strength."""
+
     m: int
-    lambda_m: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
             raise ValueError("m must be a positive integer")
-        if self.lambda_m <= 0:
-            raise ValueError("lambda_m must be positive")
 
 
 def two_anyon_basis(params: TwoAnyonParams) -> BasisSpec:
@@ -251,36 +250,35 @@ def two_anyon_basis(params: TwoAnyonParams) -> BasisSpec:
 
 
 def build_two_anyon_hamiltonian(params: TwoAnyonParams) -> FockOperator:
-    """lambda (sigma_+ a^m c^m + h.c.) on the two-anyon basis."""
-    m, lam = params.m, params.lambda_m
+    """sigma_+ a^m c^m + h.c. on the two-anyon basis."""
+    m = params.m
 
     def hop(label):
         spin, n_a, n_b, n_c, n_d = label
         if spin == SPIN_UP:
             weight = falling_product(n_a, m) * falling_product(n_c, m)
-            return [((SPIN_DOWN, n_a + m, n_b, n_c + m, n_d), lam * math.sqrt(weight))]
+            return [((SPIN_DOWN, n_a + m, n_b, n_c + m, n_d), math.sqrt(weight))]
         if n_a < m or n_c < m:
             return []
         weight = falling_product(n_a - m, m) * falling_product(n_c - m, m)
-        return [((SPIN_UP, n_a - m, n_b, n_c - m, n_d), lam * math.sqrt(weight))]
+        return [((SPIN_UP, n_a - m, n_b, n_c - m, n_d), math.sqrt(weight))]
 
     return hopping_operator(two_anyon_basis(params), hop)
 
 
 def two_anyon_eigenstate(
-    params: TwoAnyonParams, basis: BasisSpec | None = None, branch: str = "+"
+    params: TwoAnyonParams, basis: BasisSpec | None = None
 ) -> StateVector:
-    """(|up, vac> +- |down, m, 0, m, 0>) / sqrt2, the resonant doublet
-    eigenstates with energies +- lambda_m * m!."""
+    """(|up, vac> + |down, m, 0, m, 0>) / sqrt2, the upper resonant doublet
+    eigenstate, with energy m!."""
     if basis is None:
         basis = two_anyon_basis(params)
-    sign = 1.0 if branch == "+" else -1.0
     inv = 1.0 / math.sqrt(2.0)
     return StateVector.from_components(
         basis,
         {
             (SPIN_UP, 0, 0, 0, 0): inv,
-            (SPIN_DOWN, params.m, 0, params.m, 0): sign * inv,
+            (SPIN_DOWN, params.m, 0, params.m, 0): inv,
         },
     )
 

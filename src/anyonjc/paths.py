@@ -22,7 +22,7 @@ rotation itself, with its sign convention, is lift(frame, theta, phi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -69,7 +69,7 @@ class LoopPath:
 
     samples has shape (K, 2) with columns (theta, phi) and includes the
     duplicate closing point. omega_solid is the enclosed solid angle per
-    revolution; total_solid_angle multiplies in the revolution count.
+    revolution.
     """
 
     samples: np.ndarray
@@ -93,10 +93,6 @@ class LoopPath:
     @property
     def segments(self) -> int:
         return len(self.samples) - 1
-
-    @property
-    def total_solid_angle(self) -> float:
-        return self.omega_solid * self.revolutions
 
 
 def constant_latitude_loop(
@@ -195,7 +191,6 @@ class SchwingerFrame:
     basis: BasisSpec
     j_y: FockOperator
     j_z: FockOperator
-    _last_ry: tuple = field(default=(None,), init=False, repr=False, compare=False)
 
     @cached_property
     def jz_diagonal(self) -> np.ndarray:
@@ -210,13 +205,9 @@ class SchwingerFrame:
         return w, v
 
     def rotation_about_y(self, theta: float) -> np.ndarray:
-        """exp(-i theta J_y). The matrix for the last theta is kept, so a
-        drive that holds theta (any latitude loop) builds it once; callers
-        must not write to the returned array."""
-        if self._last_ry[0] != theta:
-            w, v = self.jy_eigensystem
-            self._last_ry = (theta, (v * np.exp(-1j * theta * w)) @ v.conj().T)
-        return self._last_ry[1]
+        """exp(-i theta J_y), from the cached eigensystem of J_y."""
+        w, v = self.jy_eigensystem
+        return (v * np.exp(-1j * theta * w)) @ v.conj().T
 
 
 def schwinger_frame(basis: BasisSpec) -> SchwingerFrame:

@@ -201,7 +201,7 @@ def check_transport_and_gauge() -> list[CheckResult]:
     plus, _ = analytic_eigensystem(params)
     state = dressed_state_vector(plus)
     path = constant_latitude_loop(0.9, n_steps=512)
-    samples = transport_states(frame, state, path)
+    samples = transport_states(frame, [state], path)[:, 0]
     norm_defect = float(np.abs(np.linalg.norm(samples, axis=1) - 1.0).max())
     reference = holonomy_phase(state, frame, path).gamma
     worst_gauge = 0.0

@@ -106,12 +106,12 @@ class TestHolonomy:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="2000008 amplitudes, above MAX_LIFTED"):
-                transport_states(frame, state, path)
+                transport_states(frame, [state], path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 100_000  # the lift alone would take 32 MB
-        assert len(transport_states(frame, state, constant_latitude_loop(0.5, 249_999)))
+        assert len(transport_states(frame, [state], constant_latitude_loop(0.5, 249_999)))
 
     def test_zero_area_loop(self):
         params, frame, state = doublet_setup()
@@ -210,7 +210,7 @@ class TestHolonomy:
     def test_transport_preserves_norm(self):
         params, frame, state = doublet_setup(m=3)
         path = constant_latitude_loop(2.2, 64)
-        samples = transport_states(frame, state, path)
+        samples = transport_states(frame, [state], path)[:, 0]
         norms = np.linalg.norm(samples, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-11
 
@@ -225,7 +225,7 @@ class TestHolonomy:
     )
     def test_transport_rows_are_lifted_state(self, path):
         params, frame, state = doublet_setup(m=3, delta=0.4)
-        rows = transport_states(frame, state, path)
+        rows = transport_states(frame, [state], path)[:, 0]
         want = [lift(frame, th, ph) @ state.amplitudes for th, ph in path.samples]
         assert rows.shape == (len(path.samples), frame.basis.dim)
         assert np.abs(rows - np.array(want)).max() < 1e-13
@@ -248,7 +248,7 @@ class TestHolonomy:
                 [(0.3, 0.0), (0.3, 1.0), (0.3, 1.5), (1.2, 2.0), (1.2, 3.0),
                  (2.5, 3.5), (2.5, 4.5), (2.5, 5.0), (0.9, 5.5)]
             )
-        rows = transport_states(frame, state, path)
+        rows = transport_states(frame, [state], path)[:, 0]
         want = [lift(frame, th, ph) @ state.amplitudes for th, ph in path.samples]
         assert np.abs(rows - np.array(want)).max() < 1e-12
 
@@ -257,7 +257,7 @@ class TestHolonomy:
         shifted = np.diag(frame.jz_diagonal + 0.25).astype(complex)
         bent = SchwingerFrame(frame.basis, frame.j_y, FockOperator(frame.basis, shifted))
         with pytest.raises(ValueError, match="half-integer"):
-            transport_states(bent, state, constant_latitude_loop(1.0, 16))
+            transport_states(bent, [state], constant_latitude_loop(1.0, 16))
 
     @pytest.mark.parametrize("length", [2, 3, 9, 513])
     def test_cycle_overlaps_match_the_rolled_copy(self, length):
@@ -320,7 +320,7 @@ class TestHolonomyBatch:
         rows = transport_states(frame, states, path)
         assert rows.shape == (len(path.samples), len(states), frame.basis.dim)
         for p, state in enumerate(states):
-            assert np.array_equal(rows[:, p], transport_states(frame, state, path))
+            assert np.array_equal(rows[:, p], transport_states(frame, [state], path)[:, 0])
 
     def test_batches_at_the_module_budget(self):
         # 100 states of 257 x 6 lifted amplitudes: batches of 42, 42 and 16

@@ -118,7 +118,7 @@ class TestLadder:
         basis = truncated_basis(4)
         a = build_ladder(basis, "a")
         adag = build_ladder(basis, "a", create=True)
-        comm = (a @ adag).matrix - (adag @ a).matrix
+        comm = a.matrix @ adag.matrix - adag.matrix @ a.matrix
         interior = [
             k for k, lab in enumerate(basis.states) if basis.sector_of(lab) < 4
         ]

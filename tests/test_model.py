@@ -282,12 +282,11 @@ class TestTwoAnyon:
         for m in (1, 2, 3):
             pair = TwoAnyonParams(m=m)
             h = build_two_anyon_hamiltonian(pair)
-            for branch, sign in (("+", 1.0), ("-", -1.0)):
-                state = two_anyon_eigenstate(pair, branch=branch)
-                v = state.amplitudes
-                energy = sign * math.factorial(m)
-                assert np.abs(h.matrix @ v - energy * v).max() < 1e-12
-                assert state.norm == pytest.approx(1.0, abs=1e-14)
+            state = two_anyon_eigenstate(pair)
+            v = state.amplitudes
+            energy = math.factorial(m)
+            assert np.abs(h.matrix @ v - energy * v).max() < 1e-12
+            assert state.norm == pytest.approx(1.0, abs=1e-14)
 
     def test_pair_basis_shape(self):
         basis = two_anyon_basis(TwoAnyonParams(m=2))

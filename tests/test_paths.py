@@ -67,7 +67,6 @@ class TestLoops:
     def test_multi_revolution(self):
         path = constant_latitude_loop(1.0, 32, revolutions=3)
         assert path.samples.shape == (3 * 32 + 1, 2)
-        assert path.total_solid_angle == pytest.approx(3 * path.omega_solid)
         assert path.samples[-1, 1] == pytest.approx(3 * TWO_PI)
 
     def test_parity_default(self):
