@@ -18,6 +18,7 @@ explicit command line flags win over file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -300,7 +301,7 @@ def cmd_two_anyon(args) -> int:
     pair = TwoAnyonParams(m=args.m)
     pair_basis = two_anyon_basis(pair)
     pair_frame = schwinger_frame(pair_basis)
-    pair_state = two_anyon_eigenstate(pair)
+    pair_state = two_anyon_eigenstate(pair, pair_basis)
     path = default_latitude_loop(args.m, theta, args.steps)
     gamma_pair = _per_revolution(berry.holonomy_phase(pair_state, pair_frame, path))
 
@@ -469,6 +470,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser: parsing leaves it unchanged, so every
+    in-process call of main shares it and pays only for its subcommand."""
+    return build_parser()
+
+
 def load_config_file(path: str) -> dict:
     out = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -540,7 +548,7 @@ def _check_args(args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.config:

@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anyonjc
-from anyonjc import berry
-from anyonjc.cli import load_config_file, main, parse_angle
+from anyonjc import berry, cli
+from anyonjc.cli import build_parser, load_config_file, main, parse_angle
 from anyonjc.config import TOL
 
 
@@ -222,6 +222,41 @@ class TestConfigFile:
         assert main(["--config", "/nonexistent/nowhere.cfg", "phase"]) == 4
 
 
+class TestSharedParser:
+    def test_two_calls_build_the_parser_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        assert main(["transmute", "--points", "2"]) == 0
+        assert main(["transmute", "--points", "2"]) == 0
+        assert len(calls) == 1
+
+    def test_config_values_do_not_outlive_their_call(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps = 64\n")
+        assert main(["--config", str(cfg), "phase"]) == 0
+        assert "64 steps" in capsys.readouterr().out
+        assert main(["phase"]) == 0
+        assert "1024 steps" in capsys.readouterr().out
+
+    def test_usage_error_leaves_the_next_call_as_in_a_fresh_process(self, capsys):
+        argv = ["transmute", "--points", "2"]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "anyonjc", *argv], capture_output=True, text=True
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["phase", "--badflag"])
+        assert exc.value.code == 4
+        capsys.readouterr()
+        assert main(argv) == fresh.returncode == 0
+        assert capsys.readouterr().out == fresh.stdout
+
+
 class TestPhaseCommand:
     def test_strict_resonant_passes(self, capsys):
         code = main(["phase", "--m", "2", "--theta", "pi/2", "--strict"])
@@ -413,6 +448,9 @@ class TestExitCodes:
             ["phase", "--theta", "nan"],
             ["phase", "--m", "1.5"],
             ["warp"],
+            # a nonpositive wait used to run one doublet cycle and exit 3
+            ["ramsey", "--total-time", "-5", "--omega-points", "2"],
+            ["ramsey", "--total-time", "0"],
         ],
     )
     def test_unrepresentable_input_exits_4(self, argv, capsys):

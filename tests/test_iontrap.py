@@ -194,6 +194,12 @@ class TestCycles:
         assert snapped == pytest.approx(45 * 2.0 * math.pi / math.sqrt(2.0), rel=1e-12)
         assert residual == pytest.approx(abs(200.0 - snapped))
 
+    @pytest.mark.parametrize("total_time", [0.0, -5.0, math.nan])
+    def test_snap_rejects_a_nonpositive_wait(self, total_time):
+        trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
+        with pytest.raises(ValueError, match="total_time must be positive"):
+            snap_to_cycles(trap, total_time)
+
 
 class TestProtocol:
     def test_zero_area_instantaneous_pulses_cancel(self):
