@@ -42,23 +42,24 @@ instantaneous eigenvalue is a constant and its subtraction is exact. What
 remains is the geometric phase plus a secular level-repulsion shift of
 order 1/T, which the two-run extrapolation helper cancels.
 
-The overall sign linking raw products to the reported phase is never
-assumed: it is fixed once per process by a calibration loop at known
-parameters and applied uniformly to every report.
+Both routes report SIGN = -1 times the phase a transported state gains,
+the Mukunda-Simon phase -arg of the Bargmann product: an eigenstate
+carried around the loop returns as e^{-i gamma} times itself, once the
+dynamic phase is removed. That is the convention of the closed forms in
+the model module, which neither route reads, so a sign error in either
+shows up against them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .config import TOL
 from .errors import (
     BasisMismatch,
-    CalibrationAmbiguous,
     NonAdiabatic,
     NormDrift,
     SimulationError,
@@ -68,24 +69,11 @@ from .errors import (
     warn_at_caller,
 )
 from .fock import SPIN_UP, FockOperator, StateVector
-from .model import (
-    ModelParams,
-    analytic_berry_phase,
-    analytic_eigensystem,
-    default_basis,
-    dressed_state_vector,
-)
-from .paths import (
-    MAX_LIFTED,
-    LoopPath,
-    SchwingerFrame,
-    constant_latitude_loop,
-    lift,
-    schwinger_frame,
-    schwinger_jx,
-)
+from .paths import MAX_LIFTED, LoopPath, SchwingerFrame, lift, schwinger_jx
 
 TWO_PI = 2.0 * math.pi
+# Reported phase over the phase a transported state gains (module docstring)
+SIGN = -1
 
 
 def principal_value(angle: float) -> float:
@@ -104,7 +92,7 @@ class PhaseReport:
     enough to count revolutions of the accumulated argument, winding holds
     that integer and gamma_total = gamma + 2 pi winding; a gauge-scrambled
     or too-coarse run reports winding (and the totals) as None. All values
-    carry the calibrated sign convention.
+    carry the sign convention SIGN.
     """
 
     gamma: float
@@ -185,28 +173,9 @@ def _loop_overlaps(cycle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(ov), np.angle(ov)
 
 
-@lru_cache(maxsize=1)
 def calibrate_sign_convention() -> int:
-    """Fix the sign linking raw overlap products to reported phases.
-
-    One latitude loop at known parameters (two-quantum model on resonance,
-    theta = 0.5) is compared against the closed-form phase; the resulting
-    sign (+1 or -1) is cached for the process and applied to every report,
-    so the convention is calibrated once rather than assumed. Raises
-    CalibrationAmbiguous if the calibration phase is too small to sign.
-    """
-    params = ModelParams(m=2)
-    frame = schwinger_frame(default_basis(params))
-    plus, _ = analytic_eigensystem(params)
-    state = dressed_state_vector(plus)
-    path = constant_latitude_loop(0.5, n_steps=512)
-    cycle = transport_states(frame, [state], path)[:-1]
-    _, args = _loop_overlaps(cycle)
-    raw = -float(args[0].sum())  # raw convention: minus the product argument
-    target = analytic_berry_phase(params, path.omega_solid)
-    if min(abs(raw), abs(target)) < TOL.calibration_floor:
-        raise CalibrationAmbiguous("calibration loop produced a near-zero phase")
-    return 1 if raw * target > 0 else -1
+    """SIGN, the fixed sign convention of every reported phase."""
+    return SIGN
 
 
 # Lifted amplitudes (samples x states x basis states) that one batch of
@@ -282,7 +251,6 @@ def _batch_reports(samples, path, refine, gauge_seed) -> list[PhaseReport]:
             f"{TOL.vanishing_overlap}; sample the path more finely"
         )
     resolvable = (max_steps < TOL.winding_step_cap) & (gauge_seed is None)
-    sign = calibrate_sign_convention()
 
     # One Richardson sweep against the even-index subsequence, whose
     # cyclic product is gauge invariant too. A resolvable run compares the
@@ -302,7 +270,7 @@ def _batch_reports(samples, path, refine, gauge_seed) -> list[PhaseReport]:
             "min_overlap": min_overlap,
             "max_step_arg": max_step,
             "gamma_raw_principal": principal_value(-argsum),
-            "sign_convention": sign,
+            "sign_convention": SIGN,
             "refined": False,
             "discretization_estimate": None,
         }
@@ -317,12 +285,12 @@ def _batch_reports(samples, path, refine, gauge_seed) -> list[PhaseReport]:
                 diagnostics["refined"] = True
 
         if ok:
-            gamma_total = sign * -argsum_used
+            gamma_total = SIGN * -argsum_used
             gamma = principal_value(gamma_total)
             winding = round((gamma_total - gamma) / TWO_PI)
             per_revolution = gamma_total / path.revolutions
         else:
-            gamma = principal_value(sign * -principal_value(argsum_used))
+            gamma = principal_value(SIGN * -principal_value(argsum_used))
             winding = gamma_total = per_revolution = None
         reports.append(
             PhaseReport(
@@ -638,8 +606,8 @@ def adiabatic_evolution(
     drive charge K. Evolution runs in the co-moving frame (guarded_evolve);
     the state is lifted into the lab frame at the end. The report carries
     the geometric phase after the dynamic phase energy * total_time is
-    subtracted (exact, as the family is isospectral), with the same
-    calibrated sign convention as the holonomy route, plus leak, drift and
+    subtracted (exact, as the family is isospectral), with the sign
+    convention SIGN of the holonomy route, plus leak, drift and
     step diagnostics. Warns, at the caller's line, when the drive time is
     under ten coupling periods.
 
@@ -689,8 +657,7 @@ def _adiabatic_run(hamiltonian, frame, schedule, initial):
     dyn_subtracted = energy_branch * t_total
     raw_geometric = arg_total + dyn_subtracted
 
-    sign = calibrate_sign_convention()
-    gamma_total = sign * raw_geometric
+    gamma_total = SIGN * raw_geometric
     gamma = principal_value(gamma_total)
     report = PhaseReport(
         gamma=gamma,
@@ -709,7 +676,7 @@ def _adiabatic_run(hamiltonian, frame, schedule, initial):
             "propagator": "magnus4-comoving",
             "dynamic_phase_subtracted": dyn_subtracted,
             "energy_branch": energy_branch,
-            "sign_convention": sign,
+            "sign_convention": SIGN,
         },
     )
     psi = comoving_lift(frame, charge, theta, phi) @ xi
@@ -759,41 +726,3 @@ def extrapolated_adiabatic_phase(
         revolutions=schedule.path.revolutions,
         diagnostics=diagnostics,
     )
-
-
-@dataclass(frozen=True)
-class BudgetEntry:
-    name: str
-    ratio: float
-    verdict: str
-
-
-def _verdict(ratio: float) -> str:
-    if ratio < TOL.budget_pass:
-        return "pass"
-    if ratio > TOL.budget_fail:
-        return "fail"
-    return "warn"
-
-
-def adiabaticity_budget(
-    params: ModelParams, schedule: DriveSchedule
-) -> list[BudgetEntry]:
-    """Dimensionless slowness ratios for a planned drive.
-
-    Compares the peak polar and azimuthal sweep rates against the coupling
-    and the detuning against the trap frequency. Below 0.05 is a pass,
-    above 0.5 a fail, in between a warning. The detuning entry is skipped
-    when no trap frequency is configured.
-    """
-    scale = params.lambda_m if params.lambda_m > 0 else 2.0 * params.big_lambda
-    entries = [
-        BudgetEntry(f"{angle}_rate_over_coupling", rate / scale, _verdict(rate / scale))
-        for angle, rate in zip(("theta", "phi"), schedule.peak_rates())
-    ]
-    if params.nu > 0:
-        ratio = abs(params.delta_m) / params.nu
-        entries.append(BudgetEntry("detuning_over_trap", ratio, _verdict(ratio)))
-    else:
-        entries.append(BudgetEntry("detuning_over_trap", 0.0, "skipped"))
-    return entries

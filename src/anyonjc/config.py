@@ -27,7 +27,6 @@ class Tolerances:
     gauge_invariance: float = 1e-10
     branch_equality: float = 1e-8
     vanishing_overlap: float = 1e-6
-    calibration_floor: float = 1e-8
     winding_step_cap: float = 1.5  # max |per-step arg| (rad) for a resolvable winding
 
     # time evolution

@@ -65,10 +65,6 @@ class SizeLimit(SimulationError, ValueError):
     """A basis, loop, lifted table or factorial above what a run may hold."""
 
 
-class CalibrationAmbiguous(SimulationError):
-    """Sign calibration loop produced a phase too small to fix a sign."""
-
-
 class TruncationWarning(UserWarning):
     """A truncated series or basis dropped terms above the noise floor."""
 

@@ -111,14 +111,19 @@ class TrapParams:
     delta_m: float = 0.0
 
     def __post_init__(self):
-        if self.g <= 0:
+        # every comparison is False for NaN, so each check rejects it
+        if not self.g > 0:
             raise ValueError("g must be positive")
+        if not self.g < math.inf:
+            raise ValueError("g must be finite")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must lie in (0, 1)")
         if not self.nu >= 0.0:
             raise ValueError("trap frequency nu must be non-negative")
         if not isinstance(self.m, int) or self.m < 0:
             raise ValueError("sideband order m must be a non-negative integer")
+        if not abs(self.delta_m) < math.inf:
+            raise ValueError("detuning delta_m must be finite")
 
 
 def lamb_dicke_lambda(trap: TrapParams) -> complex:
@@ -149,12 +154,7 @@ def effective_model(trap: TrapParams) -> ModelParams:
     the vacuum doublet."""
     if trap.m < 1:
         raise ValueError("the carrier (m = 0) has no exchange-model reading")
-    return ModelParams(
-        m=trap.m,
-        lambda_m=abs(lamb_dicke_lambda(trap)),
-        delta_m=trap.delta_m,
-        nu=trap.nu,
-    )
+    return ModelParams(m=trap.m, lambda_m=abs(lamb_dicke_lambda(trap)), delta_m=trap.delta_m)
 
 
 def coupling_strength(trap: TrapParams, n: int, order: int | None = None) -> float:
@@ -222,6 +222,8 @@ def carrier_hamiltonian(trap: TrapParams, basis: BasisSpec) -> FockOperator:
 def pulse_beta(trap: TrapParams, pulse_mode: str) -> float:
     """Actual two-level rotation angle of one nominal pi/2 carrier pulse
     applied to the motional vacuum."""
+    if pulse_mode not in PULSE_MODES:
+        raise ValueError(f"pulse_mode must be one of {PULSE_MODES}")
     if pulse_mode == "instantaneous":
         return 0.5 * math.pi
     return 0.5 * math.pi * math.exp(-0.5 * trap.eta**2)
@@ -280,7 +282,7 @@ def snap_to_cycles(trap: TrapParams, total_time: float) -> tuple[float, int, flo
 
 
 def ramsey_schedule(
-    trap: TrapParams, omega_solid: float, total_time: float, n_steps: int = 256
+    trap: TrapParams, omega_solid: float, total_time: float, n_steps: int
 ) -> DriveSchedule:
     """Drive of one Ramsey wait: a latitude loop enclosing omega_solid,
     n_steps samples per revolution, with the smoothstep ramp over the wait
@@ -413,3 +415,40 @@ def ramsey_sweep(
         ramsey_schedule(trap, omega, total_time, n_steps) for omega in omegas[1:]
     ]
     return _run_waits(trap, pulse_mode, omegas, schedules, h0)
+
+
+@dataclass(frozen=True)
+class BudgetEntry:
+    name: str
+    ratio: float
+    verdict: str
+
+
+def _verdict(ratio: float) -> str:
+    if ratio < TOL.budget_pass:
+        return "pass"
+    if ratio > TOL.budget_fail:
+        return "fail"
+    return "warn"
+
+
+def adiabaticity_budget(trap: TrapParams, schedule: DriveSchedule) -> list[BudgetEntry]:
+    """Dimensionless slowness ratios for a planned drive.
+
+    Compares the peak polar and azimuthal sweep rates against the vacuum
+    coupling |lambda_m| (the doublet splitting when that underflows to 0)
+    and the detuning against the trap frequency. Below 0.05 is a pass,
+    above 0.5 a fail, in between a warning. The detuning entry is skipped
+    when no trap frequency is configured.
+    """
+    scale = abs(lamb_dicke_lambda(trap)) or 2.0 * vacuum_splitting(trap)
+    entries = [
+        BudgetEntry(f"{angle}_rate_over_coupling", rate / scale, _verdict(rate / scale))
+        for angle, rate in zip(("theta", "phi"), schedule.peak_rates())
+    ]
+    if trap.nu > 0:
+        ratio = abs(trap.delta_m) / trap.nu
+        entries.append(BudgetEntry("detuning_over_trap", ratio, _verdict(ratio)))
+    else:
+        entries.append(BudgetEntry("detuning_over_trap", 0.0, "skipped"))
+    return entries

@@ -56,24 +56,25 @@ class ModelParams:
     """Model configuration for a single doublet.
 
     n and n_prime are the occupations of the upper bare state
-    |up, n, n_prime>; the partner is |down, n + m, n_prime>. nu is the
-    trap frequency, which only the adiabaticity budget reads.
+    |up, n, n_prime>; the partner is |down, n + m, n_prime>.
     """
 
     m: int
     lambda_m: float = 1.0
     delta_m: float = 0.0
-    nu: float = 0.0
     n: int = 0
     n_prime: int = 0
 
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
             raise ValueError("m must be a positive integer")
-        if self.lambda_m < 0:
+        # every comparison is False for NaN, so each check rejects it
+        if not self.lambda_m >= 0:
             raise ValueError("lambda_m must be non-negative")
-        if not self.nu >= 0.0:
-            raise ValueError("trap frequency nu must be non-negative")
+        if not self.lambda_m < math.inf:
+            raise ValueError("lambda_m must be finite")
+        if not abs(self.delta_m) < math.inf:
+            raise ValueError("delta_m must be finite")
         for name in ("n", "n_prime"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
@@ -137,7 +138,10 @@ class DressedState:
     branch: str
     c_up: float
     c_down: float
-    big_lambda: float
+
+    @property
+    def big_lambda(self) -> float:
+        return self.params.big_lambda
 
     @property
     def energy(self) -> float:
@@ -165,8 +169,8 @@ def analytic_eigensystem(params: ModelParams) -> tuple[DressedState, DressedStat
     else:
         c_down = math.sqrt((lam - 0.5 * params.delta_m) / (2.0 * lam))
         c_up = g / (2.0 * lam * c_down)
-    plus = DressedState(params, "+", c_up, c_down, lam)
-    minus = DressedState(params, "-", -c_down, c_up, lam)
+    plus = DressedState(params, "+", c_up, c_down)
+    minus = DressedState(params, "-", -c_down, c_up)
     return plus, minus
 
 
@@ -193,8 +197,10 @@ def analytic_berry_phase(
     Equals Omega times the mode-imbalance expectation of the branch:
     Omega * ((n - n') / 2 + (m / 2) w_down) with w_down the weight on the
     m-quanta-shifted component. For the plus branch this is the fractional
-    phase (m / 4) Omega at resonance with n = n' = 0.
+    phase (m / 4) Omega at resonance with n = n' = 0. branch is '+' or '-'.
     """
+    if branch not in ("+", "-"):
+        raise ValueError(f"branch must be '+' or '-', not {branch!r}")
     check_solid_angle(omega_solid)
     plus, minus = analytic_eigensystem(params)
     state = plus if branch == "+" else minus

@@ -75,7 +75,6 @@ class LoopPath:
     samples: np.ndarray
     omega_solid: float
     revolutions: int = 1
-    n_steps: int = 0  # samples per revolution (segments); 0 means len - 1
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -83,8 +82,8 @@ class LoopPath:
             raise ValueError("samples must be a (K, 2) array of (theta, phi)")
         if len(self.samples) < 2:
             raise ValueError("a path needs at least two samples")
-        if self.n_steps == 0:
-            self.n_steps = (len(self.samples) - 1) // max(self.revolutions, 1)
+        if self.revolutions < 1:
+            raise ValueError("revolutions must be at least 1")
         first = sphere_point(*self.samples[0])
         last = sphere_point(*self.samples[-1])
         if np.linalg.norm(first - last) > TOL.loop_closure:
@@ -93,6 +92,11 @@ class LoopPath:
     @property
     def segments(self) -> int:
         return len(self.samples) - 1
+
+    @property
+    def n_steps(self) -> int:
+        """Segments per revolution."""
+        return self.segments // self.revolutions
 
 
 def constant_latitude_loop(
@@ -114,12 +118,7 @@ def constant_latitude_loop(
         raise SizeLimit(f"a loop of {total + 1} samples is above MAX_LIFTED = {MAX_LIFTED}")
     phi = TWO_PI * np.arange(total + 1) / n_steps
     samples = np.column_stack([np.full(total + 1, theta), phi])
-    return LoopPath(
-        samples,
-        omega_solid=latitude_solid_angle(theta),
-        revolutions=revolutions,
-        n_steps=n_steps,
-    )
+    return LoopPath(samples, omega_solid=latitude_solid_angle(theta), revolutions=revolutions)
 
 
 def default_latitude_loop(m: int, theta: float, n_steps: int = 1024) -> LoopPath:

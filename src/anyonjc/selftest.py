@@ -17,7 +17,6 @@ import numpy as np
 from .berry import (
     DriveSchedule,
     adiabatic_evolution,
-    calibrate_sign_convention,
     holonomy_phase,
     transport_states,
 )
@@ -240,15 +239,6 @@ def check_holonomy_vs_analytic() -> CheckResult:
     return _result("holonomy matches closed form", worst, TOL.holonomy_vs_analytic)
 
 
-def check_calibration() -> CheckResult:
-    first = calibrate_sign_convention()
-    second = calibrate_sign_convention()
-    ok = first == second and first in (-1, 1)
-    return CheckResult(
-        "sign calibration deterministic", ok, f"sign = {first}, idempotent"
-    )
-
-
 def check_adiabatic_run() -> list[CheckResult]:
     params = ModelParams(m=2)
     frame = schwinger_frame(default_basis(params))
@@ -256,6 +246,9 @@ def check_adiabatic_run() -> list[CheckResult]:
     plus, _ = analytic_eigensystem(params)
     schedule = DriveSchedule(constant_latitude_loop(0.7, 96), total_time=60.0)
     _, report = adiabatic_evolution(h0, frame, schedule, dressed_state_vector(plus))
+    gamma = report.gamma_per_revolution
+    target = analytic_berry_phase(params, schedule.path.omega_solid)
+    near, far = abs(gamma - target), abs(gamma + target)
     return [
         _result(
             "adiabatic norm drift", report.diagnostics["norm_drift"], TOL.norm_drift
@@ -264,6 +257,11 @@ def check_adiabatic_run() -> list[CheckResult]:
             "adiabatic leak small at T = 60",
             report.diagnostics["max_nonadiabatic_leak"],
             TOL.leak_threshold,
+        ),
+        CheckResult(
+            "adiabatic phase has the closed form's sign",
+            near < far,
+            f"|gamma - closed form| {near:.2e} vs |gamma + closed form| {far:.2e}",
         ),
     ]
 
@@ -299,7 +297,6 @@ def run_all() -> list[CheckResult]:
     results.extend(check_transport_and_gauge())
     results.append(check_branch_equality())
     results.append(check_holonomy_vs_analytic())
-    results.append(check_calibration())
     results.extend(check_adiabatic_run())
     results.append(check_solid_angles())
     for r in results:

@@ -7,11 +7,15 @@ against that closed form and against the holonomy result, so a common-mode
 error cannot hide.
 """
 
+import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,6 @@ from anyonjc.berry import (
     STEP_PHASE,
     DriveSchedule,
     adiabatic_evolution,
-    adiabaticity_budget,
     calibrate_sign_convention,
     comoving_evolve,
     drive_charge,
@@ -46,6 +49,7 @@ from anyonjc.errors import (
 )
 from anyonjc.iontrap import (
     TrapParams,
+    adiabaticity_budget,
     g_for_unit_coupling,
     ramsey_basis,
     ramsey_sweep,
@@ -96,6 +100,53 @@ def test_principal_value_branch_cut():
 def test_sign_calibration_fixed_and_idempotent():
     assert calibrate_sign_convention() == -1
     assert calibrate_sign_convention() == calibrate_sign_convention()
+
+
+# Prints the holonomy and adiabatic gamma_total of the m = 2 resonant
+# doublet at theta = 0.7 as JSON; with the argument "negate", after every
+# anyonjc module bound to analytic_berry_phase is rebound to its negative
+_ROUTES = """
+import json, sys
+import anyonjc
+from anyonjc import *
+from anyonjc.paths import constant_latitude_loop
+if sys.argv[1:] == ["negate"]:
+    original = anyonjc.model.analytic_berry_phase
+    def negated(*args, **kwargs):
+        return -original(*args, **kwargs)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("anyonjc"):
+            if getattr(module, "analytic_berry_phase", None) is original:
+                module.analytic_berry_phase = negated
+params = ModelParams(m=2)
+frame = schwinger_frame(default_basis(params))
+state = dressed_state_vector(analytic_eigensystem(params)[0])
+path = constant_latitude_loop(0.7, 96)
+holonomy = holonomy_phase(state, frame, path).gamma_total
+h0 = build_interaction_hamiltonian(params)
+_, report = adiabatic_evolution(h0, frame, DriveSchedule(path, 60.0), state)
+print(json.dumps([holonomy, report.gamma_total]))
+"""
+
+
+def test_numerical_routes_do_not_read_the_closed_form():
+    # a fresh process, so that nothing computed before the patch is reused
+    src = str(Path(berry.__file__).parent.parent)
+
+    def phases(*argv):
+        run = subprocess.run(
+            [sys.executable, "-c", _ROUTES, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        return json.loads(run.stdout)
+
+    plain, negated = phases(), phases("negate")
+    assert plain[0] > 0.5 and plain[1] > 0.5  # (m/4) Omega = 0.739
+    assert negated == pytest.approx(plain, abs=1e-12)
 
 
 class TestHolonomy:
@@ -816,24 +867,24 @@ class TestComovingFrame:
 
 class TestBudget:
     def test_verdicts_track_drive_speed(self):
-        params = ModelParams(m=2)
+        trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
         path = constant_latitude_loop(math.pi / 2, 96)
-        slow = adiabaticity_budget(params, DriveSchedule(path, 250.0))
+        slow = adiabaticity_budget(trap, DriveSchedule(path, 250.0))
         by_name = {e.name: e for e in slow}
         assert by_name["phi_rate_over_coupling"].verdict == "pass"
         assert by_name["theta_rate_over_coupling"].ratio == 0.0
         assert by_name["detuning_over_trap"].verdict == "skipped"
 
-        warn = adiabaticity_budget(params, DriveSchedule(path, 25.0))
+        warn = adiabaticity_budget(trap, DriveSchedule(path, 25.0))
         assert {e.name: e for e in warn}["phi_rate_over_coupling"].verdict == "warn"
 
-        fast = adiabaticity_budget(params, DriveSchedule(path, 5.0))
+        fast = adiabaticity_budget(trap, DriveSchedule(path, 5.0))
         assert {e.name: e for e in fast}["phi_rate_over_coupling"].verdict == "fail"
 
     def test_detuning_entry_uses_trap_frequency(self):
-        params = ModelParams(m=2, nu=50.0, delta_m=0.5)
+        trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2, nu=50.0, delta_m=0.5)
         path = constant_latitude_loop(1.0, 96)
-        entries = adiabaticity_budget(params, DriveSchedule(path, 100.0))
+        entries = adiabaticity_budget(trap, DriveSchedule(path, 100.0))
         entry = {e.name: e for e in entries}["detuning_over_trap"]
         assert entry.ratio == pytest.approx(0.01)
         assert entry.verdict == "pass"

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anyonjc
-from anyonjc import berry, cli
+from anyonjc import berry, cli, iontrap
 from anyonjc.cli import build_parser, load_config_file, main, parse_angle
 from anyonjc.config import TOL
 
@@ -382,6 +382,21 @@ class TestRamseyCommand:
         err = capsys.readouterr().err
         assert "budget phi_rate_over_coupling: 0.7071 [fail]" in err.splitlines()
 
+    def test_budget_is_that_of_the_drive_that_runs(self, monkeypatch):
+        # the budget's schedule has the sweep's --loop-steps, not a default
+        steps = []
+        original = iontrap.ramsey_schedule
+
+        def recording(trap, omega, total_time, n_steps):
+            steps.append(n_steps)
+            return original(trap, omega, total_time, n_steps)
+
+        monkeypatch.setattr(iontrap, "ramsey_schedule", recording)
+        argv = ["ramsey", "--omega-points", "2", "--total-time", "50", "--budget",
+                "--loop-steps", "64"]
+        assert main(argv) == 0
+        assert steps == [64, 64, 64]
+
     def test_fast_drive_exits_3(self, capsys):
         code = main(["ramsey", "--omega-points", "2", "--total-time", "3"])
         assert code == 3
@@ -496,7 +511,6 @@ class TestExitCodes:
         assert peak < 1_000_000
 
     def test_fig1_holonomy_peak_does_not_grow_with_points(self, tmp_path):
-        berry.calibrate_sign_convention()  # cached; not part of either run
         peaks = []
         for points in ("21", "201"):
             argv = ["fig1", "--with-holonomy", "--m-list", "3", "--points", points,

@@ -1,5 +1,5 @@
-"""The package's export list matches what its __init__ binds, and it
-runs without scipy."""
+"""The package's export list matches what its __init__ binds, it runs
+without scipy, and the numerical routes do not import the closed forms."""
 
 import ast
 import json
@@ -31,6 +31,19 @@ def test_every_export_resolves():
 def test_all_lists_exactly_the_bound_names():
     assert len(set(anyonjc.__all__)) == len(anyonjc.__all__)
     assert sorted(anyonjc.__all__) == sorted(bound_public_names())
+
+
+def test_berry_imports_nothing_from_model():
+    # the holonomy and adiabatic routes must stay independent of the
+    # closed forms they are checked against
+    tree = ast.parse((Path(anyonjc.__file__).parent / "berry.py").read_text())
+    imported = []  # dotted names: "fock.SPIN_UP" for "from .fock import SPIN_UP"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert [name for name in imported if "model" in name.split(".")] == []
 
 
 def test_runs_without_scipy(tmp_path):

@@ -126,6 +126,9 @@ class TestTrapParams:
             TrapParams(g=1.0, eta=1.2)
         with pytest.raises(ValueError):
             TrapParams(g=1.0, eta=0.1, m=-1)
+        for bad in ({"g": math.nan}, {"g": math.inf}, {"delta_m": math.nan}):
+            with pytest.raises(ValueError):
+                TrapParams(**{"g": 1.0, "eta": 0.1, **bad})
 
     def test_rejects_negative_trap_frequency_and_order(self):
         with pytest.raises(ValueError, match="nu must be non-negative"):
@@ -184,6 +187,14 @@ class TestPulses:
             pytest.approx(0.5)
         )
 
+    @pytest.mark.parametrize(
+        "call", [pulse_beta, lambda trap, mode: predicted_p_down(trap, 0.0, mode)]
+    )
+    def test_unknown_pulse_mode_raises(self, call):
+        trap = TrapParams(g=1.0, eta=0.1, m=2)
+        with pytest.raises(ValueError, match="pulse_mode must be one of"):
+            call(trap, "bogus")
+
 
 class TestCycles:
     def test_snap_finds_integer_cycles(self):
@@ -235,7 +246,7 @@ class TestProtocol:
         total_time, n_steps = fast["total_time"], fast["n_steps"]
         dt = total_time / n_steps
         energy = np.abs(np.linalg.eigvalsh(sideband_hamiltonian(trap, ramsey_basis(2)).matrix)).max()
-        path = ramsey_schedule(trap, 2.0 * math.pi, 100.0).path
+        path = ramsey_schedule(trap, 2.0 * math.pi, 100.0, 256).path
         rate = sum(DriveSchedule(path, total_time).peak_rates())
         assert n_steps == magnus_step_count(total_time, energy, rate, path.segments)
         assert (energy * dt) * (rate * dt) <= STEP_AREA * (1.0 + 1e-12)
@@ -307,7 +318,7 @@ class TestProtocol:
             for key in ("p_down", "leak", "norm_drift", "branch_transfer"):
                 assert row[key] == pytest.approx(one[key], abs=1e-12)
             assert row["n_steps"] == one["n_steps"]
-            schedule = ramsey_schedule(trap, omega, total_time)
+            schedule = ramsey_schedule(trap, omega, total_time, 256)
             assert row["total_time"] == one["total_time"] == schedule.total_time
 
     def test_sweep_warns_once_at_the_caller(self):

@@ -65,11 +65,9 @@ class TestParams:
             ModelParams(m=2, lambda_m=-1.0)
         with pytest.raises(ValueError):
             ModelParams(m=1, n=-1)
-
-    def test_rejects_negative_trap_frequency(self):
-        with pytest.raises(ValueError, match="nu must be non-negative"):
-            ModelParams(m=2, nu=-1.0)
-        assert ModelParams(m=2, nu=0.0).nu == 0.0
+        for bad in ({"delta_m": math.nan}, {"lambda_m": math.nan}, {"lambda_m": math.inf}):
+            with pytest.raises(ValueError):
+                ModelParams(m=2, **bad)
 
     def test_kappa_and_splitting(self):
         p = ModelParams(m=3, n=2)
@@ -229,6 +227,10 @@ class TestPhaseFormulas:
                 ModelParams(m=2, delta_m=-delta), omega, branch="-"
             )
             assert gm == pytest.approx(gp, abs=1e-12)
+
+    def test_unknown_branch_raises(self):
+        with pytest.raises(ValueError, match="branch must be"):
+            analytic_berry_phase(ModelParams(m=2, delta_m=0.5), math.pi, branch="x")
 
     def test_solid_angle_range(self):
         params = ModelParams(m=1)
