@@ -6,16 +6,18 @@ states the sign convention, and must agree with the closed-form phase
 from the model module; neither reuses the other's arithmetic, which is
 the point of having both.
 
-Holonomy route: the loop is sampled, the state is lifted at every sample,
-and the phase is read off the Bargmann product of consecutive overlaps
-[N. Mukunda & R. Simon, Ann. Phys. 228, 205 (1993)].
-The lift takes one exponential per sample: the levels of 2 J_z are
-integers, so every azimuth phase is a power of w = e^{-i phi/2}, and
-powers built by repeated multiplication are exact to rounding, one
-rounding per product (transport_states). Transport is linear in the
-state, so states that share a frame and a loop are lifted as one batch
-with one power table, and the batch is exact: each state's phase equals
-its one-state run bit for bit (holonomy_phases).
+Holonomy route: the loop is sampled and the phase is read off the
+Bargmann product of consecutive overlaps [N. Mukunda & R. Simon, Ann.
+Phys. 228, 205 (1993)], taken without lifting the state to the samples.
+The levels of 2 J_z are integers, so every azimuth phase of the lift is a
+power of w = e^{-i phi/2}, and over a stretch of equal steps in one theta
+run the overlap of consecutive samples is a polynomial in w whose
+coefficients come from one Gram of the state's level components; the
+powers of w take one exponential per sample and repeated multiplication,
+exact to rounding (_cycle_overlaps). A latitude loop takes two Grams per
+state, for its cycle and its half-resolution cycle. States that share a
+frame and a loop run as one batch whose phases equal their one-state runs
+bit for bit (holonomy_phases).
 The per-step arguments of the smooth lift also resolve the winding number,
 which the principal value of the closed product cannot see. The plain
 product estimator is second-order accurate in the step count; by default
@@ -52,6 +54,7 @@ shows up against them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -106,82 +109,9 @@ class PhaseReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def transport_states(frame: SchwingerFrame, states, path: LoopPath) -> np.ndarray:
-    """Lift states to every path sample: row k holds W(theta_k, phi_k) psi.
-
-    states is a sequence of P states, for rows (K, P, d). The rows are
-    built in runs of equal theta, one rotation matrix R per run (a single
-    one for a latitude loop). Every level h of 2 J_z is an integer, so
-    with w_k = e^{-i phi_k / 2} row k is sum_e w_k^e c_e, where (c_e)_i
-    sums R_ij psi_j over the j with h_i - h_j = e. One exponential per sample gives w_k; its powers up to
-    the widest level difference come by repeated multiplication, and the
-    negative ones are their conjugates. Each product adds one rounding, so
-    the table is exact to rounding, with an error that grows linearly with
-    the level span. The batch shares the table, and each state's rows are
-    one product with it, rounded as for that state alone.
-    Raises ValueError if a level of J_z is not a half-integer, and
-    SizeLimit, before it allocates, above MAX_LIFTED lifted amplitudes
-    (samples x states x basis states).
-    """
-    batch = list(states)
-    if any(state.basis != frame.basis for state in batch):
-        raise BasisMismatch("state and frame use different bases")
-    width = len(batch) * frame.basis.dim
-    lifted = len(path.samples) * width
-    if lifted > MAX_LIFTED:
-        raise SizeLimit(
-            f"{len(path.samples)} samples of {width} states are {lifted}"
-            f" amplitudes, above MAX_LIFTED = {MAX_LIFTED}"
-        )
-    levels = np.rint(2.0 * frame.jz_diagonal).astype(np.intp)
-    if np.abs(levels - 2.0 * frame.jz_diagonal).max() > 1e-12:
-        raise ValueError("J_z has a level that is not a half-integer")
-    thetas, phis = path.samples.T
-    span = int(levels.max() - levels.min())
-    w = np.exp(-0.5j * phis)
-    powers = np.empty((2 * span + 1, len(phis)), dtype=complex)  # w^e in row span + e
-    powers[span] = 1.0
-    for e in range(span + 1, 2 * span + 1):
-        np.multiply(powers[e - 1], w, out=powers[e])
-    np.conjugate(powers[:span:-1], out=powers[:span])
-    # sum the columns of R psi by level, then move row i to e = h_i - level
-    amplitudes = np.array([state.amplitudes for state in batch])[:, None, :]
-    values = np.unique(levels)
-    by_level = levels[:, None] == values
-    shift = levels[:, None] - values + span
-    changes = np.flatnonzero(thetas[1:] != thetas[:-1]) + 1
-    bounds = [0, *changes.tolist(), len(thetas)]
-    rows = np.empty((len(thetas), len(batch), len(levels)), dtype=complex)
-    for lo, hi in zip(bounds, bounds[1:]):
-        coeffs = np.zeros((len(batch), len(levels), 2 * span + 1), dtype=complex)
-        rotated = frame.rotation_about_y(float(thetas[lo])) * amplitudes
-        np.put_along_axis(coeffs, shift[None], rotated @ by_level, axis=2)
-        # one (K, 2 span + 1) by (2 span + 1, d) product per state
-        out = rows[lo:hi].transpose(1, 0, 2)
-        np.matmul(powers[:, lo:hi].T, coeffs.transpose(0, 2, 1), out=out)
-    return rows
-
-
-def _loop_overlaps(cycle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Magnitudes and arguments (P, K) of the consecutive overlaps around
-    the closed cycles (K, P, d) of P states, taken on views: each row
-    against the next, the last against the first. Each state's overlaps
-    are rounded as for that state alone."""
-    ov = np.empty(cycle.shape[1::-1], dtype=complex)
-    np.einsum("kpd,kpd->pk", cycle[:-1].conj(), cycle[1:], out=ov[:, :-1])
-    ov[:, -1] = [np.vdot(last, first) for last, first in zip(cycle[-1], cycle[0])]
-    return np.abs(ov), np.angle(ov)
-
-
 def calibrate_sign_convention() -> int:
     """SIGN, the fixed sign convention of every reported phase."""
     return SIGN
-
-
-# Lifted amplitudes (samples x states x basis states) that one batch of
-# holonomy_phases holds: about 1 MB per complex array, so a sweep's peak
-# memory does not grow with its point count.
-BATCH_AMPLITUDES = 65_536
 
 
 def holonomy_phase(
@@ -205,8 +135,7 @@ def holonomy_phase(
     against closed-form phases is only meaningful for eigenstates, but any
     state transports fine. This is holonomy_phases of the one state.
     """
-    [report] = holonomy_phases([state], frame, path, refine=refine, gauge_seed=gauge_seed)
-    return report
+    return holonomy_phases([state], frame, path, refine=refine, gauge_seed=gauge_seed)[0]
 
 
 def holonomy_phases(
@@ -217,66 +146,146 @@ def holonomy_phases(
     refine: bool = True,
     gauge_seed: int | None = None,
 ) -> list[PhaseReport]:
-    """holonomy_phase of each of the states, which share frame and loop;
-    one report per state, in order, equal to its one-state call bit for
-    bit. The states are lifted together, in batches of at most
-    BATCH_AMPLITUDES lifted amplitudes (one state at least), and every
-    overlap, sum and guard is taken per state. gauge_seed regauges every
-    state by the same phases as its one-state call. Raises
-    VanishingOverlap, naming the first such state's smallest overlap, if
-    any state's one-state call would.
-    """
+    """holonomy_phase of each of the states, which share frame and loop, in
+    order and equal to its one-state call bit for bit: only the powers, the
+    stretches and the rotations are shared (_cycle_overlaps). Raises
+    VanishingOverlap at the first state whose one-state call would."""
     states = list(states)
-    size = max(1, BATCH_AMPLITUDES // (len(path.samples) * frame.basis.dim))
-    reports = []
-    for lo in range(0, len(states), size):
-        samples = transport_states(frame, states[lo : lo + size], path)
-        reports += _batch_reports(samples, path, refine, gauge_seed)
-    return reports
+    if any(state.basis != frame.basis for state in states):
+        raise BasisMismatch("state and frame use different bases")
+    overlaps = _cycle_overlaps(frame, path)
+    return [_report(overlaps, state, path, refine, gauge_seed) for state in states]
 
 
-def _batch_reports(samples, path, refine, gauge_seed) -> list[PhaseReport]:
-    """The holonomy_phases reports of the lifted rows (K, P, d) of P states."""
-    cycle = samples[:-1]
-    if gauge_seed is not None:
-        rng = np.random.default_rng(gauge_seed)
-        cycle = cycle * np.exp(1j * TWO_PI * rng.random(len(cycle)))[:, None, None]
-    mags, args = _loop_overlaps(cycle)
-    lowest, max_steps = mags.min(axis=1), np.abs(args).max(axis=1)
-    vanishing = lowest < TOL.vanishing_overlap  # a NaN state hides no other
-    if vanishing.any():
-        first = lowest[vanishing][0]
+def _cycle_overlaps(frame: SchwingerFrame, path: LoopPath):
+    """overlaps(state, stride) yields (j, ov): the overlaps ov of the state
+    on the pairs j, j + 1, ... of the cycle rows 0, stride, 2 stride, ...,
+    each row against the next and the last against row 0.
+
+    Row k is D(w_k) R(theta_k) D(w_k)* psi, D(w) = diag(w^h) over the
+    integer levels h of 2 J_z, w_k = e^{-i phi_k / 2}. With b_l = R P_l psi
+    and delta = w_k' / w_k, rows k and k' overlap by the sum over levels
+    l, l' of psi of w_k^(l - l') delta^(-l') b_l^H diag(delta^h) b_l'. The
+    pairs of a stretch in one theta run whose phi steps agree to a few ulp
+    share that Gram (delta from their mean step), so their overlaps are
+    sum_e c_e w_k^e, |e| <= span, on powers of w_k built by repeated
+    multiplication as far as a nonzero c_e needs: none for a dressed
+    doublet on a latitude loop, whose two levels lie in two sectors. The
+    closing pair takes its step modulo 2 pi, the period of the lift, so a
+    latitude loop is one stretch; any other pair is a stretch of its own.
+    Memory is O(K span + d^2). Raises ValueError if a level of J_z is not
+    a half-integer, and SizeLimit, before it allocates, above MAX_LIFTED
+    samples x basis states.
+    """
+    samples, dim = len(path.samples), frame.basis.dim
+    if samples * dim > MAX_LIFTED:
+        raise SizeLimit(
+            f"{samples} samples of {dim} states are {samples * dim}"
+            f" amplitudes, above MAX_LIFTED = {MAX_LIFTED}"
+        )
+    levels = np.rint(2.0 * frame.jz_diagonal).astype(np.intp)
+    if np.abs(levels - 2.0 * frame.jz_diagonal).max() > 1e-12:
+        raise ValueError("J_z has a level that is not a half-integer")
+    span = int(levels.max() - levels.min())
+    order = np.argsort(levels, kind="stable")
+    rotation = functools.lru_cache(maxsize=2)(frame.rotation_about_y)
+    w = functools.cache(lambda: np.exp(-0.5j * path.samples[:-1, 1]))  # w_k, one exp each
+    powers = [1.0]  # w^e in powers[e], built only as far as a coefficient needs
+
+    @functools.cache
+    def stretches(stride):
+        # the rows' thetas, and (lo, hi, step) per stretch of pairs (row j, row j + 1 mod n)
+        rows = path.samples[:-1:stride]
+        moves = np.roll(rows, -1, axis=0) - rows  # (theta, phi) steps of the pairs
+        moves[-1, 1] = math.remainder(moves[-1, 1], TWO_PI)
+        theta, steps, flat = rows[:, 0], moves[:, 1], moves[:, 0] == 0
+        # pair j opens a stretch unless pairs j - 1, j are flat, steps equal
+        tol = 8.0 * np.spacing(np.abs(path.samples[:, 1]).max())
+        opens = ~(flat[1:] & flat[:-1]) | (np.abs(steps[1:] - steps[:-1]) > tol)
+        bounds = [0, *(np.flatnonzero(opens) + 1).tolist(), len(rows)]
+        pieces = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            step = float(np.add.reduce(steps[lo:hi])) / (hi - lo)
+            if np.abs(steps[lo:hi] - step).max() <= tol:
+                pieces.append((lo, hi, step))
+            else:  # steps that creep apart by less than tol a pair
+                pieces += [(j, j + 1, float(steps[j])) for j in range(lo, hi)]
+        return np.append(theta, theta[0]).tolist(), pieces
+
+    def overlaps(state, stride):
+        # the state's occupied basis states by level, and where each level starts
+        occupied = order[state.amplitudes[order] != 0]
+        values, firsts = np.unique(levels[occupied], return_index=True)
+        amplitudes = state.amplitudes[occupied]
+
+        def columns(theta):  # b_l = R(theta) P_l psi
+            return np.add.reduceat(rotation(theta)[:, occupied] * amplitudes, firsts, axis=1)
+
+        theta, pieces = stretches(stride)
+        for lo, hi, step in pieces:
+            left = columns(theta[lo])
+            right = left if theta[hi] == theta[lo] else columns(theta[hi])
+            shifted = np.exp(-0.5j * step * levels)[:, None] * right
+            gram = left.conj().T @ shifted * np.exp(0.5j * step * values)
+            c = np.zeros(2 * span + 1, dtype=complex)  # c_e in c[span + e]
+            np.add.at(c, values[:, None] - values + span, gram)
+            # c_0 plus c_e w^e + c_-e conj(w^e), e > 0, in numpy's own loops (a
+            # BLAS product of K rows wakes a second thread), skipping zero pairs
+            ov = np.full(hi - lo, c[span])
+            live = (c[span + 1 :] != 0) | (c[span - 1 :: -1] != 0)
+            for e in (np.flatnonzero(live) + 1).tolist():
+                while len(powers) <= e:
+                    powers.append(powers[-1] * w())
+                we = powers[e][lo * stride : hi * stride : stride]
+                ov += c[span + e] * we + c[span - e] * we.conj()
+            yield lo, ov
+
+    return overlaps
+
+
+def _report(overlaps, state, path, refine, gauge_seed) -> PhaseReport:
+    """holonomy_phase of the state, from the overlaps of _cycle_overlaps."""
+
+    def sweep(stride):  # the smallest overlap, largest |argument| and argument sum
+        lowest, steepest, argsum = np.inf, 0.0, 0.0
+        if gauge_seed is not None:  # row k times e^{i rho_k}
+            rho = TWO_PI * np.random.default_rng(gauge_seed).random(path.segments)[::stride]
+            regauge = np.exp(1j * (np.roll(rho, -1) - rho))
+        for j, ov in overlaps(state, stride):
+            if gauge_seed is not None:
+                ov *= regauge[j : j + len(ov)]
+            args = np.angle(ov)
+            lowest = np.minimum(lowest, np.abs(ov).min())
+            steepest = np.maximum(steepest, np.abs(args).max())
+            argsum += float(args.sum())
+        return float(lowest), float(steepest), argsum
+
+    min_overlap, max_step, argsum = sweep(1)
+    if min_overlap < TOL.vanishing_overlap:  # False for a NaN state
         raise VanishingOverlap(
-            f"consecutive overlap {first:.2e} below "
+            f"consecutive overlap {min_overlap:.2e} below "
             f"{TOL.vanishing_overlap}; sample the path more finely"
         )
-    resolvable = (max_steps < TOL.winding_step_cap) & (gauge_seed is None)
+    ok = max_step < TOL.winding_step_cap and gauge_seed is None
+    diagnostics = {
+        "min_overlap": min_overlap,
+        "max_step_arg": max_step,
+        "gamma_raw_principal": principal_value(-argsum),
+        "sign_convention": SIGN,
+        "refined": False,
+        "discretization_estimate": None,
+    }
 
     # One Richardson sweep against the even-index subsequence, whose
     # cyclic product is gauge invariant too. A resolvable run compares the
     # smooth argument sums and reports the estimate even unrefined; an
     # unresolvable one can only compare principal values.
-    sweep = len(cycle) % 2 == 0 and (refine or resolvable.any())
-    if sweep:
-        mags_h, args_h = _loop_overlaps(cycle[::2])
-        usable = ~(mags_h.min(axis=1) < TOL.vanishing_overlap)
-        smooth = np.abs(args_h).max(axis=1) < TOL.winding_step_cap
-
-    reports = []
-    per_state = zip(resolvable.tolist(), lowest.tolist(), max_steps.tolist())
-    for p, (ok, min_overlap, max_step) in enumerate(per_state):
-        argsum = float(args[p].sum())  # a row at a time: rounded as for one state
-        diagnostics = {
-            "min_overlap": min_overlap,
-            "max_step_arg": max_step,
-            "gamma_raw_principal": principal_value(-argsum),
-            "sign_convention": SIGN,
-            "refined": False,
-            "discretization_estimate": None,
-        }
-        argsum_used = argsum
-        if sweep and (refine or ok) and usable[p] and (smooth[p] or not ok):
-            delta = float(args_h[p].sum()) - argsum
+    argsum_used = argsum
+    if path.segments % 2 == 0 and (refine or ok):
+        lowest_h, steepest_h, argsum_h = sweep(2)
+        smooth = steepest_h < TOL.winding_step_cap  # a NaN is usable, not smooth
+        if not lowest_h < TOL.vanishing_overlap and (smooth or not ok):
+            delta = argsum_h - argsum
             if not ok:
                 delta = principal_value(delta)
             diagnostics["discretization_estimate"] = abs(delta) / 3.0
@@ -284,27 +293,24 @@ def _batch_reports(samples, path, refine, gauge_seed) -> list[PhaseReport]:
                 argsum_used = argsum - delta / 3.0
                 diagnostics["refined"] = True
 
-        if ok:
-            gamma_total = SIGN * -argsum_used
-            gamma = principal_value(gamma_total)
-            winding = round((gamma_total - gamma) / TWO_PI)
-            per_revolution = gamma_total / path.revolutions
-        else:
-            gamma = principal_value(SIGN * -principal_value(argsum_used))
-            winding = gamma_total = per_revolution = None
-        reports.append(
-            PhaseReport(
-                gamma=gamma,
-                winding=winding,
-                gamma_total=gamma_total,
-                gamma_per_revolution=per_revolution,
-                method="holonomy",
-                n_steps=path.n_steps,
-                revolutions=path.revolutions,
-                diagnostics=diagnostics,
-            )
-        )
-    return reports
+    if ok:
+        gamma_total = SIGN * -argsum_used
+        gamma = principal_value(gamma_total)
+        winding = round((gamma_total - gamma) / TWO_PI)
+        per_revolution = gamma_total / path.revolutions
+    else:
+        gamma = principal_value(SIGN * -principal_value(argsum_used))
+        winding = gamma_total = per_revolution = None
+    return PhaseReport(
+        gamma=gamma,
+        winding=winding,
+        gamma_total=gamma_total,
+        gamma_per_revolution=per_revolution,
+        method="holonomy",
+        n_steps=path.n_steps,
+        revolutions=path.revolutions,
+        diagnostics=diagnostics,
+    )
 
 
 # --- adiabatic route ---

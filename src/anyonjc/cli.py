@@ -235,8 +235,7 @@ def cmd_fig1(args) -> int:
     rows = []
     worst_cross = 0.0
     for m in _m_values(args):
-        # one basis, frame and loop per m; the dressed states serve both
-        # the entropy column and one holonomy_phases batch
+        # one basis, frame and loop per m; its dressed states serve both columns
         basis = default_basis(ModelParams(m=m))
         if args.with_holonomy:
             frame = schwinger_frame(basis)

@@ -35,9 +35,9 @@ TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
 MIN_STEPS = 8
-# Most loop samples times basis states one run may lift. The holonomy route
-# holds every lifted row at once: 1.2 million amplitudes (phase --m 1
-# --steps 100000) peak near 124 MB.
+# Most loop samples times basis states of one holonomy run, and most samples
+# of one loop. The holonomy route lifts no state to the samples: phase --m 1
+# --steps 100000 (1.2 million) peaks at 16 MB under tracemalloc.
 MAX_LIFTED = 2_000_000
 
 
@@ -105,7 +105,7 @@ def constant_latitude_loop(
     """Circle at fixed polar angle, n_steps samples per revolution.
 
     Raises SizeLimit, before it allocates, above MAX_LIFTED samples: no
-    lift of such a loop fits, and no time route could step it.
+    holonomy run of such a loop fits, and no time route could step it.
     """
     if not 0.0 <= theta <= math.pi:
         raise BadTheta(f"theta {theta} outside [0, pi]")

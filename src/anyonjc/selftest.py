@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .berry import (
-    DriveSchedule,
-    adiabatic_evolution,
-    holonomy_phase,
-    transport_states,
-)
+from .berry import DriveSchedule, adiabatic_evolution, holonomy_phase
 from .config import TOL
 from .fock import (
     BasisSpec,
@@ -200,7 +195,7 @@ def check_transport_and_gauge() -> list[CheckResult]:
     plus, _ = analytic_eigensystem(params)
     state = dressed_state_vector(plus)
     path = constant_latitude_loop(0.9, n_steps=512)
-    samples = transport_states(frame, [state], path)[:, 0]
+    samples = [lift(frame, theta, phi) @ state.amplitudes for theta, phi in path.samples]
     norm_defect = float(np.abs(np.linalg.norm(samples, axis=1) - 1.0).max())
     reference = holonomy_phase(state, frame, path).gamma
     worst_gauge = 0.0

@@ -37,7 +37,6 @@ from anyonjc.berry import (
     holonomy_phase,
     magnus_step_count,
     principal_value,
-    transport_states,
 )
 from anyonjc.config import TOL
 from anyonjc.errors import (
@@ -157,12 +156,29 @@ class TestHolonomy:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="2000008 amplitudes, above MAX_LIFTED"):
-                transport_states(frame, [state], path)
+                berry.holonomy_phases([state], frame, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 100_000  # the lift alone would take 32 MB
-        assert len(transport_states(frame, [state], constant_latitude_loop(0.5, 249_999)))
+        assert peak < 100_000  # one complex per sample alone would take 4 MB
+        report = holonomy_phase(state, frame, constant_latitude_loop(0.5, 249_999))
+        assert report.n_steps == 249_999 and report.winding is not None
+
+    def test_pair_run_peaks_below_the_lifted_rows(self):
+        # the lifted rows of a 4,096-step m = 2 pair run (dim 20, span 8)
+        # peaked at 2.69 MB; the power table and the overlaps stay below 60%
+        pair = TwoAnyonParams(m=2)
+        basis = two_anyon_basis(pair)
+        frame, state = schwinger_frame(basis), two_anyon_eigenstate(pair, basis)
+        path = default_latitude_loop(2, 1.3, 4096)
+        holonomy_phase(state, frame, path)  # the frame's cached J_y spectrum
+        tracemalloc.start()
+        try:
+            holonomy_phase(state, frame, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * 2.69e6
 
     def test_zero_area_loop(self):
         params, frame, state = doublet_setup()
@@ -259,27 +275,29 @@ class TestHolonomy:
             holonomy_phase(state, frame, path)
 
     def test_transport_preserves_norm(self):
+        # each sample twice: the pairs of a sample with itself (a zero step,
+        # each a stretch of its own) give the transported state's norm
         params, frame, state = doublet_setup(m=3)
-        path = constant_latitude_loop(2.2, 64)
-        samples = transport_states(frame, [state], path)[:, 0]
-        norms = np.linalg.norm(samples, axis=1)
-        assert np.abs(norms - 1.0).max() < 1e-11
+        loop = constant_latitude_loop(2.2, 64)
+        doubled = np.vstack([np.repeat(loop.samples[:-1], 2, axis=0), loop.samples[-1:]])
+        path = LoopPath(doubled, omega_solid=loop.omega_solid)
+        norms = gram_overlaps([state], frame, path)[0, ::2]
+        assert np.abs(norms - 1.0).max() < 1e-12
 
     @pytest.mark.parametrize(
         "path",
         [
             constant_latitude_loop(1.1, 16, revolutions=2),
+            constant_latitude_loop(1.1, 16),
             # runs of equal theta, then a lone vertex and the closing one
             polygon_loop([(0.5, 0.0), (0.5, 2.0), (1.0, 3.0), (1.0, 4.0), (0.7, 5.0)]),
         ],
-        ids=["latitude", "polygon"],
+        ids=["latitude", "latitude-once", "polygon"],
     )
     def test_transport_rows_are_lifted_state(self, path):
+        # odd m: the doublet's levels differ by an odd span
         params, frame, state = doublet_setup(m=3, delta=0.4)
-        rows = transport_states(frame, [state], path)[:, 0]
-        want = [lift(frame, th, ph) @ state.amplitudes for th, ph in path.samples]
-        assert rows.shape == (len(path.samples), frame.basis.dim)
-        assert np.abs(rows - np.array(want)).max() < 1e-13
+        assert_overlaps_are_lifted([state], frame, path)
 
     @pytest.mark.parametrize("case", ["wide-doublet", "exchange-pair", "polygon-runs"])
     def test_transport_rows_are_lifted_state_at_wide_level_spans(self, case):
@@ -294,37 +312,94 @@ class TestHolonomy:
             frame, state = schwinger_frame(basis), two_anyon_eigenstate(pair, basis)
             path = constant_latitude_loop(1.3, 64, revolutions=2)
         else:
+            # theta runs whose phi steps differ: every pair is its own stretch
             params, frame, state = doublet_setup(m=3, delta=-0.7, n=2, n_prime=1)
             path = polygon_loop(
                 [(0.3, 0.0), (0.3, 1.0), (0.3, 1.5), (1.2, 2.0), (1.2, 3.0),
                  (2.5, 3.5), (2.5, 4.5), (2.5, 5.0), (0.9, 5.5)]
             )
-        rows = transport_states(frame, [state], path)[:, 0]
-        want = [lift(frame, th, ph) @ state.amplitudes for th, ph in path.samples]
-        assert np.abs(rows - np.array(want)).max() < 1e-12
+        assert_overlaps_are_lifted([state], frame, path)
 
     def test_transport_rejects_levels_off_the_half_integers(self):
         params, frame, state = doublet_setup(m=2)
         shifted = np.diag(frame.jz_diagonal + 0.25).astype(complex)
         bent = SchwingerFrame(frame.basis, frame.j_y, FockOperator(frame.basis, shifted))
         with pytest.raises(ValueError, match="half-integer"):
-            transport_states(bent, [state], constant_latitude_loop(1.0, 16))
+            holonomy_phase(state, bent, constant_latitude_loop(1.0, 16))
 
     @pytest.mark.parametrize("length", [2, 3, 9, 513])
     def test_cycle_overlaps_match_the_rolled_copy(self, length):
-        # the overlaps are taken on views; the rolled copy is the old form.
-        # Each of the three cycles of a batch gets the overlaps of its own.
+        # a loop of two theta runs whose phi steps repeat in places: three
+        # random states, each against the rolled copy of its lifted rows
         rng = np.random.default_rng(length)
-        base = rng.normal(size=6) + 1j * rng.normal(size=6)
-        shape = (length, 3, 6)
-        cycle = base + 0.3 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-        cycle /= np.linalg.norm(cycle, axis=2, keepdims=True)
-        for view in (cycle, cycle[::2]):
-            ov = np.einsum("kpd,kpd->pk", view.conj(), np.roll(view, -1, axis=0))
-            mags, args = berry._loop_overlaps(view)
-            assert args.shape == (3, len(view))
-            assert np.abs(mags - np.abs(ov)).max() < 1e-14
-            assert np.abs(args - np.angle(ov)).max() < 1e-14
+        basis = default_basis(ModelParams(m=2, n=1))
+        z = rng.normal(size=(3, basis.dim)) + 1j * rng.normal(size=(3, basis.dim))
+        states = [StateVector(basis, v / np.linalg.norm(v)) for v in z]
+        phi = np.cumsum(rng.choice([0.1, 0.1, 0.1, 0.25], size=length))
+        theta = np.where(np.arange(length) < length // 2, 0.4, 1.1)
+        cycle = np.column_stack([theta, phi])
+        path = LoopPath(np.vstack([cycle, cycle[:1]]), omega_solid=0.0)
+        assert_overlaps_are_lifted(states, schwinger_frame(basis), path)
+
+    def test_creeping_steps_are_taken_pair_by_pair(self):
+        # neighbouring phi steps differ by 2 ulp, under the stretch bound,
+        # but drift apart by 2e-12 over the loop: no shared step fits them
+        rng = np.random.default_rng(5)
+        basis = default_basis(ModelParams(m=3, n=1))
+        z = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        state = StateVector(basis, z / np.linalg.norm(z))
+        steps = 0.006 + np.spacing(6.0) * 2.0 * np.arange(1000)
+        cycle = np.column_stack([np.full(1000, 1.0), np.cumsum(steps) - steps[0]])
+        path = LoopPath(np.vstack([cycle, cycle[:1]]), omega_solid=0.0)
+        assert_overlaps_are_lifted([state], schwinger_frame(basis), path)
+
+    def test_gauge_seed_multiplies_each_overlap_by_its_row_phases(self):
+        params, frame, state = doublet_setup(m=3, delta=0.4)
+        path = constant_latitude_loop(1.1, 64, revolutions=2)
+        rho = TWO_PI * np.random.default_rng(11).random(path.segments)
+        report = holonomy_phase(state, frame, path, gauge_seed=11)
+
+        def regauged(stride):
+            phases = rho[::stride]
+            ov = lifted_overlaps([state], frame, path, stride)[0]
+            return ov * np.exp(1j * (np.roll(phases, -1) - phases))
+
+        ov, half = regauged(1), regauged(2)
+        diag = report.diagnostics
+        assert abs(diag["min_overlap"] - np.abs(ov).min()) < 1e-13
+        assert abs(diag["max_step_arg"] - np.abs(np.angle(ov)).max()) < 1e-13
+        want = principal_value(-np.angle(ov).sum())
+        assert abs(diag["gamma_raw_principal"] - want) < 1e-13
+        estimate = abs(principal_value(np.angle(half).sum() - np.angle(ov).sum())) / 3.0
+        assert abs(diag["discretization_estimate"] - estimate) < 1e-13
+
+
+def lifted_overlaps(states, frame, path, stride=1):
+    """The consecutive overlaps (P, K / stride) around the cycle of states
+    lifted with paths.lift at every sample: row against next, last
+    against row 0."""
+    cycle = path.samples[:-1:stride]
+    rows = np.array([[lift(frame, th, ph) @ s.amplitudes for s in states] for th, ph in cycle])
+    return np.einsum("kpd,kpd->pk", rows.conj(), np.roll(rows, -1, axis=0))
+
+
+def gram_overlaps(states, frame, path, stride=1):
+    """The same (P, K / stride) overlaps from the Gram route, gathered from
+    the pieces that berry._cycle_overlaps yields."""
+    overlaps = berry._cycle_overlaps(frame, path)
+    got = np.full((len(states), path.segments // stride), np.nan, dtype=complex)
+    for p, state in enumerate(states):
+        for j, ov in overlaps(state, stride):
+            got[p, j : j + len(ov)] = ov
+    return got
+
+
+def assert_overlaps_are_lifted(states, frame, path):
+    """The Gram route's overlaps match the lifted rows' to 1e-13, on the
+    cycle and, for an even cycle, on the half-resolution one."""
+    for stride in (1, 2) if path.segments % 2 == 0 else (1,):
+        got = gram_overlaps(states, frame, path, stride)
+        assert np.abs(got - lifted_overlaps(states, frame, path, stride)).max() < 1e-13
 
 
 def batch_setup(case, points):
@@ -357,29 +432,31 @@ BATCH_CASES = [
 
 
 class TestHolonomyBatch:
-    """holonomy_phases: one lift and one set of overlaps for many states."""
+    """holonomy_phases: many states on one loop, each as if alone."""
 
     @pytest.mark.parametrize("case", BATCH_CASES)
-    def test_batch_equals_one_state_calls_bitwise(self, case, monkeypatch):
+    def test_batch_equals_one_state_calls_bitwise(self, case):
         frame, path, states = batch_setup(case, 11)
-        # four states of lifted rows per batch, less a little: 11 states
-        # fill batches of 3, 3, 3 and a ragged 2
-        per_state = len(path.samples) * frame.basis.dim
-        monkeypatch.setattr(berry, "BATCH_AMPLITUDES", 4 * per_state - 1)
         batch = berry.holonomy_phases(states, frame, path)
         assert batch == [holonomy_phase(state, frame, path) for state in states]
-        rows = transport_states(frame, states, path)
-        assert rows.shape == (len(path.samples), len(states), frame.basis.dim)
-        for p, state in enumerate(states):
-            assert np.array_equal(rows[:, p], transport_states(frame, [state], path)[:, 0])
+        for stride in (1, 2):
+            together = gram_overlaps(states, frame, path, stride)
+            for p, state in enumerate(states):
+                alone = gram_overlaps([state], frame, path, stride)[0]
+                assert np.array_equal(together[p], alone)
 
-    def test_batches_at_the_module_budget(self):
-        # 100 states of 257 x 6 lifted amplitudes: batches of 42, 42 and 16
+    def test_a_hundred_states_equal_their_one_state_calls(self):
         frame, path, states = batch_setup((1, 0, 0, "+"), 100)
-        size = berry.BATCH_AMPLITUDES // (len(path.samples) * frame.basis.dim)
-        assert 2 * size < len(states) < 3 * size
         batch = berry.holonomy_phases(states, frame, path)
         assert batch == [holonomy_phase(state, frame, path) for state in states]
+
+    def test_nan_state_hides_no_other_state(self):
+        frame, path, states = batch_setup((2, 1, 2, "-"), 2)
+        broken = StateVector(frame.basis, np.full(frame.basis.dim, np.nan, dtype=complex))
+        batch = berry.holonomy_phases([states[0], broken, states[1]], frame, path)
+        assert batch[0] == holonomy_phase(states[0], frame, path)
+        assert batch[2] == holonomy_phase(states[1], frame, path)
+        assert batch[1].winding is None and math.isnan(batch[1].diagnostics["min_overlap"])
 
     @pytest.mark.parametrize("seed", [None, 7])
     def test_refine_and_gauge_seed_keep_their_meaning(self, seed):

@@ -518,7 +518,7 @@ class TestExitCodes:
             code, peak = traced_main(argv)
             assert code == 0
             peaks.append(peak)
-        # unbatched, the 201 points would lift 33 MB at once
+        # the states run one at a time, so 201 points hold what 21 do
         assert peaks[1] - peaks[0] < 1_000_000
 
     def test_unresolved_winding_exits_2(self, capsys):
