@@ -415,10 +415,15 @@ STEP_AREA = 0.01
 STEP_PHASE = 0.55
 # Most steps a run may take (about half a minute); more raise StepLimit.
 MAX_STEPS = 1_000_000
-# Magnus generators (steps x points) built together, so the most one eigh
-# call stacks: a one-point run of up to this many steps is one batch, and
-# its stepping costs about 2 sqrt(steps) numpy calls (_step_products)
+# Magnus generators (steps x points) built together, so the most one
+# _propagators call stacks: a one-point run of up to this many steps is one
+# batch, and its stepping costs about 2 sqrt(steps) numpy calls
+# (_step_products)
 GENERATORS = 4096
+# Largest Q block whose Taylor products run elementwise along the step axis
+# (_propagators): over a stack of steps that beats np.matmul up to 5 states,
+# and np.matmul wins from 6 up
+STEP_AXIS_STATES = 5
 
 
 def magnus_step_count(
@@ -464,20 +469,21 @@ def comoving_evolve(h0: np.ndarray, frame: SchwingerFrame, schedules, xi):
 
     Each step is one 4th-order Magnus step [Blanes, Casas, Oteo & Ros,
     Phys. Rep. 470, 151 (2009)]: Omega = -i dt/2 (H1 + H2) - (sqrt(3)/12)
-    dt^2 [H2, H1] from H_xi at the two Gauss-Legendre nodes, applied through
-    the eigensystem of the Hermitian i Omega, so the step is unitary to
-    rounding. Steps follow comoving_step_count and step_times of the first
-    schedule, taken once; every other schedule must agree with it in total
-    time, parametrization, segments, peak rates and bends, which fix the
-    step grid (ValueError otherwise). The states reachable from the
-    support of xi through the nonzero entries of H0, J_x and J_y fall
-    into connected blocks of that pattern, the Q blocks; H_xi has no
-    element between two blocks, so each is stepped on its own and the
-    other states hold exact zeros at every step. A block of one state
-    needs no eigh: its steps are phases. A batch holds up to 64 points and
-    GENERATORS // points steps, so one eigh call per block covers a whole
-    batch and never stacks more than GENERATORS generators, however many
-    points the run has.
+    dt^2 [H2, H1] from H_xi at the two Gauss-Legendre nodes, applied as
+    exp(Omega) from its degree-19 Taylor polynomial (_propagators), whose
+    truncation after scaling to a 1-norm of at most 1 is under 5e-19, so the
+    step is unitary to rounding. Steps follow comoving_step_count and
+    step_times of the first schedule, taken once; every other schedule
+    must agree with it in total time, parametrization, segments, peak
+    rates and bends, which fix the step grid (ValueError otherwise). The
+    states reachable from the support of xi through the nonzero entries of
+    H0, J_x and J_y fall into connected blocks of that pattern, the Q
+    blocks; H_xi has no element between two blocks, so each is stepped on
+    its own and the other states hold exact zeros at every step. A block
+    of one state needs no polynomial: its steps are phases. A batch holds
+    up to 64 points and GENERATORS // points steps, so one _propagators
+    call per block covers a whole batch and never stacks more than
+    GENERATORS generators, however many points the run has.
     Yields the step ends (k,) and the states after them (k, P, d) per batch.
     Raises SimulationError unless [K, H0] = 0.
     """
@@ -529,8 +535,10 @@ def comoving_evolve(h0: np.ndarray, frame: SchwingerFrame, schedules, xi):
             cross = c1[..., a] * c2[..., b] - c1[..., b] * c2[..., a]
             coeffs = 0.5 * dt * np.concatenate([c1 + c2, 1j * node * cross], axis=-1)
             for keep, n, terms in blocks:
-                gen = coeffs.reshape(-1, len(terms)) @ terms  # one product, not k
-                gen = gen.reshape(*coeffs.shape[:2], n, n)
+                # one product, not k, laid out step-axis last as _propagators
+                # multiplies small blocks; gen is its (k, P, n, n) view
+                gen = terms.T @ coeffs.reshape(-1, len(terms)).T
+                gen = gen.T.reshape(*coeffs.shape[:2], n, n)
                 chunk = xi[p : p + points, keep]
                 states[:, p : p + points, keep] = _step_products(gen, chunk)
         xi = states[-1]
@@ -553,11 +561,9 @@ def _step_products(gen: np.ndarray, x: np.ndarray) -> np.ndarray:
     k, shape = len(gen), gen.shape[1:]
     size = math.isqrt(k - 1) + 1  # ceil(sqrt(k)) steps per block
     blocks = -(-k // size)
-    vals, vecs = np.linalg.eigh(gen)
     props = np.empty((blocks * size, *shape), dtype=complex)
     props[k:] = np.eye(shape[-1])
-    rotated = vecs * np.exp(-1j * vals)[..., None, :]
-    np.matmul(rotated, vecs.conj().swapaxes(-1, -2), out=props[:k])
+    props[:k] = _propagators(gen)
     props = props.reshape(blocks, size, *shape)
     within = np.empty_like(props)  # within[i, j]: steps j, ..., 0 of block i
     within[:, 0] = props[:, 0]
@@ -569,6 +575,70 @@ def _step_products(gen: np.ndarray, x: np.ndarray) -> np.ndarray:
         np.matmul(within[i - 1, -1], starts[i - 1], out=starts[i])
     states = within @ starts[:, None]
     return states.reshape(blocks * size, *shape[:-1])[:k]
+
+
+def _propagators(gen: np.ndarray) -> np.ndarray:
+    """exp(-i gen) for a stack gen (..., n, n) of Hermitian generators.
+
+    The stack is scaled by 2^-s so that its largest 1-norm is at most 1,
+    each exponential is taken from its degree-19 Taylor polynomial, whose
+    truncation is then under 5e-19, and squared back s times. The
+    polynomial is evaluated in Paterson-Stockmeyer form [Paterson &
+    Stockmeyer, SIAM J. Comput. 2, 60 (1973); Bader, Blanes & Casas,
+    Mathematics 7, 1174 (2019)]: the powers 2, 3 and 4, then Horner in the
+    fourth power over five chunks of degree 3, seven products in all. The
+    squarings carry X = exp - I, as (I + X)^2 = I + 2 X + X^2, so the
+    rounding of entries near 1 is not doubled s times. For
+    n <= STEP_AXIS_STATES a product is n elementwise multiply-adds of
+    (n, n, steps) arrays, which beats one LAPACK or BLAS call per tiny
+    matrix; larger blocks use np.matmul. The result may be a strided view.
+    """
+    shape, n = gen.shape, gen.shape[-1]
+    along = n <= STEP_AXIS_STATES
+    g = np.moveaxis(gen.reshape(-1, n, n), 0, -1) if along else gen.reshape(-1, n, n)
+    # taylor[c, r] = 1 / j! is the coefficient of A^j, A = -i G, j = 4 c + r;
+    # real, so a chunk is one real product. Chunk 0 leaves out the I of
+    # exp(A), added at the end
+    taylor = np.array([1.0 / math.factorial(j) for j in range(20)]).reshape(5, 4)
+    # column sums over the row axis; frexp leaves s = 0 for 0, inf and NaN
+    s = max(0, math.frexp(float(np.abs(g).sum(axis=0 if along else 1).max()))[1])
+    powers = np.empty((3, *g.shape), dtype=complex)
+    np.multiply(g, -1j * 2.0**-s, out=powers[0])  # exact: A, scaled
+    tmp = np.empty_like(powers[0])
+
+    def diagonal(a):  # a writable view of the diagonal of every matrix
+        return a.reshape(n * n, -1)[:: n + 1] if along else a.reshape(-1, n * n)[:, :: n + 1]
+
+    def product(x, y, out, add=False):  # out = x y, or out += x y
+        if not along:
+            if add:
+                out += np.matmul(x, y, out=tmp)
+            else:
+                np.matmul(x, y, out=out)
+            return out
+        for j in range(n):
+            np.multiply(x[:, j, None], y[j], out=tmp if add or j else out)
+            if add or j:
+                out += tmp
+        return out
+
+    def chunk(c, out):  # sum over r of taylor[c, r] A^r
+        np.matmul(taylor[c, 1:], powers.view(float).reshape(3, -1), out=out.view(float).ravel())
+        if c:
+            diagonal(out)[...] += taylor[c, 0]
+        return out
+
+    product(powers[0], powers[0], powers[1])
+    product(powers[1], powers[0], powers[2])
+    fourth = product(powers[1], powers[1], np.empty_like(tmp))
+    u, spare = chunk(4, np.empty_like(tmp)), np.empty_like(tmp)
+    for c in (3, 2, 1, 0):
+        u, spare = product(fourth, u, chunk(c, spare), add=True), u
+    for _ in range(s):
+        np.multiply(u, 2.0, out=spare)
+        u, spare = product(u, u, spare, add=True), u
+    diagonal(u)[...] += 1.0
+    return (np.moveaxis(u, -1, 0) if along else u).reshape(shape)
 
 
 def guarded_evolve(h0, frame, schedules, xi, followed):

@@ -36,9 +36,10 @@ A 42, 365303 (2009)]. The dressed states and the spectator are
 eigenvectors of K, so the guards are overlaps with xi. H_xi conserves
 Q = N + m [spin up], so the pulsed vacuum reaches two blocks only: the
 spectator (Q = 0, one state) and the doublet's block (Q = m, 4 states for
-m = 2). The stepper steps each on its own, the doublet's through one 4x4
-eigh per step and the spectator's as a phase, and the rest stay exactly
-empty. Steps follow the drive's rates, (E dt)(r dt) <= berry.STEP_AREA and
+m = 2). The stepper steps each on its own, the doublet's through a 4x4
+Taylor exponential per step, evaluated over the whole stack of steps at
+once, and the spectator's as a phase, and the rest stay exactly empty.
+Steps follow the drive's rates, (E dt)(r dt) <= berry.STEP_AREA and
 E dt <= berry.STEP_PHASE up to berry.MAX_STEPS, as the Magnus error there
 depends on the drive's derivatives [Hochbruck & Lubich, SIAM J. Numer.
 Anal. 41, 945 (2003)]. The points of a sweep share H0, the snapped wait

@@ -806,11 +806,11 @@ class TestComovingFrame:
     @pytest.mark.parametrize("case,kept", [("m1", 3), ("m2", 4), ("m3", 5), ("ramsey", 5)])
     def test_only_the_reachable_block_is_stepped(self, monkeypatch, case, kept):
         # H_xi conserves Q = N + m [spin up]: outside the Q blocks of the
-        # start state every yielded amplitude is exactly 0, and eigh only
-        # sees the blocks inside them: the Ramsey wait's doublet block of 4,
-        # while its spectator, a block of 1, needs no eigh
+        # start state every yielded amplitude is exactly 0, and the
+        # exponential only sees the blocks inside them: the Ramsey wait's
+        # doublet block of 4, while its spectator, a block of 1, needs none
         starts, blocks, shapes = [], [], []
-        evolve, eigh = berry.comoving_evolve, np.linalg.eigh
+        evolve, propagators = berry.comoving_evolve, berry._propagators
 
         def recording_evolve(h0, frame, schedules, xi):
             starts.append((frame.basis, xi))
@@ -818,12 +818,12 @@ class TestComovingFrame:
                 blocks.append(states)
                 yield t, states
 
-        def recording_eigh(a):
-            shapes.append(a.shape)
-            return eigh(a)
+        def recording_propagators(gen):
+            shapes.append(gen.shape)
+            return propagators(gen)
 
         monkeypatch.setattr(berry, "comoving_evolve", recording_evolve)
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(berry, "_propagators", recording_propagators)
         if case == "ramsey":
             trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
             ramsey_sweep(trap, [math.pi], 60.0)
@@ -839,14 +839,15 @@ class TestComovingFrame:
         assert inside.sum() == kept < basis.dim
         assert blocks and all(np.all(states[..., ~inside] == 0) for states in blocks)
         stepped = 4 if case == "ramsey" else kept
-        assert {s[-2:] for s in shapes if len(s) > 2} == {(stepped, stepped)}
+        assert shapes and {s[-2:] for s in shapes} == {(stepped, stepped)}
 
-    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("n", [1, 4, 6])
     @pytest.mark.parametrize("points", [1, 3])
     @pytest.mark.parametrize("k", [1, 2, 3, 63, 64, 65, 489])
     def test_step_products_match_a_sequential_chain(self, k, points, n, rng):
         # the block chain against one step at a time, through the padding of
-        # the last block and, for n = 1, the one-state phase path
+        # the last block, for n = 1 the one-state phase path and for n = 6
+        # the np.matmul side of the exponential
         a = rng.normal(size=(k, points, n, n, 2)) @ np.array([1.0, 1j])
         gen = 0.5 * (a + a.conj().swapaxes(-1, -2))
         x = rng.normal(size=(points, n)) + 1j * rng.normal(size=(points, n))
@@ -859,44 +860,89 @@ class TestComovingFrame:
         assert got.shape == (k, points, n)
         assert np.abs(got - np.array(want)).max() < 1e-13
 
-    @pytest.mark.parametrize("m,kept", [(1, 3), (2, 4), (3, 5)])
-    def test_one_point_run_is_one_eigh_call(self, monkeypatch, m, kept):
-        # a one-point run of at most GENERATORS steps builds every generator
-        # at once: one eigh call for its one Q block
-        shapes, eigh = [], np.linalg.eigh
+    @pytest.mark.parametrize("largest", [0.999, 20.0])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_propagators_match_expm(self, n, largest, rng):
+        # both product layouts (n <= STEP_AXIS_STATES and above), on stacks
+        # of 1-norms from 0.1 up to 0.999, which take no squaring, or up to
+        # 20, which the whole stack takes five squarings for. Half the
+        # generators are diagonal, so their spectral radius is their 1-norm
+        # and a polynomial of degree 15 would miss by 5e-14 near norm 1
+        assert 2 <= berry.STEP_AXIS_STATES < 10
+        a = rng.normal(size=(24, 2, n, n, 2)) @ np.array([1.0, 1j])
+        gen = 0.5 * (a + a.conj().swapaxes(-1, -2))
+        gen[:, 1] *= np.eye(n)
+        norms = np.geomspace(0.1, largest, 48).reshape(24, 2)
+        gen *= (norms / np.abs(gen).sum(axis=-2).max(axis=-1))[..., None, None]
+        got = berry._propagators(gen)
+        assert got.shape == gen.shape
+        assert np.abs(got - scipy.linalg.expm(-1j * gen)).max() <= 1e-14
+        assert np.abs(got @ got.conj().swapaxes(-1, -2) - np.eye(n)).max() <= 1e-14
 
-        def recording_eigh(a):
-            shapes.append(a.shape)
-            return eigh(a)
+    @pytest.mark.parametrize("m,kept", [(1, 3), (2, 4), (3, 5)])
+    def test_one_point_run_is_one_propagators_call(self, monkeypatch, m, kept):
+        # a one-point run of at most GENERATORS steps builds every generator
+        # at once: one exponential call for its one Q block
+        shapes, propagators = [], berry._propagators
+
+        def recording_propagators(gen):
+            shapes.append(gen.shape)
+            return propagators(gen)
 
         params, frame, state = doublet_setup(m=m, delta=0.3)
         h0 = build_interaction_hamiltonian(params)
         sched = DriveSchedule(default_latitude_loop(m, 0.8, 96), 125.0)
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(berry, "_propagators", recording_propagators)
         _, report = adiabatic_evolution(h0, frame, sched, state)
         assert report.n_steps <= berry.GENERATORS
-        assert [s for s in shapes if len(s) > 2] == [(report.n_steps, 1, kept, kept)]
+        assert shapes == [(report.n_steps, 1, kept, kept)]
 
-    def test_eigh_sees_a_bounded_batch_at_1000_points(self, monkeypatch):
+    def test_propagators_see_a_bounded_batch_at_1000_points(self, monkeypatch):
         # a sweep of cli.MAX_OMEGA_POINTS points steps them in batches of at
-        # most GENERATORS generators, so one eigh call never stacks them all
-        shapes, eigh = [], np.linalg.eigh
+        # most GENERATORS generators, so one exponential call never stacks
+        # them all
+        stacks, propagators = [], berry._propagators
 
-        def recording_eigh(a):
-            shapes.append(a.shape)
-            return eigh(a)
+        def recording_propagators(gen):
+            stacks.append(gen.shape)
+            return propagators(gen)
 
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(berry, "_propagators", recording_propagators)
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
         rows = ramsey_sweep(trap, np.linspace(0.0, 0.5, 1000), 20.0, n_steps=16)
         assert len(rows) == 1000
-        stacks = [s for s in shapes if len(s) > 2]
+        assert {s[-2:] for s in stacks} == {(4, 4)}
         assert sum(s[0] * s[1] for s in stacks) == 1000 * rows[0]["n_steps"]
         assert max(s[0] * s[1] for s in stacks) <= berry.GENERATORS == 4096
         # 16 chunks of at most 64 points, stepped 64 steps at a time: a large
         # sweep is not cut into batches of 4,096 // 1,000 = 4 steps
         assert max(s[1] for s in stacks) == 64
         assert len(stacks) == 16 * -(-rows[0]["n_steps"] // 64)
+
+    @pytest.mark.parametrize("route", ["ramsey", "adiabatic"])
+    def test_time_routes_stack_no_eigh(self, monkeypatch, route):
+        # the stepper's propagators come from _propagators alone: what eigh
+        # still sees is one full (d, d) matrix at a time, the carrier
+        # pulse's exponential and the frame's J_y eigensystem, never a stack
+        # of generators beside the polynomial
+        shapes, eigh = [], np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        if route == "ramsey":
+            trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
+            rows = ramsey_sweep(trap, [0.0, math.pi], 60.0, pulse_mode="timed")
+            dim, steps = ramsey_basis(2).dim, rows[0]["n_steps"]
+        else:
+            params, frame, state = doublet_setup(m=3)
+            h0 = build_interaction_hamiltonian(params)
+            sched = DriveSchedule(constant_latitude_loop(0.7, 32), 60.0)
+            dim, steps = frame.basis.dim, adiabatic_evolution(h0, frame, sched, state)[1].n_steps
+        assert steps > 2
+        assert len(shapes) <= 2 and all(s == (dim, dim) for s in shapes)
 
     def test_schedules_must_share_the_step_grid(self):
         params, frame, state = doublet_setup(m=2)
@@ -933,7 +979,7 @@ class TestComovingFrame:
         h0 = build_interaction_hamiltonian(params)
         sched = DriveSchedule(constant_latitude_loop(0.7, 96), 1e12)
         steps = []
-        monkeypatch.setattr(np.linalg, "eigh", lambda *a: steps.append(a))
+        monkeypatch.setattr(berry, "_propagators", lambda *a: steps.append(a))
         with pytest.raises(StepLimit, match="MAX_STEPS"):
             adiabatic_evolution(h0, frame, sched, state)
         assert steps == []  # no Magnus step was built

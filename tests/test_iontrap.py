@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from anyonjc import iontrap
+from anyonjc import berry, iontrap
 from anyonjc.berry import (
     MAX_STEPS,
     STEP_AREA,
@@ -329,12 +329,12 @@ class TestProtocol:
         [warning] = [w for w in caught if issubclass(w.category, TruncationWarning)]
         assert warning.filename == __file__
 
-    def test_sweep_step_limit_raises_before_any_eigh(self, monkeypatch):
+    def test_sweep_step_limit_raises_before_any_propagator(self, monkeypatch):
         # 1,000 points of 1,001 steps each: just above MAX_STEPS, found
         # before the loops of all points are built or any step is taken
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
         calls = []
-        monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(a))
+        monkeypatch.setattr(berry, "_propagators", lambda *a: calls.append(a))
         omegas = np.linspace(0.0, 4.0 * math.pi, 1000)
         with pytest.raises(StepLimit, match=f"MAX_STEPS = {MAX_STEPS}"):
             ramsey_sweep(trap, omegas, 200.0, n_steps=1001)
