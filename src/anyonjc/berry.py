@@ -62,7 +62,6 @@ import numpy as np
 
 from .config import TOL
 from .errors import (
-    BasisMismatch,
     NonAdiabatic,
     NormDrift,
     SimulationError,
@@ -152,7 +151,7 @@ def holonomy_phases(
     VanishingOverlap at the first state whose one-state call would."""
     states = list(states)
     if any(state.basis != frame.basis for state in states):
-        raise BasisMismatch("state and frame use different bases")
+        raise ValueError("state and frame use different bases")
     overlaps = _cycle_overlaps(frame, path)
     return [_report(overlaps, state, path, refine, gauge_seed) for state in states]
 
@@ -335,8 +334,9 @@ class DriveSchedule:
     time_parametrization: str = "smoothstep"
 
     def __post_init__(self):
-        if self.total_time <= 0:
-            raise ValueError("total_time must be positive")
+        t = self.total_time
+        if not 0.0 < t < math.inf:  # or NaN
+            raise ValueError(f"total_time must be {'finite' if t > 0 else 'positive'}")
         if self.time_parametrization not in TIME_PARAMETRIZATIONS:
             raise ValueError(
                 f"time_parametrization must be one of {TIME_PARAMETRIZATIONS}"
@@ -452,7 +452,7 @@ def drive_charge(frame: SchwingerFrame) -> np.ndarray:
     its sector gap (model.default_basis, iontrap.ramsey_basis)."""
     basis = frame.basis
     if basis.mode_count != 2:
-        raise BasisMismatch("the co-moving frame needs a qubit and two modes")
+        raise ValueError("the co-moving frame needs a qubit and two modes")
     spin = np.array([1.0 if label[0] == SPIN_UP else -1.0 for label in basis.states])
     m = basis.sector_totals[-1] - basis.sector_totals[0]
     return frame.jz_diagonal + 0.25 * m * spin
@@ -698,7 +698,7 @@ def adiabatic_evolution(
 def _adiabatic_run(hamiltonian, frame, schedule, initial):
     """adiabatic_evolution without the short-drive warning."""
     if hamiltonian.basis != frame.basis or initial.basis != frame.basis:
-        raise BasisMismatch("hamiltonian, frame and state must share a basis")
+        raise ValueError("hamiltonian, frame and state must share a basis")
     h0 = hamiltonian.matrix
     base = initial.amplitudes.copy()
     t_total = schedule.total_time
@@ -707,7 +707,7 @@ def _adiabatic_run(hamiltonian, frame, schedule, initial):
     norm_sq = np.vdot(base, base).real
     k_branch = float(np.vdot(base, charge * base).real / norm_sq)
     if np.abs((charge - k_branch) * base).max() > 1e-12:
-        raise BasisMismatch("the initial state is not an eigenvector of K")
+        raise ValueError("the initial state is not an eigenvector of K")
     energy_branch = float(np.real(np.vdot(base, h0 @ base)))
     _, phi0, *_ = schedule.drive_point(0.0)
     theta, phi, *_ = schedule.drive_point(t_total)

@@ -562,8 +562,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
-        # includes the configuration-flavoured simulation errors, which
-        # double as ValueError: out-of-range angles, unknown modes, ...
+        # bad input: out-of-range angles and sizes, and the step and size
+        # caps (StepLimit, SizeLimit), which double as ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except SimulationError as exc:

@@ -1,7 +1,10 @@
 """Exception and warning types raised across the package.
 
-Everything derives from :class:`SimulationError` so callers can catch the
-whole family at once; the CLI maps subfamilies onto exit codes. Warnings
+Input the package rejects raises ValueError: a plain one, or StepLimit
+or SizeLimit where a step or size cap rejects it (both also derive from
+SimulationError). A run that fails raises the SimulationError family. The
+CLI maps ValueError to exit 4, NonAdiabatic and NormDrift to exit 3, and
+any other SimulationError to exit 2. Warnings
 go out through warn_at_caller, so they name the caller's line.
 """
 
@@ -10,39 +13,7 @@ import warnings
 
 
 class SimulationError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class UnknownMode(SimulationError, ValueError):
-    """A mode id does not exist in the basis at hand."""
-
-
-class NormTooLarge(SimulationError):
-    """Matrix exponential argument is outside the supported norm range."""
-
-
-class DegenerateCoupling(SimulationError, ValueError):
-    """Dressed-state construction with a vanishing coupling."""
-
-
-class WrongExcitation(SimulationError, ValueError):
-    """The exchange-statistics factor is only defined for the (0, 0) doublet."""
-
-
-class BadSolidAngle(SimulationError, ValueError):
-    """Solid angle outside [0, 4*pi]."""
-
-
-class BadTheta(SimulationError, ValueError):
-    """Polar angle outside [0, pi], or too few path samples."""
-
-
-class DegeneratePath(SimulationError, ValueError):
-    """Loop vertices that do not define an oriented spherical polygon."""
-
-
-class BasisMismatch(SimulationError, ValueError):
-    """Two objects built over different bases were combined."""
+    """Base class of the errors raised by a run that fails."""
 
 
 class VanishingOverlap(SimulationError):

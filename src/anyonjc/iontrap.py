@@ -271,8 +271,8 @@ def snap_to_cycles(trap: TrapParams, total_time: float) -> tuple[float, int, flo
     Returns (snapped_time, j, residual). Full cycles only: odd numbers of
     half-cycles flip the sign of the interference term.
     """
-    if not total_time > 0.0:
-        raise ValueError("total_time must be positive")
+    if not 0.0 < total_time < math.inf:  # or NaN
+        raise ValueError(f"total_time must be {'finite' if total_time > 0 else 'positive'}")
     splitting = vacuum_splitting(trap)
     cycle = TWO_PI / splitting if splitting > 0.0 else math.inf
     if not 0.0 < cycle < math.inf:

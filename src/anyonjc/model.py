@@ -30,7 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DegenerateCoupling, SizeLimit, WrongExcitation
+from .errors import SizeLimit
 from .fock import (
     SPIN_DOWN,
     SPIN_UP,
@@ -156,7 +156,7 @@ def analytic_eigensystem(params: ModelParams) -> tuple[DressedState, DressedStat
     identically for every detuning.
     """
     if params.lambda_m == 0.0:
-        raise DegenerateCoupling("lambda_m = 0 leaves the doublet uncoupled")
+        raise ValueError("lambda_m = 0 leaves the doublet uncoupled")
     lam = params.big_lambda
     # Compute the larger weight from its own square root and the smaller
     # one from c_up c_down = g / (2 Lambda); the naive pair of formulas
@@ -224,7 +224,7 @@ def statistical_factor(params: ModelParams, omega_solid: float) -> float:
     anyon reading, so other occupations are rejected.
     """
     if params.n != 0 or params.n_prime != 0:
-        raise WrongExcitation("statistics factor is defined for n = n' = 0 only")
+        raise ValueError("statistics factor is defined for n = n' = 0 only")
     check_solid_angle(omega_solid)
     return 0.25 * params.m * (omega_solid / (2.0 * math.pi)) * detuning_ratio(params)
 

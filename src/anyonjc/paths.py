@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import TOL
-from .errors import BadSolidAngle, BadTheta, DegeneratePath, SizeLimit
+from .errors import SizeLimit
 from .fock import BasisSpec, FockOperator, hopping_operator
 
 TWO_PI = 2.0 * math.pi
@@ -52,9 +52,9 @@ def latitude_solid_angle(theta: float) -> float:
 
 
 def check_solid_angle(omega_solid: float) -> None:
-    """Raise BadSolidAngle unless omega_solid lies in [0, 4 pi]."""
+    """Raise ValueError unless omega_solid lies in [0, 4 pi]."""
     if not 0.0 <= omega_solid <= FOUR_PI + 1e-12:
-        raise BadSolidAngle(f"solid angle {omega_solid} outside [0, 4*pi]")
+        raise ValueError(f"solid angle {omega_solid} outside [0, 4*pi]")
 
 
 def theta_for_solid_angle(omega_solid: float) -> float:
@@ -82,6 +82,8 @@ class LoopPath:
             raise ValueError("samples must be a (K, 2) array of (theta, phi)")
         if len(self.samples) < 2:
             raise ValueError("a path needs at least two samples")
+        if not np.isfinite(self.samples).all():
+            raise ValueError("path samples must be finite")
         if self.revolutions < 1:
             raise ValueError("revolutions must be at least 1")
         first = sphere_point(*self.samples[0])
@@ -108,9 +110,9 @@ def constant_latitude_loop(
     holonomy run of such a loop fits, and no time route could step it.
     """
     if not 0.0 <= theta <= math.pi:
-        raise BadTheta(f"theta {theta} outside [0, pi]")
+        raise ValueError(f"theta {theta} outside [0, pi]")
     if n_steps < MIN_STEPS:
-        raise BadTheta(f"need at least {MIN_STEPS} steps per revolution")
+        raise ValueError(f"need at least {MIN_STEPS} steps per revolution")
     if revolutions < 1:
         raise ValueError("revolutions must be at least 1")
     total = n_steps * revolutions
@@ -131,7 +133,7 @@ def polygon_loop(vertices) -> LoopPath:
     """Closed spherical polygon through the given (theta, phi) vertices."""
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
-        raise DegeneratePath("a polygon needs at least three (theta, phi) vertices")
+        raise ValueError("a polygon needs at least three (theta, phi) vertices")
     first = sphere_point(*verts[0])
     last = sphere_point(*verts[-1])
     if np.linalg.norm(first - last) > TOL.loop_closure:
@@ -164,15 +166,15 @@ def polygon_solid_angle(path) -> float:
     if len(pts) > 1 and np.linalg.norm(pts[0] - pts[-1]) <= TOL.loop_closure:
         pts = pts[:-1]
     if len(pts) < 3:
-        raise DegeneratePath("fewer than three distinct points")
+        raise ValueError("fewer than three distinct points")
     chords = np.linalg.norm(np.diff(np.vstack([pts, pts[:1]]), axis=0), axis=1)
     if chords.min() <= TOL.degenerate_edge:
-        raise DegeneratePath("repeated consecutive points on the sphere")
+        raise ValueError("repeated consecutive points on the sphere")
     v0, v1, v2 = pts[0], pts[1:-1], pts[2:]
     denom = 1.0 + _dots(v0, v1) + _dots(v1, v2) + _dots(v2, v0)
     numer = _dots(v0, np.cross(v1, v2))
     if ((np.abs(denom) < 1e-14) & (np.abs(numer) < 1e-14)).any():
-        raise DegeneratePath("triangle with antipodal points is ambiguous")
+        raise ValueError("triangle with antipodal points is ambiguous")
     total = 0.0  # summed in fan order, as a float, triangle by triangle
     for y, x in zip(numer.tolist(), denom.tolist()):
         total += 2.0 * math.atan2(y, x)

@@ -533,8 +533,12 @@ class TestSchedule:
 
     def test_rejects_unknown_settings(self):
         path = constant_latitude_loop(1.0, 32)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^total_time must be positive$"):
             DriveSchedule(path, -1.0)
+        with pytest.raises(ValueError, match="^total_time must be positive$"):
+            DriveSchedule(path, math.nan)
+        with pytest.raises(ValueError, match="^total_time must be finite$"):
+            DriveSchedule(path, math.inf)
         with pytest.raises(ValueError):
             DriveSchedule(path, 1.0, time_parametrization="cubic")
         # the Magnus generator squares the rates: 1e-300 would overflow it
@@ -688,6 +692,27 @@ class TestAdiabatic:
         assert "ten coupling periods" in str(warning.message)
         assert warning.filename == __file__
 
+    def test_state_on_another_basis_raises(self):
+        params, frame, _ = doublet_setup(m=2)
+        _, _, other = doublet_setup(m=1)
+        h0 = build_interaction_hamiltonian(params)
+        sched = DriveSchedule(constant_latitude_loop(0.7, 16), 30.0)
+        with pytest.raises(
+            ValueError, match="^hamiltonian, frame and state must share a basis$"
+        ):
+            adiabatic_evolution(h0, frame, sched, other)
+
+    def test_start_off_a_drive_charge_eigenspace_raises(self):
+        # equal weight on every basis state mixes eigenvalues of K
+        params, frame, _ = doublet_setup(m=2)
+        h0 = build_interaction_hamiltonian(params)
+        mixed = StateVector(frame.basis, np.full(frame.basis.dim, frame.basis.dim**-0.5))
+        sched = DriveSchedule(constant_latitude_loop(0.7, 16), 30.0)
+        with pytest.raises(
+            ValueError, match="^the initial state is not an eigenvector of K$"
+        ):
+            adiabatic_evolution(h0, frame, sched, mixed)
+
     def test_unnormalized_start_raises_norm_drift(self):
         # the Magnus step is unitary, so a norm error in the initial state
         # survives to the end-of-run guard
@@ -763,6 +788,13 @@ class TestComovingFrame:
         h0 = sideband_hamiltonian(trap, basis).matrix
         k = np.diag(drive_charge(schwinger_frame(basis)))
         assert np.abs(k @ h0 - h0 @ k).max() == 0.0
+
+    def test_charge_needs_two_modes(self):
+        frame = schwinger_frame(two_anyon_basis(TwoAnyonParams(m=2)))
+        with pytest.raises(
+            ValueError, match="^the co-moving frame needs a qubit and two modes$"
+        ):
+            drive_charge(frame)
 
     def test_non_commuting_hamiltonian_raises(self):
         params, frame, state = doublet_setup(m=2)

@@ -423,8 +423,19 @@ class TestExitCodes:
             main(["warp"])
         assert exc.value.code == 4
 
-    def test_bad_value_exits_4(self, capsys):
-        assert main(["phase", "--theta", "4pi"]) == 4  # latitude out of range
+    BAD_VALUES = {
+        "phase --theta 4pi": "theta 12.566370614359172 outside [0, pi]",
+        "phase --omega 5pi": "solid angle 15.707963267948966 outside [0, 4*pi]",
+        "ramsey --omega-max 13": "solid angle 13.0 outside [0, 4*pi]",
+        "phase --theta 4": "theta 4.0 outside [0, pi]",
+        "phase --steps 7": "need at least 8 steps per revolution",
+        "ramsey --loop-steps 7": "need at least 8 steps per revolution",
+    }
+
+    @pytest.mark.parametrize("argv", BAD_VALUES)
+    def test_bad_value_exits_4(self, capsys, argv):
+        assert main(argv.split()) == 4
+        assert capsys.readouterr().err == f"error: {self.BAD_VALUES[argv]}\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,14 +1,19 @@
 """The package's export list matches what its __init__ binds, it runs
-without scipy, and the numerical routes do not import the closed forms."""
+without scipy, the numerical routes do not import the closed forms, and
+every exception class has a reader."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import anyonjc
+from anyonjc import errors
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def bound_public_names() -> list[str]:
@@ -44,6 +49,36 @@ def test_berry_imports_nothing_from_model():
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
     assert [name for name in imported if "model" in name.split(".")] == []
+
+
+def test_every_exception_class_has_a_reader():
+    # a class earns its place by being caught by name in the package, by
+    # being counted by the benchmark, or by the README's exit-code table;
+    # input errors that nobody tells apart are plain ValueError
+    classes = [
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type)
+        and issubclass(obj, Exception)
+        and not issubclass(obj, Warning)
+        and obj.__module__ == errors.__name__
+    ]
+    caught = set()
+    for path in (ROOT / "src" / "anyonjc").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= set(re.findall(r"\w+", ast.unparse(node.type)))
+    for path in (ROOT / "perfbench").glob("*.py"):  # GUARDS names them as strings
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                caught.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                caught.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                caught.add(node.value)
+    caught |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    assert "SimulationError" in classes
+    assert [name for name in classes if name not in caught] == []
 
 
 def test_runs_without_scipy(tmp_path):

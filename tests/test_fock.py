@@ -13,7 +13,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from anyonjc.config import TOL
-from anyonjc.errors import NormTooLarge
 from anyonjc.fock import (
     MAX_BASIS_DIM,
     SPIN_DOWN,
@@ -93,6 +92,13 @@ class TestBasis:
         basis = BasisSpec(4, ((1, 2),))
         assert basis.sector_of((SPIN_UP, 1, 0, 0, 2)) == (1, 2)
 
+    def test_overlap_across_bases_raises(self):
+        label = (SPIN_UP, 0, 0)
+        one = StateVector.basis_state(truncated_basis(1), label)
+        two = StateVector.basis_state(truncated_basis(2), label)
+        with pytest.raises(ValueError, match="^objects live on different bases$"):
+            one.overlap(two)
+
 
 class TestLadder:
     def test_lowering_elements_are_sqrt_n(self):
@@ -134,9 +140,7 @@ class TestLadder:
         assert adag.dropped_weight == pytest.approx(expected)
 
     def test_unknown_mode(self):
-        from anyonjc.errors import UnknownMode
-
-        with pytest.raises(UnknownMode):
+        with pytest.raises(ValueError, match=r"mode 'c' not in basis modes \('a', 'b'\)"):
             build_ladder(truncated_basis(1), "c")
 
 
@@ -235,7 +239,7 @@ class TestExponential:
     def test_norm_cap(self):
         basis = BasisSpec(0, ())
         sz = build_pauli(basis, "z")
-        with pytest.raises(NormTooLarge):
+        with pytest.raises(ValueError, match="exceeds the supported cap 50.0"):
             matrix_exponential(sz, scale=51.0)
 
 

@@ -208,8 +208,19 @@ class TestCycles:
     @pytest.mark.parametrize("total_time", [0.0, -5.0, math.nan])
     def test_snap_rejects_a_nonpositive_wait(self, total_time):
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
-        with pytest.raises(ValueError, match="total_time must be positive"):
+        with pytest.raises(ValueError, match="^total_time must be positive$"):
             snap_to_cycles(trap, total_time)
+
+    @pytest.mark.parametrize(
+        "run",
+        [snap_to_cycles, lambda trap, t: ramsey_sweep(trap, [1.0], t)],
+        ids=["snap", "sweep"],
+    )
+    def test_rejects_an_infinite_wait(self, run):
+        # round(inf) would raise OverflowError
+        trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
+        with pytest.raises(ValueError, match="^total_time must be finite$"):
+            run(trap, math.inf)
 
 
 class TestProtocol:

@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-from anyonjc.errors import BadTheta, DegeneratePath
 from anyonjc.fock import (
     SPIN_DOWN,
     SPIN_UP,
@@ -22,6 +21,7 @@ from anyonjc.fock import (
 from anyonjc.model import ModelParams, build_interaction_hamiltonian, default_basis
 from anyonjc.paths import (
     MAX_LIFTED,
+    LoopPath,
     constant_latitude_loop,
     default_latitude_loop,
     latitude_solid_angle,
@@ -75,12 +75,24 @@ class TestLoops:
         assert default_latitude_loop(3, 0.7).revolutions == 2
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(BadTheta):
+        with pytest.raises(ValueError, match=r"^theta -0\.1 outside \[0, pi\]$"):
             constant_latitude_loop(-0.1, 64)
-        with pytest.raises(BadTheta):
+        with pytest.raises(ValueError, match=r"^theta 3\.24\d* outside \[0, pi\]$"):
             constant_latitude_loop(math.pi + 0.1, 64)
-        with pytest.raises(BadTheta):
+        with pytest.raises(ValueError, match="^need at least 8 steps per revolution$"):
             constant_latitude_loop(1.0, 4)  # too few steps to mean anything
+
+    def test_rejects_non_finite_samples(self):
+        # NaN fails every closure and edge comparison, so only an explicit
+        # check stops it
+        with pytest.raises(ValueError, match="^path samples must be finite$"):
+            LoopPath([[math.nan, 0.0], [math.nan, 0.0]], 0.0)
+        with pytest.raises(ValueError, match="^path samples must be finite$"):
+            LoopPath([[1.0, 0.0], [1.0, math.inf]], 0.0)
+
+    def test_polygon_rejects_a_nan_vertex(self):
+        with pytest.raises(ValueError, match="^path samples must be finite$"):
+            polygon_loop([[math.nan, 0.0], [1.0, 1.0], [1.0, 2.0]])
 
     @pytest.mark.parametrize("n_steps,revolutions", [(10**8, 1), (1024, 10**6)])
     def test_more_samples_than_max_lifted_raise_before_allocating(
@@ -141,13 +153,13 @@ class TestPolygonArea:
         assert polygon_solid_angle(verts) == total % (4 * math.pi)
 
     def test_degenerate_inputs(self):
-        with pytest.raises(DegeneratePath):
+        with pytest.raises(ValueError, match="needs at least three"):
             polygon_solid_angle(polygon_loop([(1.0, 0.0), (1.0, 1.0)]))
-        with pytest.raises(DegeneratePath):
+        with pytest.raises(ValueError, match="repeated consecutive points"):
             polygon_solid_angle(
                 polygon_loop([(1.0, 0.0), (1.0, 0.0), (0.5, 1.0), (1.2, 2.0)])
             )
-        with pytest.raises(DegeneratePath):
+        with pytest.raises(ValueError, match="antipodal points is ambiguous"):
             # consecutive antipodal points leave the arc undefined
             polygon_solid_angle(
                 polygon_loop([(0.0, 0.0), (math.pi, 0.0), (1.0, 1.0)])
