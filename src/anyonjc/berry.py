@@ -146,20 +146,23 @@ def holonomy_phases(
     gauge_seed: int | None = None,
 ) -> list[PhaseReport]:
     """holonomy_phase of each of the states, which share frame and loop, in
-    order and equal to its one-state call bit for bit: only the powers, the
-    stretches and the rotations are shared (_cycle_overlaps). Raises
-    VanishingOverlap at the first state whose one-state call would."""
+    order and equal to its one-state call bit for bit. Shared by all states:
+    the stretches of both cycles, the powers of w and the rotations. Shared
+    by one state's two cycles: its level split and its level columns, which
+    a latitude loop builds once (_cycle_overlaps). Raises VanishingOverlap
+    at the first state whose one-state call would."""
     states = list(states)
     if any(state.basis != frame.basis for state in states):
         raise ValueError("state and frame use different bases")
     overlaps = _cycle_overlaps(frame, path)
-    return [_report(overlaps, state, path, refine, gauge_seed) for state in states]
+    return [_report(overlaps(state), path, refine, gauge_seed) for state in states]
 
 
 def _cycle_overlaps(frame: SchwingerFrame, path: LoopPath):
-    """overlaps(state, stride) yields (j, ov): the overlaps ov of the state
-    on the pairs j, j + 1, ... of the cycle rows 0, stride, 2 stride, ...,
-    each row against the next and the last against row 0.
+    """overlaps(state) gives cycle(stride), which yields (j, ov): the
+    overlaps ov of the state on the pairs j, j + 1, ... of the cycle rows
+    0, stride, 2 stride, ..., each row against the next and the last
+    against row 0.
 
     Row k is D(w_k) R(theta_k) D(w_k)* psi, D(w) = diag(w^h) over the
     integer levels h of 2 J_z, w_k = e^{-i phi_k / 2}. With b_l = R P_l psi
@@ -172,9 +175,12 @@ def _cycle_overlaps(frame: SchwingerFrame, path: LoopPath):
     doublet on a latitude loop, whose two levels lie in two sectors. The
     closing pair takes its step modulo 2 pi, the period of the lift, so a
     latitude loop is one stretch; any other pair is a stretch of its own.
-    Memory is O(K span + d^2). Raises ValueError if a level of J_z is not
-    a half-integer, and SizeLimit, before it allocates, above MAX_LIFTED
-    samples x basis states.
+    Each cycle's stretches are found once for all states. Each state is
+    split into levels once for both of its cycles, which share its columns
+    b_l of the last two thetas: a latitude loop builds them once, and a
+    polygon holds no column per sample. Memory is O(K span + d^2). Raises
+    ValueError if a level of J_z is not a half-integer, and SizeLimit,
+    before it allocates, above MAX_LIFTED samples x basis states.
     """
     samples, dim = len(path.samples), frame.basis.dim
     if samples * dim > MAX_LIFTED:
@@ -190,18 +196,21 @@ def _cycle_overlaps(frame: SchwingerFrame, path: LoopPath):
     rotation = functools.lru_cache(maxsize=2)(frame.rotation_about_y)
     w = functools.cache(lambda: np.exp(-0.5j * path.samples[:-1, 1]))  # w_k, one exp each
     powers = [1.0]  # w^e in powers[e], built only as far as a coefficient needs
+    tol = 8.0 * np.spacing(np.abs(path.samples[:, 1]).max())
 
     @functools.cache
     def stretches(stride):
-        # the rows' thetas, and (lo, hi, step) per stretch of pairs (row j, row j + 1 mod n)
-        rows = path.samples[:-1:stride]
-        moves = np.roll(rows, -1, axis=0) - rows  # (theta, phi) steps of the pairs
-        moves[-1, 1] = math.remainder(moves[-1, 1], TWO_PI)
-        theta, steps, flat = rows[:, 0], moves[:, 1], moves[:, 0] == 0
+        # (lo, hi, step, theta_lo, theta_hi) per stretch of pairs (row j, row j + 1 mod n)
+        theta, phi = path.samples[:-1:stride].T
+        n = len(theta)
+        steps, flat = np.empty(n), np.empty(n, dtype=bool)
+        np.subtract(phi[1:], phi[:-1], out=steps[:-1])
+        steps[-1] = math.remainder(phi[0] - phi[-1], TWO_PI)
+        np.equal(theta[1:], theta[:-1], out=flat[:-1])
+        flat[-1] = theta[0] == theta[-1]
         # pair j opens a stretch unless pairs j - 1, j are flat, steps equal
-        tol = 8.0 * np.spacing(np.abs(path.samples[:, 1]).max())
         opens = ~(flat[1:] & flat[:-1]) | (np.abs(steps[1:] - steps[:-1]) > tol)
-        bounds = [0, *(np.flatnonzero(opens) + 1).tolist(), len(rows)]
+        bounds = [0, *(np.flatnonzero(opens) + 1).tolist(), n]
         pieces = []
         for lo, hi in zip(bounds, bounds[1:]):
             step = float(np.add.reduce(steps[lo:hi])) / (hi - lo)
@@ -209,48 +218,55 @@ def _cycle_overlaps(frame: SchwingerFrame, path: LoopPath):
                 pieces.append((lo, hi, step))
             else:  # steps that creep apart by less than tol a pair
                 pieces += [(j, j + 1, float(steps[j])) for j in range(lo, hi)]
-        return np.append(theta, theta[0]).tolist(), pieces
+        ends = theta[np.array([(lo, hi % n) for lo, hi, _ in pieces])].tolist()
+        return [(*piece, *end) for piece, end in zip(pieces, ends)]
 
-    def overlaps(state, stride):
-        # the state's occupied basis states by level, and where each level starts
+    def overlaps(state):
+        # the state's occupied basis states by level, where each level
+        # starts, and where each level pair's Gram entry adds into c
         occupied = order[state.amplitudes[order] != 0]
         values, firsts = np.unique(levels[occupied], return_index=True)
         amplitudes = state.amplitudes[occupied]
+        index = (values[:, None] - values + span).ravel()
 
+        @functools.lru_cache(maxsize=2)  # the last two thetas, as rotation
         def columns(theta):  # b_l = R(theta) P_l psi
             return np.add.reduceat(rotation(theta)[:, occupied] * amplitudes, firsts, axis=1)
 
-        theta, pieces = stretches(stride)
-        for lo, hi, step in pieces:
-            left = columns(theta[lo])
-            right = left if theta[hi] == theta[lo] else columns(theta[hi])
-            shifted = np.exp(-0.5j * step * levels)[:, None] * right
-            gram = left.conj().T @ shifted * np.exp(0.5j * step * values)
-            c = np.zeros(2 * span + 1, dtype=complex)  # c_e in c[span + e]
-            np.add.at(c, values[:, None] - values + span, gram)
-            # c_0 plus c_e w^e + c_-e conj(w^e), e > 0, in numpy's own loops (a
-            # BLAS product of K rows wakes a second thread), skipping zero pairs
-            ov = np.full(hi - lo, c[span])
-            live = (c[span + 1 :] != 0) | (c[span - 1 :: -1] != 0)
-            for e in (np.flatnonzero(live) + 1).tolist():
-                while len(powers) <= e:
-                    powers.append(powers[-1] * w())
-                we = powers[e][lo * stride : hi * stride : stride]
-                ov += c[span + e] * we + c[span - e] * we.conj()
-            yield lo, ov
+        def cycle(stride):
+            for lo, hi, step, theta_lo, theta_hi in stretches(stride):
+                left, right = columns(theta_lo), columns(theta_hi)
+                shifted = np.exp(-0.5j * step * levels)[:, None] * right
+                gram = (left.conj().T @ shifted * np.exp(0.5j * step * values)).ravel()
+                # c_e in c[span + e], each summed in the order of index
+                c = np.empty(2 * span + 1, dtype=complex)
+                c.real = np.bincount(index, gram.real, minlength=len(c))
+                c.imag = np.bincount(index, gram.imag, minlength=len(c))
+                # c_0 plus c_e w^e + c_-e conj(w^e), e > 0, in numpy's own loops (a
+                # BLAS product of K rows wakes a second thread), skipping zero pairs
+                ov = np.full(hi - lo, c[span])
+                live = (c[span + 1 :] != 0) | (c[span - 1 :: -1] != 0)
+                for e in (np.flatnonzero(live) + 1).tolist():
+                    while len(powers) <= e:
+                        powers.append(powers[-1] * w())
+                    we = powers[e][lo * stride : hi * stride : stride]
+                    ov += c[span + e] * we + c[span - e] * we.conj()
+                yield lo, ov
+
+        return cycle
 
     return overlaps
 
 
-def _report(overlaps, state, path, refine, gauge_seed) -> PhaseReport:
-    """holonomy_phase of the state, from the overlaps of _cycle_overlaps."""
+def _report(cycle, path, refine, gauge_seed) -> PhaseReport:
+    """holonomy_phase of a state, from its cycle(stride) of _cycle_overlaps."""
 
     def sweep(stride):  # the smallest overlap, largest |argument| and argument sum
         lowest, steepest, argsum = np.inf, 0.0, 0.0
         if gauge_seed is not None:  # row k times e^{i rho_k}
             rho = TWO_PI * np.random.default_rng(gauge_seed).random(path.segments)[::stride]
             regauge = np.exp(1j * (np.roll(rho, -1) - rho))
-        for j, ov in overlaps(state, stride):
+        for j, ov in cycle(stride):
             if gauge_seed is not None:
                 ov *= regauge[j : j + len(ov)]
             args = np.angle(ov)

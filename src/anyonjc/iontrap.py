@@ -260,16 +260,22 @@ def ramsey_basis(m: int) -> BasisSpec:
 
 
 def vacuum_splitting(trap: TrapParams) -> float:
-    """Half-splitting of the empty doublet, sqrt(delta^2/4 + lambda^2 m!)."""
+    """Half-splitting of the empty doublet, sqrt(delta^2/4 + lambda^2 m!);
+    inf where delta^2 overflows."""
     lam = abs(lamb_dicke_lambda(trap))
-    return math.sqrt(0.25 * trap.delta_m**2 + lam * lam * falling_product(0, trap.m))
+    try:  # **, not delta * delta: pow and the product round some squares apart
+        square = trap.delta_m**2
+    except OverflowError:  # |delta| above about 1.3e154
+        square = math.inf
+    return math.sqrt(0.25 * square + lam * lam * falling_product(0, trap.m))
 
 
 def snap_to_cycles(trap: TrapParams, total_time: float) -> tuple[float, int, float]:
     """Nearest wait time that is an integer number of full doublet cycles.
 
     Returns (snapped_time, j, residual). Full cycles only: odd numbers of
-    half-cycles flip the sign of the interference term.
+    half-cycles flip the sign of the interference term. Raises ValueError
+    when no finite cycle or no finite snapped time exists.
     """
     if not 0.0 < total_time < math.inf:  # or NaN
         raise ValueError(f"total_time must be {'finite' if total_time > 0 else 'positive'}")
@@ -277,9 +283,15 @@ def snap_to_cycles(trap: TrapParams, total_time: float) -> tuple[float, int, flo
     cycle = TWO_PI / splitting if splitting > 0.0 else math.inf
     if not 0.0 < cycle < math.inf:
         raise ValueError(f"a vacuum splitting of {splitting:.3g} has no finite cycle")
-    j = max(1, round(total_time / cycle))
-    snapped = j * cycle
-    return snapped, j, abs(snapped - total_time)
+    ratio = total_time / cycle
+    if ratio < math.inf:  # round(inf) would raise OverflowError
+        j = max(1, round(ratio))
+        snapped = j * cycle
+        if snapped < math.inf:
+            return snapped, j, abs(snapped - total_time)
+    raise ValueError(
+        f"total_time {total_time:g} spans no finite number of doublet cycles of {cycle:.3g}"
+    )
 
 
 def ramsey_schedule(

@@ -159,9 +159,12 @@ def polygon_solid_angle(path) -> float:
         E = 2 atan2(v0 . (v1 x v2), 1 + v0.v1 + v1.v2 + v2.v0).
 
     The signed total is reduced mod 4 pi, so traversing a loop backwards
-    reports 4 pi minus the forward area (the complementary cap).
+    reports 4 pi minus the forward area (the complementary cap). Raises
+    ValueError for a non-finite sample, as LoopPath does.
     """
     samples = path.samples if isinstance(path, LoopPath) else np.asarray(path, float)
+    if not np.isfinite(samples).all():
+        raise ValueError("path samples must be finite")
     pts = np.array([sphere_point(t, p) for t, p in samples.tolist()])
     if len(pts) > 1 and np.linalg.norm(pts[0] - pts[-1]) <= TOL.loop_closure:
         pts = pts[:-1]

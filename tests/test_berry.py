@@ -353,6 +353,18 @@ class TestHolonomy:
         path = LoopPath(np.vstack([cycle, cycle[:1]]), omega_solid=0.0)
         assert_overlaps_are_lifted([state], schwinger_frame(basis), path)
 
+    @pytest.mark.parametrize("revolutions", [1, 2])
+    @pytest.mark.parametrize("n_steps", [512, 4096])
+    def test_latitude_loop_is_one_stretch_on_both_cycles(self, revolutions, n_steps):
+        # one Gram per cycle: the closing pair's step, taken modulo 2 pi,
+        # matches the others, so no pair opens a stretch of its own
+        params, frame, state = doublet_setup(m=3, delta=0.4)
+        path = constant_latitude_loop(1.1, n_steps, revolutions=revolutions)
+        cycle = berry._cycle_overlaps(frame, path)(state)
+        for stride in (1, 2):
+            [(j, ov)] = cycle(stride)
+            assert j == 0 and len(ov) == path.segments // stride
+
     def test_gauge_seed_multiplies_each_overlap_by_its_row_phases(self):
         params, frame, state = doublet_setup(m=3, delta=0.4)
         path = constant_latitude_loop(1.1, 64, revolutions=2)
@@ -389,7 +401,7 @@ def gram_overlaps(states, frame, path, stride=1):
     overlaps = berry._cycle_overlaps(frame, path)
     got = np.full((len(states), path.segments // stride), np.nan, dtype=complex)
     for p, state in enumerate(states):
-        for j, ov in overlaps(state, stride):
+        for j, ov in overlaps(state)(stride):
             got[p, j : j + len(ov)] = ov
     return got
 

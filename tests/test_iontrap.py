@@ -7,6 +7,7 @@ first place and shares no code with the series implementation.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -209,6 +210,27 @@ class TestCycles:
     def test_snap_rejects_a_nonpositive_wait(self, total_time):
         trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
         with pytest.raises(ValueError, match="^total_time must be positive$"):
+            snap_to_cycles(trap, total_time)
+
+    def test_snap_rejects_a_detuning_whose_square_overflows(self):
+        # delta^2 above the float range: an infinite splitting, no cycle
+        trap = TrapParams(g=1.0, eta=0.1, m=1, delta_m=1e300)
+        assert vacuum_splitting(trap) == math.inf
+        with pytest.raises(ValueError, match="has no finite cycle"):
+            snap_to_cycles(trap, 1e10)
+
+    @pytest.mark.parametrize(
+        "trap, total_time",
+        [
+            # 1e200 / (2 pi / 5e149) overflows: round(inf) would raise OverflowError
+            (TrapParams(g=1.0, eta=0.1, m=1, delta_m=1e150), 1e200),
+            # a finite number of cycles whose product with the cycle rounds to inf
+            (TrapParams(g=4.64, eta=0.1, m=1), sys.float_info.max),
+        ],
+        ids=["cycles", "snapped"],
+    )
+    def test_snap_rejects_a_wait_with_no_finite_snap(self, trap, total_time):
+        with pytest.raises(ValueError, match="no finite number of doublet cycles"):
             snap_to_cycles(trap, total_time)
 
     @pytest.mark.parametrize(

@@ -117,6 +117,12 @@ class TestPolygonArea:
         )
         assert polygon_solid_angle(path) == pytest.approx(math.pi / 2, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_raw_array_with_a_non_finite_vertex_is_rejected(self, bad):
+        # a raw (K, 2) array bypasses LoopPath's check: nan, or a math domain error
+        with pytest.raises(ValueError, match="^path samples must be finite$"):
+            polygon_solid_angle(np.array([[bad, 0.0], [1.0, 1.0], [1.0, 2.0]]))
+
     def test_orientation_complement(self):
         fwd = [(math.pi / 2, 0.0), (math.pi / 2, math.pi / 2), (0.0, 0.0)]
         area = polygon_solid_angle(polygon_loop(fwd))
