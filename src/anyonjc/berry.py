@@ -512,9 +512,10 @@ def comoving_evolve(h0: np.ndarray, frame: SchwingerFrame, schedules, xi):
         rates, bends = s.peak_rates(), s.bends().tolist()
         return s.total_time, s.time_parametrization, s.path.segments, rates, bends
 
-    first = grid(schedules[0])
-    if any(grid(s) != first for s in schedules[1:]):
-        raise ValueError("the schedules of one run must share their step times")
+    if len(schedules) > 1:
+        first = grid(schedules[0])
+        if any(grid(s) != first for s in schedules[1:]):
+            raise ValueError("the schedules of one run must share their step times")
     times = schedules[0].step_times(comoving_step_count(h0, schedules[0]))
     # H_xi = sum_a c_a M_a: c = (1, -phi' cos theta, phi' sin theta, -phi',
     # -theta') on M = (H0, J_z, J_x, K - J_z, J_y), so [H1, H2] is the sum
@@ -667,8 +668,15 @@ def guarded_evolve(h0, frame, schedules, xi, followed):
     (k, P, d), their overlaps with the rows (k, P, rows) and the leak (k, P).
     """
     threshold = TOL.leak_threshold
+    rows = followed.conj().T
     for t, states in comoving_evolve(h0, frame, schedules, xi):
-        ov = states @ followed.conj().T
+        if states.shape[1] > 1:
+            # one gemm of all k P rows, not one small gemm per step; row for
+            # row it rounds as they do. A lone state keeps its per-step dot,
+            # which one gemv over the k steps would round differently.
+            ov = (states.reshape(-1, states.shape[-1]) @ rows).reshape(*states.shape[:-1], -1)
+        else:
+            ov = states @ rows
         norm_sq = np.einsum("kpi,kpi->kp", states.conj(), states).real
         leak = 1.0 - (np.abs(ov) ** 2).sum(axis=2) / norm_sq
         if leak.max() > threshold:

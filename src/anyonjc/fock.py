@@ -24,9 +24,11 @@ operator weight the truncation discarded.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,6 +40,10 @@ SPIN_DOWN = 1
 # Largest basis (qubit included) a run may build. Its dense matrices grow as
 # the square: a phase run at 1,006 states peaks near 150 MB and takes 0.6 s.
 MAX_BASIS_DIM = 1000
+# Most basis enumerations kept (labels and index map, one per distinct
+# mode_count and sector_totals), so equal bases share one; one at
+# MAX_BASIS_DIM holds about 0.2 MB.
+CACHED_ENUMERATIONS = 32
 
 
 def _enumerate_pair(total: int) -> list[tuple[int, int]]:
@@ -53,7 +59,8 @@ class BasisSpec:
     modes and (N_ab, N_cd) pairs for four; it is normalized to a sorted
     tuple without duplicates. Every basis holds the qubit. A basis of more
     than MAX_BASIS_DIM states raises SizeLimit before any state is
-    enumerated.
+    enumerated. Equal bases share one enumeration, states and a read-only
+    index_map, per process.
     """
 
     mode_count: int
@@ -90,26 +97,15 @@ class BasisSpec:
         (spin, n_a, n_b, n_c, n_d). A bare qubit enumerates
         ((SPIN_UP,), (SPIN_DOWN,)).
         """
-        if self.mode_count == 0:
-            return ((SPIN_UP,), (SPIN_DOWN,))
-        out = []
-        for sector in self.sector_totals:
-            occ_lists: list[tuple[int, ...]] = []
-            if self.mode_count == 2:
-                occ_lists = [pair for pair in _enumerate_pair(sector)]
-            else:
-                nab, ncd = sector
-                for pa in _enumerate_pair(nab):
-                    for pc in _enumerate_pair(ncd):
-                        occ_lists.append(pa + pc)
-            for s in (SPIN_UP, SPIN_DOWN):
-                for occ in occ_lists:
-                    out.append((s,) + occ)
-        return tuple(out)
+        return _enumeration(self.mode_count, self.sector_totals)[0]
 
-    @cached_property
-    def index_map(self) -> dict[tuple, int]:
-        return {label: k for k, label in enumerate(self.states)}
+    @property
+    def index_map(self) -> MappingProxyType:
+        """Read-only map from each label to its position in states.
+
+        Looked up, not stored on the basis, which a mappingproxy would
+        keep from being pickled or copied."""
+        return _enumeration(self.mode_count, self.sector_totals)[1]
 
     @cached_property
     def dim(self) -> int:
@@ -139,6 +135,24 @@ class BasisSpec:
         if self.mode_count == 2:
             return occ[0] + occ[1]
         return (occ[0] + occ[1], occ[2] + occ[3])
+
+
+@functools.lru_cache(maxsize=CACHED_ENUMERATIONS)
+def _enumeration(mode_count: int, sector_totals: tuple):
+    """(states, index_map) of a BasisSpec, built once for all equal bases."""
+    if mode_count == 0:
+        states = ((SPIN_UP,), (SPIN_DOWN,))
+    else:
+        labels = []
+        for sector in sector_totals:
+            if mode_count == 2:
+                occs = _enumerate_pair(sector)
+            else:
+                nab, ncd = sector
+                occs = [pa + pc for pa in _enumerate_pair(nab) for pc in _enumerate_pair(ncd)]
+            labels += [(s,) + occ for s in (SPIN_UP, SPIN_DOWN) for occ in occs]
+        states = tuple(labels)
+    return states, MappingProxyType({label: k for k, label in enumerate(states)})
 
 
 def truncated_basis(n_max: int) -> BasisSpec:

@@ -15,12 +15,14 @@ Rotating the drive point is implemented by exponentials of these
 generators. Exponentials are taken in the spectral basis of the generator
 (J_z is diagonal in the canonical ordering, J_y is diagonalized once per
 frame and cached), so arbitrarily large angles stay exact to rounding and
-the generic matrix-exponential norm cap does not apply here. The drive
+the generic matrix-exponential norm cap does not apply here. Equal bases
+share one read-only frame per process (schwinger_frame). The drive
 rotation itself, with its sign convention, is lift(frame, theta, phi).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,6 +41,11 @@ MIN_STEPS = 8
 # of one loop. The holonomy route lifts no state to the samples: phase --m 1
 # --steps 100000 (1.2 million) peaks at 16 MB under tracemalloc.
 MAX_LIFTED = 2_000_000
+# Most frames schwinger_frame keeps. Each holds three dense d x d complex
+# arrays (J_y, J_z and the eigenvectors of J_y): 48 d^2 bytes, 48 MB at
+# MAX_BASIS_DIM, so 1.5 GB at most, and under 1 MB for the 17 bases of the
+# benchmark's holonomy workload (d <= 26).
+CACHED_FRAMES = 32
 
 
 def sphere_point(theta: float, phi: float) -> np.ndarray:
@@ -63,6 +70,17 @@ def theta_for_solid_angle(omega_solid: float) -> float:
     return math.acos(max(-1.0, 1.0 - omega_solid / TWO_PI))
 
 
+def _samples(values) -> np.ndarray:
+    """values as a float (K, 2) array of finite (theta, phi) samples;
+    ValueError for any other shape or a non-finite sample."""
+    samples = np.asarray(values, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != 2:
+        raise ValueError("samples must be a (K, 2) array of (theta, phi)")
+    if not np.isfinite(samples).all():
+        raise ValueError("path samples must be finite")
+    return samples
+
+
 @dataclass
 class LoopPath:
     """Sampled closed drive loop.
@@ -77,13 +95,9 @@ class LoopPath:
     revolutions: int = 1
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 2 or self.samples.shape[1] != 2:
-            raise ValueError("samples must be a (K, 2) array of (theta, phi)")
+        self.samples = _samples(self.samples)
         if len(self.samples) < 2:
             raise ValueError("a path needs at least two samples")
-        if not np.isfinite(self.samples).all():
-            raise ValueError("path samples must be finite")
         if self.revolutions < 1:
             raise ValueError("revolutions must be at least 1")
         first = sphere_point(*self.samples[0])
@@ -160,11 +174,10 @@ def polygon_solid_angle(path) -> float:
 
     The signed total is reduced mod 4 pi, so traversing a loop backwards
     reports 4 pi minus the forward area (the complementary cap). Raises
-    ValueError for a non-finite sample, as LoopPath does.
+    ValueError for a sample array of another shape or with a non-finite
+    sample, as LoopPath does.
     """
-    samples = path.samples if isinstance(path, LoopPath) else np.asarray(path, float)
-    if not np.isfinite(samples).all():
-        raise ValueError("path samples must be finite")
+    samples = path.samples if isinstance(path, LoopPath) else _samples(path)
     pts = np.array([sphere_point(t, p) for t, p in samples.tolist()])
     if len(pts) > 1 and np.linalg.norm(pts[0] - pts[-1]) <= TOL.loop_closure:
         pts = pts[:-1]
@@ -184,12 +197,19 @@ def polygon_solid_angle(path) -> float:
     return total % FOUR_PI
 
 
-@dataclass
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class SchwingerFrame:
     """Schwinger angular momentum over a basis, with cached spectral data.
 
     For four modes the generators are the pair sums J = J^(ab) + J^(cd),
     so the same rotation machinery serves the exchange-coupled pair.
+    schwinger_frame hands one frame to every caller of an equal basis, so
+    the frame is frozen and the arrays it builds are read-only.
     """
 
     basis: BasisSpec
@@ -201,12 +221,12 @@ class SchwingerFrame:
         mat = self.j_z.matrix
         if np.abs(mat - np.diag(np.diagonal(mat))).max() > 0:
             raise ValueError("J_z is not diagonal in this basis ordering")
-        return np.diagonal(mat).real.copy()
+        return _read_only(np.diagonal(mat).real.copy())
 
     @cached_property
     def jy_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(self.j_y.matrix)
-        return w, v
+        return _read_only(w), _read_only(v)
 
     def rotation_about_y(self, theta: float) -> np.ndarray:
         """exp(-i theta J_y), from the cached eigensystem of J_y."""
@@ -214,12 +234,19 @@ class SchwingerFrame:
         return (v * np.exp(-1j * theta * w)) @ v.conj().T
 
 
+@functools.lru_cache(maxsize=CACHED_FRAMES)
 def schwinger_frame(basis: BasisSpec) -> SchwingerFrame:
-    """Build J_y and J_z for a two- or four-mode basis.
+    """Build J_y and J_z for a two- or four-mode basis, once per process.
 
     Elements are written state by state inside each sector, never by
     composing truncated single-mode ladders, so the generators are exactly
     sector preserving with no overflow bookkeeping.
+
+    Equal bases (BasisSpec is frozen and hashable) share one frame, whose
+    arrays are read-only: the last CACHED_FRAMES frames are kept, each with
+    three dense d x d complex arrays once its J_y is diagonalized (see
+    CACHED_FRAMES for the memory). A basis that raises is not kept, so it
+    raises on every call. cache_info() and cache_clear() are lru_cache's.
     """
     if basis.mode_count not in (2, 4):
         raise ValueError("Schwinger frame needs a two- or four-mode basis")
@@ -244,11 +271,11 @@ def schwinger_frame(basis: BasisSpec) -> SchwingerFrame:
         jz[k] = 0.5 * (occ[0] - occ[1])
         if basis.mode_count == 4:
             jz[k] += 0.5 * (occ[2] - occ[3])
-    return SchwingerFrame(
-        basis,
-        hopping_operator(basis, jy_hop),
-        FockOperator(basis, np.diag(jz).astype(complex)),
-    )
+    j_y = hopping_operator(basis, jy_hop)
+    j_z = FockOperator(basis, np.diag(jz).astype(complex))
+    _read_only(j_y.matrix)
+    _read_only(j_z.matrix)
+    return SchwingerFrame(basis, j_y, j_z)
 
 
 def schwinger_jx(frame: SchwingerFrame) -> FockOperator:

@@ -443,6 +443,26 @@ BATCH_CASES = [
 ] + [pytest.param("pair", id="pair")]
 
 
+class TestSharedFrame:
+    def test_cold_and_warm_frames_give_equal_reports(self):
+        # each route on a frame built for its call (cold) and again on the
+        # shared frame that call left behind (warm): equal, field for field
+        params, _, state = doublet_setup(m=2, delta=0.4, n=1)
+        basis, h0 = default_basis(params), build_interaction_hamiltonian(params)
+        path = default_latitude_loop(2, 0.7, 96)
+        routes = (
+            lambda frame: holonomy_phase(state, frame, path),
+            lambda frame: adiabatic_evolution(h0, frame, DriveSchedule(path, 60.0), state)[1],
+        )
+        for route in routes:
+            schwinger_frame.cache_clear()
+            cold_frame = schwinger_frame(basis)
+            cold = route(cold_frame)
+            warm_frame = schwinger_frame(default_basis(params))
+            assert warm_frame is cold_frame
+            assert route(warm_frame) == cold
+
+
 class TestHolonomyBatch:
     """holonomy_phases: many states on one loop, each as if alone."""
 

@@ -1,6 +1,7 @@
 """The package's export list matches what its __init__ binds, it runs
-without scipy, the numerical routes do not import the closed forms, and
-every exception class has a reader."""
+without scipy, the numerical routes do not import the closed forms,
+every exception class has a reader, and no process-wide cache is
+unbounded in its arguments."""
 
 import ast
 import json
@@ -79,6 +80,48 @@ def test_every_exception_class_has_a_reader():
     caught |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     assert "SimulationError" in classes
     assert [name for name in classes if name not in caught] == []
+
+
+def is_unbounded_cache(decorator) -> bool:
+    """functools.cache, or lru_cache with maxsize None, however imported."""
+    if isinstance(decorator, ast.Call):
+        sizes = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+        return ast.unparse(decorator.func).split(".")[-1] == "lru_cache" and any(
+            isinstance(size, ast.Constant) and size.value is None for size in sizes
+        )
+    return ast.unparse(decorator).split(".")[-1] == "cache"
+
+
+def test_unbounded_caches_take_no_arguments():
+    # such a cache keeps one entry per distinct argument for the life of
+    # the process; a builder without parameters keeps one in all
+    cached, with_parameters = [], []
+    for path in sorted((ROOT / "src" / "anyonjc").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                map(is_unbounded_cache, node.decorator_list)
+            ):
+                cached.append(f"{path.stem}.{node.name}")
+                args = node.args
+                if args.posonlyargs or args.args or args.vararg or args.kwonlyargs or args.kwarg:
+                    with_parameters.append(cached[-1])
+    assert "cli._parser" in cached
+    assert with_parameters == []
+
+
+def test_cache_detector_reads_every_spelling():
+    spellings = {
+        "functools.cache": True,
+        "cache": True,
+        "functools.lru_cache(maxsize=None)": True,
+        "lru_cache(None)": True,
+        "functools.lru_cache": False,
+        "functools.lru_cache()": False,
+        "functools.lru_cache(maxsize=32)": False,
+        "functools.cached_property": False,
+    }
+    read = {text: is_unbounded_cache(ast.parse(text, mode="eval").body) for text in spellings}
+    assert read == spellings
 
 
 def test_runs_without_scipy(tmp_path):

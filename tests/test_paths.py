@@ -5,7 +5,9 @@ triangles whose area is known exactly (one octant = pi/2), plus a dense
 ring compared against the closed-form cap area.
 """
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,8 +20,10 @@ from anyonjc.fock import (
     build_ladder,
     truncated_basis,
 )
+from anyonjc.iontrap import ramsey_basis
 from anyonjc.model import ModelParams, build_interaction_hamiltonian, default_basis
 from anyonjc.paths import (
+    CACHED_FRAMES,
     MAX_LIFTED,
     LoopPath,
     constant_latitude_loop,
@@ -123,6 +127,13 @@ class TestPolygonArea:
         with pytest.raises(ValueError, match="^path samples must be finite$"):
             polygon_solid_angle(np.array([[bad, 0.0], [1.0, 1.0], [1.0, 2.0]]))
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 3, 2)])
+    def test_raw_array_of_another_shape_is_rejected(self, shape):
+        # a 1-D array failed to unpack a float, a (3, 3) one had three values
+        samples = np.linspace(0.1, 1.0, math.prod(shape)).reshape(shape)
+        with pytest.raises(ValueError, match=r"^samples must be a \(K, 2\) array of \(theta, phi\)$"):
+            polygon_solid_angle(samples)
+
     def test_orientation_complement(self):
         fwd = [(math.pi / 2, 0.0), (math.pi / 2, math.pi / 2), (0.0, 0.0)]
         area = polygon_solid_angle(polygon_loop(fwd))
@@ -216,6 +227,52 @@ class TestFrame:
         assert np.abs(u - np.eye(frame.basis.dim)).max() < 1e-14
 
 
+class TestFrameCache:
+    """schwinger_frame builds one read-only frame per basis and process."""
+
+    def test_equal_bases_share_one_frame_and_enumeration(self):
+        one, other = default_basis(ModelParams(m=2)), ramsey_basis(2)
+        assert one is not other and one == other
+        assert schwinger_frame(one) is schwinger_frame(other)
+        assert one.states is other.states
+        assert one.index_map is other.index_map
+        assert schwinger_frame(BasisSpec(4, ((1, 1), (0, 0)))) is schwinger_frame(
+            BasisSpec(4, ((0, 0), (1, 1)))
+        )
+
+    def test_a_shared_frame_cannot_be_written(self):
+        basis = truncated_basis(2)
+        frame = schwinger_frame(basis)
+        arrays = [frame.j_y.matrix, frame.j_z.matrix, frame.jz_diagonal, *frame.jy_eigensystem]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frame.j_y = frame.j_z
+        with pytest.raises(TypeError):
+            basis.index_map[(SPIN_UP, 9, 9)] = 0
+
+    def test_a_shared_frame_and_its_basis_still_pickle(self):
+        frame = schwinger_frame(truncated_basis(2))
+        frame.jy_eigensystem, frame.basis.index_map
+        copy = pickle.loads(pickle.dumps(frame))
+        assert copy.basis == frame.basis
+        assert copy.basis.index_map is frame.basis.index_map
+        assert np.array_equal(copy.j_y.matrix, frame.j_y.matrix)
+
+    def test_the_cache_is_bounded(self):
+        assert schwinger_frame.cache_info().maxsize == CACHED_FRAMES < math.inf
+        for total in range(CACHED_FRAMES + 1):
+            schwinger_frame(BasisSpec(2, (total,)))
+        assert schwinger_frame.cache_info().currsize == CACHED_FRAMES
+
+    def test_an_invalid_basis_raises_on_every_call(self):
+        qubit = BasisSpec(0, ())
+        for _ in range(3):
+            with pytest.raises(ValueError, match="two- or four-mode basis"):
+                schwinger_frame(qubit)
+
+
 class TestRotations:
     def test_unitarity_random_angles(self, rng):
         frame = schwinger_frame(truncated_basis(2))
@@ -253,13 +310,13 @@ class TestRotations:
         assert np.abs(w @ a @ w.conj().T - want).max() < 1e-13
 
     def test_cache_matches_direct_build(self):
-        # the frame keeps the rotation of the last theta; after every theta
-        # change the lift must still match one built on a fresh frame
+        # the shared frame keeps its eigensystem of J_y; after every theta
+        # change the lift must still match one built on a fresh, unshared frame
         basis = truncated_basis(2)
         frame = schwinger_frame(basis)
         steps = [(0.4, 0.0), (0.4, 2.2), (1.9, 2.2), (1.9, 9.0), (0.4, 1.0)]
         for theta, phi in steps:
-            want = lift(schwinger_frame(basis), theta, phi)
+            want = lift(schwinger_frame.__wrapped__(basis), theta, phi)
             assert np.abs(lift(frame, theta, phi) - want).max() < 1e-13
 
     def test_rotated_hamiltonian_isospectral(self):
