@@ -25,13 +25,9 @@ from .fock import (
     DensityMatrix,
     FockOperator,
     StateVector,
-    build_ladder,
-    build_pauli,
     hopping_operator,
     linear_entropy,
-    matrix_exponential,
     partial_trace,
-    truncated_basis,
 )
 from .iontrap import (
     TrapParams,
@@ -101,8 +97,6 @@ __all__ = [
     "analytic_berry_phase",
     "analytic_eigensystem",
     "build_interaction_hamiltonian",
-    "build_ladder",
-    "build_pauli",
     "build_two_anyon_hamiltonian",
     "calibrate_sign_convention",
     "constant_latitude_loop",
@@ -122,7 +116,6 @@ __all__ = [
     "latitude_solid_angle",
     "lift",
     "linear_entropy",
-    "matrix_exponential",
     "partial_trace",
     "polygon_loop",
     "polygon_solid_angle",
@@ -136,7 +129,6 @@ __all__ = [
     "sphere_point",
     "statistical_factor",
     "theta_for_solid_angle",
-    "truncated_basis",
     "two_anyon_analytic_phase",
     "two_anyon_basis",
     "two_anyon_eigenstate",

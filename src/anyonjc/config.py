@@ -15,9 +15,6 @@ class Tolerances:
     eigvec_residual: float = 1e-10
     psd_floor: float = -1e-10
 
-    # matrix exponential
-    expm_norm_cap: float = 50.0
-
     # geometry
     loop_closure: float = 1e-9
     degenerate_edge: float = 1e-12

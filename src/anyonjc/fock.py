@@ -14,8 +14,8 @@ SPIN_UP = 0 and SPIN_DOWN = 1, so lexicographic order on the state label
 is the basis order within a sector.
 
 Operators carry their basis with them. Every operator that moves one
-basis label to another (ladders, Pauli operators, the exchange couplings,
-the ion-trap sideband and carrier, the Schwinger J_y) is built by
+basis label to another (the exchange couplings, the ion-trap sideband and
+the carrier's spin flip, the Schwinger J_y) is built by
 :func:`hopping_operator`, the one place the truncation policy lives: an
 element that leaves the sector set is dropped, and its squared magnitude
 is accumulated in ``dropped_weight`` so callers can see exactly how much
@@ -25,14 +25,12 @@ operator weight the truncation discarded.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
-from .config import TOL
 from .errors import SizeLimit
 
 SPIN_UP = 0
@@ -129,13 +127,6 @@ class BasisSpec:
         except KeyError:
             raise KeyError(f"state {label} not in basis") from None
 
-    def sector_of(self, label: tuple):
-        """Pair total (or totals pair) of a basis label."""
-        occ = label[1:]
-        if self.mode_count == 2:
-            return occ[0] + occ[1]
-        return (occ[0] + occ[1], occ[2] + occ[3])
-
 
 @functools.lru_cache(maxsize=CACHED_ENUMERATIONS)
 def _enumeration(mode_count: int, sector_totals: tuple):
@@ -153,11 +144,6 @@ def _enumeration(mode_count: int, sector_totals: tuple):
             labels += [(s,) + occ for s in (SPIN_UP, SPIN_DOWN) for occ in occs]
         states = tuple(labels)
     return states, MappingProxyType({label: k for k, label in enumerate(states)})
-
-
-def truncated_basis(n_max: int) -> BasisSpec:
-    """Conventional two-mode cutoff basis: all sectors 0..n_max."""
-    return BasisSpec(2, tuple(range(n_max + 1)))
 
 
 def _require_same_basis(x, y):
@@ -205,8 +191,8 @@ class FockOperator:
     """Dense operator over a :class:`BasisSpec`.
 
     ``dropped_weight`` is the summed squared magnitude of matrix elements
-    that fell outside the basis during construction (0.0 for anything
-    built by composition or exponentiation).
+    that fell outside the basis during construction (0.0 for an operator
+    built from a whole matrix).
     """
 
     basis: BasisSpec
@@ -218,19 +204,6 @@ class FockOperator:
         if mat.shape != (self.basis.dim, self.basis.dim):
             raise ValueError("matrix shape does not match basis dimension")
         self.matrix = mat
-
-    def __add__(self, other: "FockOperator") -> "FockOperator":
-        _require_same_basis(self, other)
-        return FockOperator(
-            self.basis,
-            self.matrix + other.matrix,
-            self.dropped_weight + other.dropped_weight,
-        )
-
-    def __mul__(self, scalar: complex) -> "FockOperator":
-        return FockOperator(self.basis, self.matrix * scalar, self.dropped_weight)
-
-    __rmul__ = __mul__
 
 
 def hopping_operator(basis: BasisSpec, hop) -> FockOperator:
@@ -251,68 +224,6 @@ def hopping_operator(basis: BasisSpec, hop) -> FockOperator:
                 continue
             mat[row, col] += value
     return FockOperator(basis, mat, dropped)
-
-
-def build_ladder(basis: BasisSpec, mode: str, *, create: bool = False) -> FockOperator:
-    """Single-mode ladder operator, lowering by default.
-
-    Elements that leave the sector set are dropped (tracked in
-    ``dropped_weight``). ``build_ladder(b, m, create=True)`` is the exact
-    adjoint of ``build_ladder(b, m)`` restricted to the basis.
-    """
-    if mode not in basis.mode_ids:
-        raise ValueError(f"mode {mode!r} not in basis modes {basis.mode_ids}")
-    pos = basis.mode_ids.index(mode) + 1
-
-    def hop(label):
-        n = label[pos]
-        if create:
-            return [(label[:pos] + (n + 1,) + label[pos + 1 :], math.sqrt(n + 1))]
-        return [(label[:pos] + (n - 1,) + label[pos + 1 :], math.sqrt(n))] if n else []
-
-    return hopping_operator(basis, hop)
-
-
-# value of the down -> up and the up -> down element of each spin flip
-_SPIN_FLIPS = {
-    "x": (1.0, 1.0),
-    "y": (-1.0j, 1.0j),
-    "plus": (1.0, 0.0),
-    "minus": (0.0, 1.0),
-}
-
-
-def build_pauli(basis: BasisSpec, which: str) -> FockOperator:
-    """Qubit operator ('z', 'x', 'y', 'plus' or 'minus') acting as identity
-    on the boson modes. 'plus' maps down to up."""
-    if which == "z":
-        return hopping_operator(
-            basis, lambda label: [(label, 1.0 if label[0] == SPIN_UP else -1.0)]
-        )
-    if which not in _SPIN_FLIPS:
-        raise ValueError(f"unknown qubit operator {which!r}")
-    raise_value, lower_value = _SPIN_FLIPS[which]
-
-    def hop(label):
-        if label[0] == SPIN_DOWN:
-            return [((SPIN_UP,) + label[1:], raise_value)]
-        return [((SPIN_DOWN,) + label[1:], lower_value)]
-
-    return hopping_operator(basis, hop)
-
-
-def matrix_exponential(op: FockOperator, scale: complex = 1.0) -> FockOperator:
-    """exp(scale * op) of a Hermitian op, as a new operator on the same
-    basis, through the eigendecomposition of op. A non-Hermitian op raises
-    ValueError, and so does a scaled argument whose spectral norm, |scale|
-    times the largest |eigenvalue|, exceeds TOL.expm_norm_cap.
-    """
-    if np.abs(op.matrix - op.matrix.conj().T).max() >= TOL.hermiticity:
-        raise ValueError("matrix_exponential needs a Hermitian operator")
-    w, v = np.linalg.eigh(op.matrix)
-    if abs(scale) * np.abs(w).max() > TOL.expm_norm_cap:
-        raise ValueError(f"||scale * op|| exceeds the supported cap {TOL.expm_norm_cap}")
-    return FockOperator(op.basis, (v * np.exp(scale * w)) @ v.conj().T)
 
 
 @dataclass

@@ -27,6 +27,9 @@ with beta the actual pulse rotation angle ((pi/2) e^{-eta^2/2} for timed
 pulses of nominal quarter-turn area, exactly pi/2 for idealized
 instantaneous pulses). Both pulses use the laser phase LASER_PHASE = pi/2;
 a zero-phase preparation pulse would read out the sine quadrature instead.
+Each pulse is the closed form cos(a_n) I - i sin(a_n) sigma_phi, with
+sigma_phi = e^{i phi} sigma_+ + e^{-i phi} sigma_- and a_n = pi f_0(n) / (2g)
+on motional occupation n (timed) or pi / 4 (instantaneous), so beta = 2 a_0.
 
 The wait runs in the co-moving drive frame psi = W e^{-i phi K} xi of the
 berry module, K = J_z + (m/4) sigma_z, which commutes with the sideband
@@ -77,8 +80,7 @@ from .fock import (
     BasisSpec,
     FockOperator,
     StateVector,
-    build_pauli,
-    matrix_exponential,
+    hopping_operator,
 )
 from .model import (
     ModelParams,
@@ -194,7 +196,7 @@ def sideband_hamiltonian(trap: TrapParams, basis: BasisSpec) -> FockOperator:
     occupation-dependent counterpart of the exchange model. Warns once
     built, so a basis it cannot build raises without a warning."""
     if trap.m < 1:
-        raise ValueError("sideband order must be at least 1; see carrier_hamiltonian")
+        raise ValueError("sideband order must be at least 1; see carrier_pulse_operator")
     m, half_delta = trap.m, 0.5 * trap.delta_m
     hamiltonian = exchange_hamiltonian(
         basis,
@@ -204,20 +206,6 @@ def sideband_hamiltonian(trap: TrapParams, basis: BasisSpec) -> FockOperator:
     )
     _warn_if_marginal(trap, basis)
     return hamiltonian
-
-
-def _sigma_phi(trap: TrapParams, basis: BasisSpec) -> np.ndarray:
-    """e^{i phi} sigma_+ + e^{-i phi} sigma_- at phi = LASER_PHASE, the
-    spin flip of both pulse modes."""
-    plus = build_pauli(basis, "plus") * np.exp(1j * LASER_PHASE)
-    return (plus + build_pauli(basis, "minus") * np.exp(-1j * LASER_PHASE)).matrix
-
-
-def carrier_hamiltonian(trap: TrapParams, basis: BasisSpec) -> FockOperator:
-    """f_0(n_a) (e^{i phi} sigma_+ + e^{-i phi} sigma_-): the qubit drive
-    with its exact occupation-dependent Rabi frequency."""
-    f0 = np.array([coupling_strength(trap, lab[1], order=0) for lab in basis.states])
-    return FockOperator(basis, f0[:, None] * _sigma_phi(trap, basis))
 
 
 def pulse_beta(trap: TrapParams, pulse_mode: str) -> float:
@@ -233,19 +221,29 @@ def pulse_beta(trap: TrapParams, pulse_mode: str) -> float:
 def carrier_pulse_operator(
     trap: TrapParams, basis: BasisSpec, pulse_mode: str = "timed"
 ) -> FockOperator:
-    """One nominal pi/2 pulse at LASER_PHASE.
+    """One nominal pi/2 pulse at LASER_PHASE: cos(a_n) I - i sin(a_n) sigma_phi
+    on motional occupation n, sigma_phi = e^{i phi} sigma_+ + e^{-i phi} sigma_-.
 
-    timed: evolve under the carrier Hamiltonian for pi / (2 g), so the
-    rotation angle on occupation n is pi f_0(n) / g (Debye-Waller reduced).
-    instantaneous: the idealized exact pi/2 rotation, occupation blind.
+    timed: a time pi / (2 g) under the carrier Hamiltonian f_0(n_a) sigma_phi; as
+    sigma_phi^2 = I and sigma_phi keeps n_a, a_n = pi f_0(n) / (2 g), a
+    Debye-Waller reduced rotation. instantaneous: the idealized exact pi/2
+    rotation, a_n = pi / 4 on every occupation.
     """
     if pulse_mode not in PULSE_MODES:
         raise ValueError(f"pulse_mode must be one of {PULSE_MODES}")
+
+    def flip(label):  # sigma_+ takes down to up
+        if label[0] == SPIN_DOWN:
+            return [((SPIN_UP,) + label[1:], np.exp(1j * LASER_PHASE))]
+        return [((SPIN_DOWN,) + label[1:], np.exp(-1j * LASER_PHASE))]
+
+    sigma_phi = hopping_operator(basis, flip).matrix
     if pulse_mode == "timed":
-        h_c = carrier_hamiltonian(trap, basis)
-        return matrix_exponential(h_c, scale=-1j * math.pi / (2.0 * trap.g))
-    sigma_phi, angle = _sigma_phi(trap, basis), 0.25 * math.pi
-    mat = math.cos(angle) * np.eye(basis.dim) - 1j * math.sin(angle) * sigma_phi
+        f0 = [coupling_strength(trap, label[1], order=0) for label in basis.states]
+        angle = (0.5 * math.pi / trap.g) * np.array(f0)
+    else:
+        angle = np.full(basis.dim, 0.25 * math.pi)
+    mat = np.diag(np.cos(angle)) - 1j * np.sin(angle)[:, None] * sigma_phi
     return FockOperator(basis, mat)
 
 

@@ -14,10 +14,9 @@ block-diagonal over sectors, where the pair total N acts as spin j = N / 2.
 Rotating the drive point is implemented by exponentials of these
 generators. Exponentials are taken in the spectral basis of the generator
 (J_z is diagonal in the canonical ordering, J_y is diagonalized once per
-frame and cached), so arbitrarily large angles stay exact to rounding and
-the generic matrix-exponential norm cap does not apply here. Equal bases
-share one read-only frame per process (schwinger_frame). The drive
-rotation itself, with its sign convention, is lift(frame, theta, phi).
+frame and cached), so arbitrarily large angles stay exact to rounding.
+Equal bases share one read-only frame per process (schwinger_frame). The
+drive rotation itself, with its sign convention, is lift(frame, theta, phi).
 """
 
 from __future__ import annotations

@@ -17,15 +17,21 @@ import numpy as np
 from .berry import DriveSchedule, adiabatic_evolution, holonomy_phase
 from .config import TOL
 from .fock import (
+    SPIN_DOWN,
+    SPIN_UP,
     BasisSpec,
     DensityMatrix,
-    FockOperator,
-    build_ladder,
-    build_pauli,
     linear_entropy,
-    matrix_exponential,
     partial_trace,
-    truncated_basis,
+)
+from .iontrap import (
+    PULSE_MODES,
+    TrapParams,
+    carrier_pulse_operator,
+    g_for_unit_coupling,
+    pulse_beta,
+    ramsey_basis,
+    sideband_hamiltonian,
 )
 from .model import (
     ModelParams,
@@ -59,49 +65,34 @@ def _result(name: str, defect: float, threshold: float, note: str = "") -> Check
     return CheckResult(name, passed, detail)
 
 
-def check_ladder_algebra() -> list[CheckResult]:
-    basis = truncated_basis(6)
-    low = build_ladder(basis, "a")
-    high = build_ladder(basis, "a", create=True)
-    adjoint_defect = float(np.abs(high.matrix - low.matrix.conj().T).max())
-    comm = low.matrix @ high.matrix - high.matrix @ low.matrix
-    interior = [
-        k
-        for k, label in enumerate(basis.states)
-        if basis.sector_of(label) + 1 in basis.sector_totals
-    ]
-    comm_defect = float(
-        np.abs(comm[np.ix_(interior, interior)] - np.eye(len(interior)))
-        .max()
-    )
-    sz = build_pauli(basis, "z").matrix
-    sp = build_pauli(basis, "plus").matrix
-    sm = build_pauli(basis, "minus").matrix
-    pauli_defect = float(
-        max(
-            np.abs(sp @ sm + sm @ sp - np.eye(basis.dim)).max(),
-            np.abs(sz @ sz - np.eye(basis.dim)).max(),
-        )
-    )
+def check_ramsey_operators() -> list[CheckResult]:
+    """The operators a Ramsey run builds, at the criterion-6 trap."""
+    trap = TrapParams(g=g_for_unit_coupling(0.1, 2), eta=0.1, m=2)
+    basis = ramsey_basis(trap.m)
+    flip = basis.index((SPIN_UP, 0, 0)), basis.index((SPIN_DOWN, 0, 0))
+    worst_u = worst_beta = 0.0
+    for mode in PULSE_MODES:
+        u = carrier_pulse_operator(trap, basis, mode).matrix
+        worst_u = max(worst_u, float(np.abs(u.conj().T @ u - np.eye(basis.dim)).max()))
+        beta = 2.0 * math.asin(min(1.0, abs(u[flip])))
+        worst_beta = max(worst_beta, abs(beta - pulse_beta(trap, mode)))
+    h = sideband_hamiltonian(trap, basis).matrix
+    j_y = schwinger_frame(basis).j_y
+    jy_herm = float(np.abs(j_y.matrix - j_y.matrix.conj().T).max())
     return [
-        _result("ladder adjoint exact", adjoint_defect, 0.0),
-        _result("[a, a+] = 1 on interior states", comm_defect, TOL.hermiticity),
-        _result("qubit operator algebra", pauli_defect, TOL.hermiticity),
+        _result("carrier pulses unitary", worst_u, TOL.unitarity),
+        _result("carrier pulse vacuum angle is pulse_beta", worst_beta, 1e-12),
+        _result(
+            "sideband Hamiltonian Hermitian",
+            float(np.abs(h - h.conj().T).max()),
+            TOL.hermiticity,
+        ),
+        _result(
+            "J_y Hermitian, drops no weight",
+            max(jy_herm, j_y.dropped_weight),
+            TOL.hermiticity,
+        ),
     ]
-
-
-def check_matrix_exponential() -> CheckResult:
-    rng = np.random.default_rng(11)
-    basis = truncated_basis(3)
-    worst = 0.0
-    for _ in range(20):
-        a = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(
-            size=(basis.dim, basis.dim)
-        )
-        herm = FockOperator(basis, 0.5 * (a + a.conj().T))
-        u = matrix_exponential(herm, scale=-1j * rng.uniform(0.1, 3.0)).matrix
-        worst = max(worst, float(np.abs(u.conj().T @ u - np.eye(basis.dim)).max()))
-    return _result("matrix exponential unitarity", worst, TOL.unitarity)
 
 
 def check_partial_trace() -> list[CheckResult]:
@@ -283,8 +274,7 @@ def check_solid_angles() -> CheckResult:
 def run_all() -> list[CheckResult]:
     """Run every check and print one PASS/FAIL line each, then the tally."""
     results: list[CheckResult] = []
-    results.extend(check_ladder_algebra())
-    results.append(check_matrix_exponential())
+    results.extend(check_ramsey_operators())
     results.extend(check_partial_trace())
     results.extend(check_dressed_eigensystem())
     results.append(check_su2_algebra())

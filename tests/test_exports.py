@@ -1,7 +1,7 @@
 """The package's export list matches what its __init__ binds, it runs
 without scipy, the numerical routes do not import the closed forms,
-every exception class has a reader, and no process-wide cache is
-unbounded in its arguments."""
+every export and every exception class has a reader, and no process-wide
+cache is unbounded in its arguments."""
 
 import ast
 import json
@@ -80,6 +80,23 @@ def test_every_exception_class_has_a_reader():
     caught |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     assert "SimulationError" in classes
     assert [name for name in classes if name not in caught] == []
+
+
+def test_every_export_has_a_reader():
+    # an export earns its place by being read in the package or by the
+    # benchmark, not only by tests; a closed form of the model is exempt,
+    # since it is the reference the routes are checked against
+    closed_forms = {"entropy_vs_detuning"}
+    paths = [p for p in (ROOT / "src" / "anyonjc").glob("*.py") if p.name != "__init__.py"]
+    read = set()
+    for path in paths + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert [name for name in anyonjc.__all__ if name not in read | closed_forms] == []
+    assert {getattr(anyonjc, name).__module__ for name in closed_forms} == {"anyonjc.model"}
 
 
 def is_unbounded_cache(decorator) -> bool:

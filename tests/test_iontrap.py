@@ -156,6 +156,13 @@ class TestTrapParams:
         assert h.matrix[row, col] == pytest.approx(want, rel=1e-12)
         assert np.abs(h.matrix - h.matrix.conj().T).max() < 1e-15
 
+    def test_sideband_hamiltonian_rejects_the_carrier(self):
+        trap = TrapParams(g=2.0, eta=0.1, m=0)
+        with pytest.raises(
+            ValueError, match="^sideband order must be at least 1; see carrier_pulse_operator$"
+        ):
+            sideband_hamiltonian(trap, ramsey_basis(1))
+
 
 class TestPulses:
     def test_beta_values(self):
@@ -177,6 +184,39 @@ class TestPulses:
         p_up = abs(out[basis.index((SPIN_UP, 0, 0))]) ** 2
         beta = pulse_beta(trap, "timed")
         assert p_up == pytest.approx(math.sin(beta / 2.0) ** 2, abs=1e-4)
+
+    @staticmethod
+    def sigma_phi(basis):
+        """e^{i phi} sigma_+ + e^{-i phi} sigma_- at the laser phase, by hand."""
+        mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+        for col, (spin, *occ) in enumerate(basis.states):
+            if spin == SPIN_DOWN:
+                mat[basis.index((SPIN_UP, *occ)), col] = np.exp(1j * iontrap.LASER_PHASE)
+            else:
+                mat[basis.index((SPIN_DOWN, *occ)), col] = np.exp(-1j * iontrap.LASER_PHASE)
+        return mat
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("eta", [0.02, 0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_timed_pulse_is_the_carrier_exponential(self, m, eta):
+        # exp(-i pi H_c / 2g), H_c = f_0(n_a) sigma_phi, by a general exponential
+        trap = TrapParams(g=g_for_unit_coupling(eta, m), eta=eta, m=m)
+        basis = ramsey_basis(m)
+        f0 = np.array([coupling_strength(trap, lab[1], order=0) for lab in basis.states])
+        h_c = f0[:, None] * self.sigma_phi(basis)
+        want = scipy.linalg.expm(-1j * math.pi / (2.0 * trap.g) * h_c)
+        u = carrier_pulse_operator(trap, basis, "timed").matrix
+        assert np.abs(u - want).max() <= 1e-15
+        assert np.abs(u @ u.conj().T - np.eye(basis.dim)).max() <= 1e-15
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_instantaneous_pulse_is_the_closed_form(self, m):
+        trap = TrapParams(g=1.0, eta=0.1, m=m)
+        basis = ramsey_basis(m)
+        angle = 0.25 * math.pi
+        want = math.cos(angle) * np.eye(basis.dim) - 1j * math.sin(angle) * self.sigma_phi(basis)
+        u = carrier_pulse_operator(trap, basis, "instantaneous").matrix
+        assert np.array_equal(u, want)
 
     def test_predicted_p_down(self):
         trap = TrapParams(g=1.0, eta=0.1, m=2)

@@ -12,14 +12,7 @@ import pickle
 import numpy as np
 import pytest
 
-from anyonjc.fock import (
-    SPIN_DOWN,
-    SPIN_UP,
-    BasisSpec,
-    StateVector,
-    build_ladder,
-    truncated_basis,
-)
+from anyonjc.fock import SPIN_DOWN, SPIN_UP, BasisSpec, StateVector
 from anyonjc.iontrap import ramsey_basis
 from anyonjc.model import ModelParams, build_interaction_hamiltonian, default_basis
 from anyonjc.paths import (
@@ -196,12 +189,12 @@ def jz_oracle(basis):
 
 class TestFrame:
     def test_jz_is_half_occupation_difference(self):
-        for basis in (truncated_basis(3), BasisSpec(4, ((0, 0), (2, 2)))):
+        for basis in (BasisSpec(2, (0, 1, 2, 3)), BasisSpec(4, ((0, 0), (2, 2)))):
             frame = schwinger_frame(basis)
             assert np.allclose(frame.jz_diagonal, jz_oracle(basis))
 
     @pytest.mark.parametrize(
-        "basis", [truncated_basis(2), BasisSpec(4, ((0, 0), (1, 1)))]
+        "basis", [BasisSpec(2, (0, 1, 2)), BasisSpec(4, ((0, 0), (1, 1)))]
     )
     def test_su2_commutators(self, basis):
         frame = schwinger_frame(basis)
@@ -222,7 +215,7 @@ class TestFrame:
             assert out[basis.index((spin, 0, 1))] == pytest.approx(1.0, abs=1e-14)
 
     def test_identity_at_origin(self):
-        frame = schwinger_frame(truncated_basis(1))
+        frame = schwinger_frame(BasisSpec(2, (0, 1)))
         u = lift(frame, 0.0, 0.0)
         assert np.abs(u - np.eye(frame.basis.dim)).max() < 1e-14
 
@@ -241,7 +234,7 @@ class TestFrameCache:
         )
 
     def test_a_shared_frame_cannot_be_written(self):
-        basis = truncated_basis(2)
+        basis = BasisSpec(2, (0, 1, 2))
         frame = schwinger_frame(basis)
         arrays = [frame.j_y.matrix, frame.j_z.matrix, frame.jz_diagonal, *frame.jy_eigensystem]
         for array in arrays:
@@ -253,7 +246,7 @@ class TestFrameCache:
             basis.index_map[(SPIN_UP, 9, 9)] = 0
 
     def test_a_shared_frame_and_its_basis_still_pickle(self):
-        frame = schwinger_frame(truncated_basis(2))
+        frame = schwinger_frame(BasisSpec(2, (0, 1, 2)))
         frame.jy_eigensystem, frame.basis.index_map
         copy = pickle.loads(pickle.dumps(frame))
         assert copy.basis == frame.basis
@@ -275,7 +268,7 @@ class TestFrameCache:
 
 class TestRotations:
     def test_unitarity_random_angles(self, rng):
-        frame = schwinger_frame(truncated_basis(2))
+        frame = schwinger_frame(BasisSpec(2, (0, 1, 2)))
         eye = np.eye(frame.basis.dim)
         for _ in range(25):
             theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 20.0)
@@ -300,11 +293,16 @@ class TestRotations:
         "theta,phi", [(0.0, 0.0), (1.3, 0.0), (0.7, 2.1), (2.9, -4.0)]
     )
     def test_lift_conjugates_ladder_operator(self, theta, phi):
-        # the documented sign convention, against ladders built independently
-        basis = truncated_basis(3)
+        # the documented sign convention, against ladders built here by hand;
+        # every sector below the top is present, so no lowering is dropped
+        basis = BasisSpec(2, (0, 1, 2, 3))
         frame = schwinger_frame(basis)
-        a = build_ladder(basis, "a").matrix
-        b = build_ladder(basis, "b").matrix
+        a, b = np.zeros((2, basis.dim, basis.dim))
+        for col, (s, n_a, n_b) in enumerate(basis.states):
+            if n_a:
+                a[basis.index((s, n_a - 1, n_b)), col] = math.sqrt(n_a)
+            if n_b:
+                b[basis.index((s, n_a, n_b - 1)), col] = math.sqrt(n_b)
         w = lift(frame, theta, phi)
         want = math.cos(theta / 2) * a + np.exp(-1j * phi) * math.sin(theta / 2) * b
         assert np.abs(w @ a @ w.conj().T - want).max() < 1e-13
@@ -312,7 +310,7 @@ class TestRotations:
     def test_cache_matches_direct_build(self):
         # the shared frame keeps its eigensystem of J_y; after every theta
         # change the lift must still match one built on a fresh, unshared frame
-        basis = truncated_basis(2)
+        basis = BasisSpec(2, (0, 1, 2))
         frame = schwinger_frame(basis)
         steps = [(0.4, 0.0), (0.4, 2.2), (1.9, 2.2), (1.9, 9.0), (0.4, 1.0)]
         for theta, phi in steps:
