@@ -9,15 +9,15 @@ the point of having both.
 Holonomy route: the loop is sampled and the phase is read off the
 Bargmann product of consecutive overlaps [N. Mukunda & R. Simon, Ann.
 Phys. 228, 205 (1993)], taken without lifting the state to the samples.
-The levels of 2 J_z are integers, so every azimuth phase of the lift is a
-power of w = e^{-i phi/2}, and over a stretch of equal steps in one theta
-run the overlap of consecutive samples is a polynomial in w whose
-coefficients come from one Gram of the state's level components; the
-powers of w take one exponential per sample and repeated multiplication,
-exact to rounding (_cycle_overlaps). A latitude loop takes two Grams per
-state, for its cycle and its half-resolution cycle. States that share a
-frame and a loop run as one batch whose phases equal their one-state runs
-bit for bit (holonomy_phases).
+The route takes states with one level of 2 J_z in each block that R_y
+keeps, as dressed doublets and the exchange pair's eigenstate have. For
+those the overlap of consecutive samples depends only on their thetas and
+their phi step, so a stretch of equal steps in one theta run overlaps by
+one number, c_0, taken once from the state's rotated columns
+(_cycle_overlaps). A latitude loop is one stretch per cycle: its cycle and
+its half-resolution cycle cost two overlaps per state, for any sample
+count. States that share a frame and a loop run as one batch whose phases
+equal their one-state runs bit for bit (holonomy_phases).
 The per-step arguments of the smooth lift also resolve the winding number,
 which the principal value of the closed product cannot see. The plain
 product estimator is second-order accurate in the step count; by default
@@ -130,9 +130,13 @@ def holonomy_phase(
     one Richardson sweep against the half-resolution cycle; disable it to
     observe the raw second-order convergence.
 
-    The state should be normalized; it is transported as given. Comparing
-    against closed-form phases is only meaningful for eigenstates, but any
-    state transports fine. This is holonomy_phases of the one state.
+    The state should be normalized; it is transported as given. It must be
+    finite, with one level of 2 J_z in each sector (_cycle_overlaps), as
+    dressed doublets and the exchange pair's eigenstate are; comparing
+    against closed-form phases is only meaningful for eigenstates. The
+    overlaps of a latitude loop cost the same for any sample count:
+    diagnostics["grams"] counts the stretch overlaps taken over both
+    cycles, 2 on a latitude loop. This is holonomy_phases of the one state.
     """
     return holonomy_phases([state], frame, path, refine=refine, gauge_seed=gauge_seed)[0]
 
@@ -147,10 +151,9 @@ def holonomy_phases(
 ) -> list[PhaseReport]:
     """holonomy_phase of each of the states, which share frame and loop, in
     order and equal to its one-state call bit for bit. Shared by all states:
-    the stretches of both cycles, the powers of w and the rotations. Shared
-    by one state's two cycles: its level split and its level columns, which
-    a latitude loop builds once (_cycle_overlaps). Raises VanishingOverlap
-    at the first state whose one-state call would."""
+    the stretches of both cycles and the rotations. Shared by one state's
+    two cycles: its rotated columns (_cycle_overlaps). A batch raises what
+    the one-state call of its first failing state raises."""
     states = list(states)
     if any(state.basis != frame.basis for state in states):
         raise ValueError("state and frame use different bases")
@@ -159,28 +162,25 @@ def holonomy_phases(
 
 
 def _cycle_overlaps(frame: SchwingerFrame, path: LoopPath):
-    """overlaps(state) gives cycle(stride), which yields (j, ov): the
-    overlaps ov of the state on the pairs j, j + 1, ... of the cycle rows
-    0, stride, 2 stride, ..., each row against the next and the last
-    against row 0.
+    """overlaps(state) gives cycle(stride), which yields (lo, count, c_0)
+    per stretch: the pairs lo, ..., lo + count - 1 of the cycle rows 0,
+    stride, 2 stride, ..., each row against the next and the last against
+    row 0, all overlap by c_0.
 
     Row k is D(w_k) R(theta_k) D(w_k)* psi, D(w) = diag(w^h) over the
-    integer levels h of 2 J_z, w_k = e^{-i phi_k / 2}. With b_l = R P_l psi
-    and delta = w_k' / w_k, rows k and k' overlap by the sum over levels
-    l, l' of psi of w_k^(l - l') delta^(-l') b_l^H diag(delta^h) b_l'. The
-    pairs of a stretch in one theta run whose phi steps agree to a few ulp
-    share that Gram (delta from their mean step), so their overlaps are
-    sum_e c_e w_k^e, |e| <= span, on powers of w_k built by repeated
-    multiplication as far as a nonzero c_e needs: none for a dressed
-    doublet on a latitude loop, whose two levels lie in two sectors. The
-    closing pair takes its step modulo 2 pi, the period of the lift, so a
-    latitude loop is one stretch; any other pair is a stretch of its own.
-    Each cycle's stretches are found once for all states. Each state is
-    split into levels once for both of its cycles, which share its columns
-    b_l of the last two thetas: a latitude loop builds them once, and a
-    polygon holds no column per sample. Memory is O(K span + d^2). Raises
-    ValueError if a level of J_z is not a half-integer, and SizeLimit,
-    before it allocates, above MAX_LIFTED samples x basis states.
+    integer levels h of 2 J_z, w_k = e^{-i phi_k / 2}. For a state with one
+    level in each sector, the block (spin, N) or (spin, N_ab, N_cd) that R
+    keeps, rows k and k' overlap by c_0 = sum_l delta^(-l) b_l^H diag(delta^h)
+    b_l, b_l = R P_l psi and delta = w_k' / w_k, whatever w_k. So the pairs
+    of a stretch in one theta run whose phi steps agree to a few ulp share
+    c_0 (delta from their mean step). The closing pair takes its step modulo
+    2 pi, the period of the lift, so a latitude loop is one stretch, one
+    O(d^2) overlap for any K; any other pair is a stretch of its own. The
+    stretches are found once for all states, and a state's columns R psi
+    of the last two thetas once for both of its cycles. Raises ValueError
+    for a non-finite state, a state with two levels in one sector or a
+    level of J_z off the half-integers, and SizeLimit, before it
+    allocates, above MAX_LIFTED samples x basis states.
     """
     samples, dim = len(path.samples), frame.basis.dim
     if samples * dim > MAX_LIFTED:
@@ -188,14 +188,8 @@ def _cycle_overlaps(frame: SchwingerFrame, path: LoopPath):
             f"{samples} samples of {dim} states are {samples * dim}"
             f" amplitudes, above MAX_LIFTED = {MAX_LIFTED}"
         )
-    levels = np.rint(2.0 * frame.jz_diagonal).astype(np.intp)
-    if np.abs(levels - 2.0 * frame.jz_diagonal).max() > 1e-12:
-        raise ValueError("J_z has a level that is not a half-integer")
-    span = int(levels.max() - levels.min())
-    order = np.argsort(levels, kind="stable")
+    levels, sectors = frame.jz_levels
     rotation = functools.lru_cache(maxsize=2)(frame.rotation_about_y)
-    w = functools.cache(lambda: np.exp(-0.5j * path.samples[:-1, 1]))  # w_k, one exp each
-    powers = [1.0]  # w^e in powers[e], built only as far as a coefficient needs
     tol = 8.0 * np.spacing(np.abs(path.samples[:, 1]).max())
 
     @functools.cache
@@ -203,14 +197,16 @@ def _cycle_overlaps(frame: SchwingerFrame, path: LoopPath):
         # (lo, hi, step, theta_lo, theta_hi) per stretch of pairs (row j, row j + 1 mod n)
         theta, phi = path.samples[:-1:stride].T
         n = len(theta)
-        steps, flat = np.empty(n), np.empty(n, dtype=bool)
+        steps = np.empty(n)
         np.subtract(phi[1:], phi[:-1], out=steps[:-1])
         steps[-1] = math.remainder(phi[0] - phi[-1], TWO_PI)
-        np.equal(theta[1:], theta[:-1], out=flat[:-1])
-        flat[-1] = theta[0] == theta[-1]
-        # pair j opens a stretch unless pairs j - 1, j are flat, steps equal
-        opens = ~(flat[1:] & flat[:-1]) | (np.abs(steps[1:] - steps[:-1]) > tol)
-        bounds = [0, *(np.flatnonzero(opens) + 1).tolist(), n]
+        if theta.min() == theta.max() and steps.max() - steps.min() <= tol:
+            bounds = [0, n]  # a latitude loop: no pair opens a stretch
+        else:
+            flat = theta == np.roll(theta, -1)
+            # pair j opens a stretch unless pairs j - 1, j are flat, steps equal
+            opens = ~(flat[1:] & flat[:-1]) | (np.abs(steps[1:] - steps[:-1]) > tol)
+            bounds = [0, *(np.flatnonzero(opens) + 1).tolist(), n]
         pieces = []
         for lo, hi in zip(bounds, bounds[1:]):
             step = float(np.add.reduce(steps[lo:hi])) / (hi - lo)
@@ -222,36 +218,25 @@ def _cycle_overlaps(frame: SchwingerFrame, path: LoopPath):
         return [(*piece, *end) for piece, end in zip(pieces, ends)]
 
     def overlaps(state):
-        # the state's occupied basis states by level, where each level
-        # starts, and where each level pair's Gram entry adds into c
-        occupied = order[state.amplitudes[order] != 0]
-        values, firsts = np.unique(levels[occupied], return_index=True)
-        amplitudes = state.amplitudes[occupied]
-        index = (values[:, None] - values + span).ravel()
+        amplitudes = state.amplitudes
+        if not np.isfinite(amplitudes).all():
+            raise ValueError("state amplitudes must be finite")
+        # h - l on each basis state, l the state's level in its sector
+        occupied = np.flatnonzero(amplitudes)
+        own = np.zeros_like(levels)
+        own[sectors[occupied]] = levels[occupied]
+        shift = levels - own[sectors]
+        if shift[occupied].any():
+            raise ValueError("the state has two levels of 2 J_z in one sector")
 
         @functools.lru_cache(maxsize=2)  # the last two thetas, as rotation
-        def columns(theta):  # b_l = R(theta) P_l psi
-            return np.add.reduceat(rotation(theta)[:, occupied] * amplitudes, firsts, axis=1)
+        def column(theta):  # R(theta) psi, the sum of the b_l
+            return rotation(theta) @ amplitudes
 
         def cycle(stride):
             for lo, hi, step, theta_lo, theta_hi in stretches(stride):
-                left, right = columns(theta_lo), columns(theta_hi)
-                shifted = np.exp(-0.5j * step * levels)[:, None] * right
-                gram = (left.conj().T @ shifted * np.exp(0.5j * step * values)).ravel()
-                # c_e in c[span + e], each summed in the order of index
-                c = np.empty(2 * span + 1, dtype=complex)
-                c.real = np.bincount(index, gram.real, minlength=len(c))
-                c.imag = np.bincount(index, gram.imag, minlength=len(c))
-                # c_0 plus c_e w^e + c_-e conj(w^e), e > 0, in numpy's own loops (a
-                # BLAS product of K rows wakes a second thread), skipping zero pairs
-                ov = np.full(hi - lo, c[span])
-                live = (c[span + 1 :] != 0) | (c[span - 1 :: -1] != 0)
-                for e in (np.flatnonzero(live) + 1).tolist():
-                    while len(powers) <= e:
-                        powers.append(powers[-1] * w())
-                    we = powers[e][lo * stride : hi * stride : stride]
-                    ov += c[span + e] * we + c[span - e] * we.conj()
-                yield lo, ov
+                right = np.exp(-0.5j * step * shift) * column(theta_hi)
+                yield lo, hi - lo, complex(np.vdot(column(theta_lo), right))
 
         return cycle
 
@@ -261,22 +246,18 @@ def _cycle_overlaps(frame: SchwingerFrame, path: LoopPath):
 def _report(cycle, path, refine, gauge_seed) -> PhaseReport:
     """holonomy_phase of a state, from its cycle(stride) of _cycle_overlaps."""
 
-    def sweep(stride):  # the smallest overlap, largest |argument| and argument sum
-        lowest, steepest, argsum = np.inf, 0.0, 0.0
-        if gauge_seed is not None:  # row k times e^{i rho_k}
+    def sweep(stride):  # smallest overlap, largest |argument|, argument sum, Grams
+        lo, count, ov = (np.array(column) for column in zip(*cycle(stride)))
+        if gauge_seed is not None:  # each pair's overlap, row k times e^{i rho_k}
             rho = TWO_PI * np.random.default_rng(gauge_seed).random(path.segments)[::stride]
-            regauge = np.exp(1j * (np.roll(rho, -1) - rho))
-        for j, ov in cycle(stride):
-            if gauge_seed is not None:
-                ov *= regauge[j : j + len(ov)]
-            args = np.angle(ov)
-            lowest = np.minimum(lowest, np.abs(ov).min())
-            steepest = np.maximum(steepest, np.abs(args).max())
-            argsum += float(args.sum())
-        return float(lowest), float(steepest), argsum
+            ov = np.repeat(ov, count) * np.exp(1j * (np.roll(rho, -1) - rho))
+            count = 1
+        args = np.angle(ov)
+        argsum = float(np.add.reduce(count * args))
+        return float(np.abs(ov).min()), float(np.abs(args).max()), argsum, len(lo)
 
-    min_overlap, max_step, argsum = sweep(1)
-    if min_overlap < TOL.vanishing_overlap:  # False for a NaN state
+    min_overlap, max_step, argsum, grams = sweep(1)
+    if min_overlap < TOL.vanishing_overlap:  # False for a NaN overlap
         raise VanishingOverlap(
             f"consecutive overlap {min_overlap:.2e} below "
             f"{TOL.vanishing_overlap}; sample the path more finely"
@@ -297,7 +278,8 @@ def _report(cycle, path, refine, gauge_seed) -> PhaseReport:
     # unresolvable one can only compare principal values.
     argsum_used = argsum
     if path.segments % 2 == 0 and (refine or ok):
-        lowest_h, steepest_h, argsum_h = sweep(2)
+        lowest_h, steepest_h, argsum_h, grams_h = sweep(2)
+        grams += grams_h
         smooth = steepest_h < TOL.winding_step_cap  # a NaN is usable, not smooth
         if not lowest_h < TOL.vanishing_overlap and (smooth or not ok):
             delta = argsum_h - argsum
@@ -307,6 +289,7 @@ def _report(cycle, path, refine, gauge_seed) -> PhaseReport:
             if refine:
                 argsum_used = argsum - delta / 3.0
                 diagnostics["refined"] = True
+    diagnostics["grams"] = grams
 
     if ok:
         gamma_total = SIGN * -argsum_used

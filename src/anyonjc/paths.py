@@ -223,6 +223,20 @@ class SchwingerFrame:
         return _read_only(np.diagonal(mat).real.copy())
 
     @cached_property
+    def jz_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(levels, sectors) per basis state: the integer level 2 J_z, and
+        the id of the block R_y keeps, (spin, N) for two modes and
+        (spin, N_ab, N_cd) for four. Raises ValueError if a level of J_z
+        is not a half-integer."""
+        twice = 2.0 * self.jz_diagonal
+        levels = np.rint(twice).astype(np.intp)
+        if np.abs(levels - twice).max() > 1e-12:
+            raise ValueError("J_z has a level that is not a half-integer")
+        keys = [(s, *map(sum, zip(occ[::2], occ[1::2]))) for s, *occ in self.basis.states]
+        sectors = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+        return _read_only(levels), _read_only(sectors)
+
+    @cached_property
     def jy_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(self.j_y.matrix)
         return _read_only(w), _read_only(v)

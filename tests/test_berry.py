@@ -65,7 +65,7 @@ from anyonjc.model import (
     two_anyon_basis,
     two_anyon_eigenstate,
 )
-from anyonjc.fock import SPIN_UP, FockOperator, StateVector
+from anyonjc.fock import SPIN_DOWN, SPIN_UP, BasisSpec, FockOperator, StateVector
 from anyonjc.paths import (
     LoopPath,
     SchwingerFrame,
@@ -166,7 +166,7 @@ class TestHolonomy:
 
     def test_pair_run_peaks_below_the_lifted_rows(self):
         # the lifted rows of a 4,096-step m = 2 pair run (dim 20, span 8)
-        # peaked at 2.69 MB; the power table and the overlaps stay below 60%
+        # peaked at 2.69 MB; the stretch search and two overlaps stay below 60%
         pair = TwoAnyonParams(m=2)
         basis = two_anyon_basis(pair)
         frame, state = schwinger_frame(basis), two_anyon_eigenstate(pair, basis)
@@ -301,8 +301,8 @@ class TestHolonomy:
 
     @pytest.mark.parametrize("case", ["wide-doublet", "exchange-pair", "polygon-runs"])
     def test_transport_rows_are_lifted_state_at_wide_level_spans(self, case):
-        # the power table's rounding grows with the span of the 2 J_z
-        # levels: 486 at n = n' = 120, m = 3 (970 states, near the CLI cap)
+        # wide spans of the 2 J_z levels: 486 at n = n' = 120, m = 3 (970
+        # states, near the CLI cap)
         if case == "wide-doublet":
             params, frame, state = doublet_setup(m=3, delta=0.4, n=120, n_prime=120)
             path = constant_latitude_loop(2.1, 8)
@@ -329,25 +329,66 @@ class TestHolonomy:
 
     @pytest.mark.parametrize("length", [2, 3, 9, 513])
     def test_cycle_overlaps_match_the_rolled_copy(self, length):
-        # a loop of two theta runs whose phi steps repeat in places: three
-        # random states, each against the rolled copy of its lifted rows
+        # three random superpositions of one doublet's branches, each
+        # against the rolled copy of its lifted rows
         rng = np.random.default_rng(length)
+        params = ModelParams(m=2, delta_m=0.6, n=1)
+        states = branch_superpositions(rng, params, 3)
+        path = rolled_loop(rng, length)
+        assert_overlaps_are_lifted(states, schwinger_frame(default_basis(params)), path)
+
+    @pytest.mark.parametrize("length", [2, 9, 513])
+    def test_equal_levels_of_one_sector_share_the_overlap(self, length):
+        # several basis states on one level: (1, 0, 0, 1) and (0, 1, 1, 0)
+        # at 2 J_z = 0 in the spin-up (1, 1) sector, with a spin-down
+        # component at 2 J_z = 2
+        rng = np.random.default_rng(length)
+        basis = BasisSpec(4, ((0, 0), (1, 1)))
+        labels = [(SPIN_UP, 1, 0, 0, 1), (SPIN_UP, 0, 1, 1, 0), (SPIN_DOWN, 1, 0, 1, 0)]
+        z = rng.normal(size=3) + 1j * rng.normal(size=3)
+        state = StateVector.from_components(basis, dict(zip(labels, z / np.linalg.norm(z))))
+        assert_overlaps_are_lifted([state], schwinger_frame(basis), rolled_loop(rng, length))
+
+    def test_two_levels_in_one_sector_are_rejected(self):
+        rng = np.random.default_rng(2)
         basis = default_basis(ModelParams(m=2, n=1))
-        z = rng.normal(size=(3, basis.dim)) + 1j * rng.normal(size=(3, basis.dim))
-        states = [StateVector(basis, v / np.linalg.norm(v)) for v in z]
-        phi = np.cumsum(rng.choice([0.1, 0.1, 0.1, 0.25], size=length))
-        theta = np.where(np.arange(length) < length // 2, 0.4, 1.1)
-        cycle = np.column_stack([theta, phi])
-        path = LoopPath(np.vstack([cycle, cycle[:1]]), omega_solid=0.0)
-        assert_overlaps_are_lifted(states, schwinger_frame(basis), path)
+        z = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        state = StateVector(basis, z / np.linalg.norm(z))
+        frame, path = schwinger_frame(basis), constant_latitude_loop(1.0, 64)
+        _, _, dressed = doublet_setup(m=2, n=1)
+        message = "two levels of 2 J_z in one sector"
+        with pytest.raises(ValueError, match=message):
+            holonomy_phase(state, frame, path)
+        with pytest.raises(ValueError, match=message):
+            berry.holonomy_phases([dressed, state, dressed], frame, path)
+
+    @pytest.mark.parametrize("n_steps", [512, 4096, 65536])
+    @pytest.mark.parametrize("case", ["doublet", "exchange-pair"])
+    def test_a_latitude_loop_takes_two_grams_for_any_length(self, case, n_steps):
+        if case == "doublet":
+            _, frame, state = doublet_setup(m=3, delta=0.4, n=1)
+        else:
+            pair = TwoAnyonParams(m=2)
+            basis = two_anyon_basis(pair)
+            frame, state = schwinger_frame(basis), two_anyon_eigenstate(pair, basis)
+        report = holonomy_phase(state, frame, constant_latitude_loop(1.1, n_steps))
+        assert report.diagnostics["grams"] == 2 and report.diagnostics["refined"]
+
+    def test_a_polygon_takes_one_gram_per_pair(self):
+        params, frame, state = doublet_setup(m=2, delta=0.3)
+        vertices = [(0.4 + 0.1 * k, 0.6 * k) for k in range(8)]
+        path = polygon_loop(vertices)
+        report = holonomy_phase(state, frame, path)
+        assert path.segments == 8
+        assert report.diagnostics["grams"] == 8 + 4
 
     def test_creeping_steps_are_taken_pair_by_pair(self):
         # neighbouring phi steps differ by 2 ulp, under the stretch bound,
         # but drift apart by 2e-12 over the loop: no shared step fits them
         rng = np.random.default_rng(5)
-        basis = default_basis(ModelParams(m=3, n=1))
-        z = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-        state = StateVector(basis, z / np.linalg.norm(z))
+        params = ModelParams(m=3, delta_m=-0.4, n=1)
+        [state] = branch_superpositions(rng, params, 1)
+        basis = default_basis(params)
         steps = 0.006 + np.spacing(6.0) * 2.0 * np.arange(1000)
         cycle = np.column_stack([np.full(1000, 1.0), np.cumsum(steps) - steps[0]])
         path = LoopPath(np.vstack([cycle, cycle[:1]]), omega_solid=0.0)
@@ -362,8 +403,8 @@ class TestHolonomy:
         path = constant_latitude_loop(1.1, n_steps, revolutions=revolutions)
         cycle = berry._cycle_overlaps(frame, path)(state)
         for stride in (1, 2):
-            [(j, ov)] = cycle(stride)
-            assert j == 0 and len(ov) == path.segments // stride
+            [(lo, count, _)] = cycle(stride)
+            assert lo == 0 and count == path.segments // stride
 
     def test_gauge_seed_multiplies_each_overlap_by_its_row_phases(self):
         params, frame, state = doublet_setup(m=3, delta=0.4)
@@ -396,14 +437,32 @@ def lifted_overlaps(states, frame, path, stride=1):
 
 
 def gram_overlaps(states, frame, path, stride=1):
-    """The same (P, K / stride) overlaps from the Gram route, gathered from
-    the pieces that berry._cycle_overlaps yields."""
+    """The same (P, K / stride) overlaps from the Gram route, each stretch
+    (lo, count, c_0) that berry._cycle_overlaps yields spread over its pairs."""
     overlaps = berry._cycle_overlaps(frame, path)
     got = np.full((len(states), path.segments // stride), np.nan, dtype=complex)
     for p, state in enumerate(states):
-        for j, ov in overlaps(state)(stride):
-            got[p, j : j + len(ov)] = ov
+        for lo, count, c0 in overlaps(state)(stride):
+            got[p, lo : lo + count] = c0
     return got
+
+
+def branch_superpositions(rng, params, count):
+    """count random complex superpositions of the two dressed branches of
+    the params' doublet: not eigenstates, but one level per sector."""
+    plus, minus = (dressed_state_vector(d).amplitudes for d in analytic_eigensystem(params))
+    z = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return [StateVector(default_basis(params), a * plus + b * minus) for a, b in z]
+
+
+def rolled_loop(rng, length):
+    """A loop of `length` samples in two theta runs whose phi steps repeat
+    in places."""
+    phi = np.cumsum(rng.choice([0.1, 0.1, 0.1, 0.25], size=length))
+    theta = np.where(np.arange(length) < length // 2, 0.4, 1.1)
+    cycle = np.column_stack([theta, phi])
+    return LoopPath(np.vstack([cycle, cycle[:1]]), omega_solid=0.0)
 
 
 def assert_overlaps_are_lifted(states, frame, path):
@@ -416,14 +475,18 @@ def assert_overlaps_are_lifted(states, frame, path):
 
 def batch_setup(case, points):
     """A frame, a loop and `points` states on the frame's basis: dressed
-    states of one doublet at spread detunings, or random states of the
-    exchange-coupled pair's four-mode basis."""
+    states of one doublet at spread detunings, or the exchange-coupled
+    pair's eigenstate and random superpositions of it and its partner."""
     if case == "pair":
         basis = two_anyon_basis(TwoAnyonParams(m=2))
         rng = np.random.default_rng(3)
-        z = rng.normal(size=(points, basis.dim)) + 1j * rng.normal(size=(points, basis.dim))
-        z[0] = two_anyon_eigenstate(TwoAnyonParams(m=2), basis).amplitudes
-        states = [StateVector(basis, v / np.linalg.norm(v)) for v in z]
+        branches = [(SPIN_UP, 0, 0, 0, 0), (SPIN_DOWN, 2, 0, 2, 0)]
+        z = rng.normal(size=(points, 2)) + 1j * rng.normal(size=(points, 2))
+        z[0] = 1.0
+        states = [
+            StateVector.from_components(basis, dict(zip(branches, v / np.linalg.norm(v))))
+            for v in z
+        ]
         return schwinger_frame(basis), constant_latitude_loop(1.3, 64, revolutions=2), states
     m, n, n_prime, branch = case
     basis = default_basis(ModelParams(m=m, n=n, n_prime=n_prime))
@@ -482,13 +545,13 @@ class TestHolonomyBatch:
         batch = berry.holonomy_phases(states, frame, path)
         assert batch == [holonomy_phase(state, frame, path) for state in states]
 
-    def test_nan_state_hides_no_other_state(self):
+    def test_nan_state_raises_alone_and_in_a_batch(self):
         frame, path, states = batch_setup((2, 1, 2, "-"), 2)
         broken = StateVector(frame.basis, np.full(frame.basis.dim, np.nan, dtype=complex))
-        batch = berry.holonomy_phases([states[0], broken, states[1]], frame, path)
-        assert batch[0] == holonomy_phase(states[0], frame, path)
-        assert batch[2] == holonomy_phase(states[1], frame, path)
-        assert batch[1].winding is None and math.isnan(batch[1].diagnostics["min_overlap"])
+        with pytest.raises(ValueError, match="state amplitudes must be finite"):
+            holonomy_phase(broken, frame, path)
+        with pytest.raises(ValueError, match="state amplitudes must be finite"):
+            berry.holonomy_phases([states[0], broken, states[1]], frame, path)
 
     @pytest.mark.parametrize("seed", [None, 7])
     def test_refine_and_gauge_seed_keep_their_meaning(self, seed):
@@ -527,12 +590,13 @@ class TestHolonomyBatch:
         with pytest.raises(VanishingOverlap) as batched:
             berry.holonomy_phases(states[::-1], frame, path)
         assert str(batched.value) == str(alone.value)
-        # a state of NaNs raises nothing alone, and hides no other state
+        # the batch raises what its first failing state raises
         broken = StateVector(basis, np.full(basis.dim, np.nan, dtype=complex))
-        assert holonomy_phase(broken, frame, path).winding is None
         with pytest.raises(VanishingOverlap) as batched:
-            berry.holonomy_phases([broken, states[0]], frame, path)
+            berry.holonomy_phases([states[0], broken], frame, path)
         assert str(batched.value) == str(alone.value)
+        with pytest.raises(ValueError, match="finite"):
+            berry.holonomy_phases([broken, states[0]], frame, path)
 
     def test_empty_batch(self):
         frame, path, _ = batch_setup((1, 0, 0, "+"), 1)

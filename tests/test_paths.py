@@ -194,6 +194,19 @@ class TestFrame:
             assert np.allclose(frame.jz_diagonal, jz_oracle(basis))
 
     @pytest.mark.parametrize(
+        "basis", [BasisSpec(2, (0, 1, 3)), BasisSpec(4, ((0, 0), (1, 2), (2, 2)))]
+    )
+    def test_levels_and_the_blocks_jy_keeps(self, basis):
+        frame = schwinger_frame(basis)
+        levels, sectors = frame.jz_levels
+        assert np.array_equal(levels, 2 * jz_oracle(basis))
+        # one id per (spin, pair totals), and J_y links no two ids
+        keys = [(s, *map(sum, zip(occ[::2], occ[1::2]))) for s, *occ in basis.states]
+        same_key = np.array([[a == b for b in keys] for a in keys])
+        assert np.array_equal(sectors[:, None] == sectors, same_key)
+        assert not np.abs(frame.j_y.matrix[~same_key]).any()
+
+    @pytest.mark.parametrize(
         "basis", [BasisSpec(2, (0, 1, 2)), BasisSpec(4, ((0, 0), (1, 1)))]
     )
     def test_su2_commutators(self, basis):
@@ -236,7 +249,13 @@ class TestFrameCache:
     def test_a_shared_frame_cannot_be_written(self):
         basis = BasisSpec(2, (0, 1, 2))
         frame = schwinger_frame(basis)
-        arrays = [frame.j_y.matrix, frame.j_z.matrix, frame.jz_diagonal, *frame.jy_eigensystem]
+        arrays = [
+            frame.j_y.matrix,
+            frame.j_z.matrix,
+            frame.jz_diagonal,
+            *frame.jz_levels,
+            *frame.jy_eigensystem,
+        ]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
