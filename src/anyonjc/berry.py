@@ -135,7 +135,7 @@ def holonomy_phase(
     dressed doublets and the exchange pair's eigenstate are; comparing
     against closed-form phases is only meaningful for eigenstates. The
     overlaps of a latitude loop cost the same for any sample count:
-    diagnostics["grams"] counts the stretch overlaps taken over both
+    diagnostics["stretch_overlaps"] counts the overlaps taken over both
     cycles, 2 on a latitude loop. This is holonomy_phases of the one state.
     """
     return holonomy_phases([state], frame, path, refine=refine, gauge_seed=gauge_seed)[0]
@@ -200,13 +200,14 @@ def _cycle_overlaps(frame: SchwingerFrame, path: LoopPath):
         steps = np.empty(n)
         np.subtract(phi[1:], phi[:-1], out=steps[:-1])
         steps[-1] = math.remainder(phi[0] - phi[-1], TWO_PI)
-        if theta.min() == theta.max() and steps.max() - steps.min() <= tol:
-            bounds = [0, n]  # a latitude loop: no pair opens a stretch
-        else:
-            flat = theta == np.roll(theta, -1)
-            # pair j opens a stretch unless pairs j - 1, j are flat, steps equal
-            opens = ~(flat[1:] & flat[:-1]) | (np.abs(steps[1:] - steps[:-1]) > tol)
-            bounds = [0, *(np.flatnonzero(opens) + 1).tolist(), n]
+        jumps = np.empty(n, bool)  # pair j changes theta
+        np.not_equal(theta[1:], theta[:-1], out=jumps[:-1])
+        jumps[-1] = theta[0] != theta[-1]
+        # pair j opens a stretch if pair j - 1 or j jumps or their steps differ
+        opens = np.abs(steps[1:] - steps[:-1]) > tol
+        opens |= jumps[1:]
+        opens |= jumps[:-1]
+        bounds = [0, *(np.flatnonzero(opens) + 1).tolist(), n]
         pieces = []
         for lo, hi in zip(bounds, bounds[1:]):
             step = float(np.add.reduce(steps[lo:hi])) / (hi - lo)
@@ -246,7 +247,7 @@ def _cycle_overlaps(frame: SchwingerFrame, path: LoopPath):
 def _report(cycle, path, refine, gauge_seed) -> PhaseReport:
     """holonomy_phase of a state, from its cycle(stride) of _cycle_overlaps."""
 
-    def sweep(stride):  # smallest overlap, largest |argument|, argument sum, Grams
+    def sweep(stride):  # smallest overlap, largest |argument|, argument sum, overlaps
         lo, count, ov = (np.array(column) for column in zip(*cycle(stride)))
         if gauge_seed is not None:  # each pair's overlap, row k times e^{i rho_k}
             rho = TWO_PI * np.random.default_rng(gauge_seed).random(path.segments)[::stride]
@@ -256,8 +257,8 @@ def _report(cycle, path, refine, gauge_seed) -> PhaseReport:
         argsum = float(np.add.reduce(count * args))
         return float(np.abs(ov).min()), float(np.abs(args).max()), argsum, len(lo)
 
-    min_overlap, max_step, argsum, grams = sweep(1)
-    if min_overlap < TOL.vanishing_overlap:  # False for a NaN overlap
+    min_overlap, max_step, argsum, taken = sweep(1)
+    if min_overlap < TOL.vanishing_overlap:
         raise VanishingOverlap(
             f"consecutive overlap {min_overlap:.2e} below "
             f"{TOL.vanishing_overlap}; sample the path more finely"
@@ -278,9 +279,9 @@ def _report(cycle, path, refine, gauge_seed) -> PhaseReport:
     # unresolvable one can only compare principal values.
     argsum_used = argsum
     if path.segments % 2 == 0 and (refine or ok):
-        lowest_h, steepest_h, argsum_h, grams_h = sweep(2)
-        grams += grams_h
-        smooth = steepest_h < TOL.winding_step_cap  # a NaN is usable, not smooth
+        lowest_h, steepest_h, argsum_h, taken_h = sweep(2)
+        taken += taken_h
+        smooth = steepest_h < TOL.winding_step_cap
         if not lowest_h < TOL.vanishing_overlap and (smooth or not ok):
             delta = argsum_h - argsum
             if not ok:
@@ -289,7 +290,7 @@ def _report(cycle, path, refine, gauge_seed) -> PhaseReport:
             if refine:
                 argsum_used = argsum - delta / 3.0
                 diagnostics["refined"] = True
-    diagnostics["grams"] = grams
+    diagnostics["stretch_overlaps"] = taken
 
     if ok:
         gamma_total = SIGN * -argsum_used

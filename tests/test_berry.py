@@ -281,7 +281,7 @@ class TestHolonomy:
         loop = constant_latitude_loop(2.2, 64)
         doubled = np.vstack([np.repeat(loop.samples[:-1], 2, axis=0), loop.samples[-1:]])
         path = LoopPath(doubled, omega_solid=loop.omega_solid)
-        norms = gram_overlaps([state], frame, path)[0, ::2]
+        norms = spread_overlaps([state], frame, path)[0, ::2]
         assert np.abs(norms - 1.0).max() < 1e-12
 
     @pytest.mark.parametrize(
@@ -291,8 +291,11 @@ class TestHolonomy:
             constant_latitude_loop(1.1, 16),
             # runs of equal theta, then a lone vertex and the closing one
             polygon_loop([(0.5, 0.0), (0.5, 2.0), (1.0, 3.0), (1.0, 4.0), (0.7, 5.0)]),
+            # two theta runs at one phi step: only the theta jumps, the
+            # closing pair's among them, open stretches
+            polygon_loop([(0.5 + 0.5 * (k >= 4), k * math.pi / 4) for k in range(8)]),
         ],
-        ids=["latitude", "latitude-once", "polygon"],
+        ids=["latitude", "latitude-once", "polygon", "polygon-equal-steps"],
     )
     def test_transport_rows_are_lifted_state(self, path):
         # odd m: the doublet's levels differ by an odd span
@@ -364,7 +367,7 @@ class TestHolonomy:
 
     @pytest.mark.parametrize("n_steps", [512, 4096, 65536])
     @pytest.mark.parametrize("case", ["doublet", "exchange-pair"])
-    def test_a_latitude_loop_takes_two_grams_for_any_length(self, case, n_steps):
+    def test_a_latitude_loop_takes_two_stretch_overlaps_for_any_length(self, case, n_steps):
         if case == "doublet":
             _, frame, state = doublet_setup(m=3, delta=0.4, n=1)
         else:
@@ -372,15 +375,15 @@ class TestHolonomy:
             basis = two_anyon_basis(pair)
             frame, state = schwinger_frame(basis), two_anyon_eigenstate(pair, basis)
         report = holonomy_phase(state, frame, constant_latitude_loop(1.1, n_steps))
-        assert report.diagnostics["grams"] == 2 and report.diagnostics["refined"]
+        assert report.diagnostics["stretch_overlaps"] == 2 and report.diagnostics["refined"]
 
-    def test_a_polygon_takes_one_gram_per_pair(self):
+    def test_a_polygon_takes_one_stretch_overlap_per_pair(self):
         params, frame, state = doublet_setup(m=2, delta=0.3)
         vertices = [(0.4 + 0.1 * k, 0.6 * k) for k in range(8)]
         path = polygon_loop(vertices)
         report = holonomy_phase(state, frame, path)
         assert path.segments == 8
-        assert report.diagnostics["grams"] == 8 + 4
+        assert report.diagnostics["stretch_overlaps"] == 8 + 4
 
     def test_creeping_steps_are_taken_pair_by_pair(self):
         # neighbouring phi steps differ by 2 ulp, under the stretch bound,
@@ -397,7 +400,7 @@ class TestHolonomy:
     @pytest.mark.parametrize("revolutions", [1, 2])
     @pytest.mark.parametrize("n_steps", [512, 4096])
     def test_latitude_loop_is_one_stretch_on_both_cycles(self, revolutions, n_steps):
-        # one Gram per cycle: the closing pair's step, taken modulo 2 pi,
+        # one overlap per cycle: the closing pair's step, taken modulo 2 pi,
         # matches the others, so no pair opens a stretch of its own
         params, frame, state = doublet_setup(m=3, delta=0.4)
         path = constant_latitude_loop(1.1, n_steps, revolutions=revolutions)
@@ -436,9 +439,9 @@ def lifted_overlaps(states, frame, path, stride=1):
     return np.einsum("kpd,kpd->pk", rows.conj(), np.roll(rows, -1, axis=0))
 
 
-def gram_overlaps(states, frame, path, stride=1):
-    """The same (P, K / stride) overlaps from the Gram route, each stretch
-    (lo, count, c_0) that berry._cycle_overlaps yields spread over its pairs."""
+def spread_overlaps(states, frame, path, stride=1):
+    """The same (P, K / stride) overlaps from berry._cycle_overlaps, each
+    stretch (lo, count, c_0) it yields spread over its pairs."""
     overlaps = berry._cycle_overlaps(frame, path)
     got = np.full((len(states), path.segments // stride), np.nan, dtype=complex)
     for p, state in enumerate(states):
@@ -466,10 +469,10 @@ def rolled_loop(rng, length):
 
 
 def assert_overlaps_are_lifted(states, frame, path):
-    """The Gram route's overlaps match the lifted rows' to 1e-13, on the
+    """The stretch overlaps match the lifted rows' to 1e-13, on the
     cycle and, for an even cycle, on the half-resolution one."""
     for stride in (1, 2) if path.segments % 2 == 0 else (1,):
-        got = gram_overlaps(states, frame, path, stride)
+        got = spread_overlaps(states, frame, path, stride)
         assert np.abs(got - lifted_overlaps(states, frame, path, stride)).max() < 1e-13
 
 
@@ -535,9 +538,9 @@ class TestHolonomyBatch:
         batch = berry.holonomy_phases(states, frame, path)
         assert batch == [holonomy_phase(state, frame, path) for state in states]
         for stride in (1, 2):
-            together = gram_overlaps(states, frame, path, stride)
+            together = spread_overlaps(states, frame, path, stride)
             for p, state in enumerate(states):
-                alone = gram_overlaps([state], frame, path, stride)[0]
+                alone = spread_overlaps([state], frame, path, stride)[0]
                 assert np.array_equal(together[p], alone)
 
     def test_a_hundred_states_equal_their_one_state_calls(self):
